@@ -24,7 +24,9 @@ __all__ = [
     "PerplexityResult",
     "budget_from_ratio",
     "enforce_budget",
+    "observe_and_evict",
     "sequence_capacity",
+    "unservable_reason",
 ]
 
 
@@ -51,6 +53,37 @@ def sequence_capacity(prompt_length, max_new_tokens, budget):
     return max(prompt_length, budget) + 1
 
 
+def unservable_reason(config, tokens, total_length):
+    """Why a model of ``config`` cannot serve a sequence, or ``None``.
+
+    Returns ``(reason, detail)`` — ``"invalid_token"`` when ``tokens``
+    holds anything but integer ids in ``[0, vocab_size)``,
+    ``"exceeds_max_seq_len"`` when the sequence (input plus everything to
+    be generated) is longer than the model's positional table.  Checked
+    where a sequence enters (:meth:`GenerationEngine.generate` /
+    :meth:`~GenerationEngine.perplexity`,
+    :meth:`repro.serve.Scheduler.submit`), so the model loop never meets
+    either mid-round — where a negative id would silently read
+    ``embed[-k]`` and an ``IndexError`` would strand every other sequence
+    of the batch — and can check its RoPE range once per call.
+    """
+    tokens = np.asarray(tokens)
+    if not np.issubdtype(tokens.dtype, np.integer) or (
+        tokens.size and (tokens.min() < 0 or tokens.max() >= config.vocab_size)
+    ):
+        return (
+            "invalid_token",
+            f"token ids must be integers in [0, {config.vocab_size})",
+        )
+    if total_length > config.max_seq_len:
+        return (
+            "exceeds_max_seq_len",
+            f"sequence of {total_length} tokens exceeds the model's "
+            f"max_seq_len {config.max_seq_len}",
+        )
+    return None
+
+
 def enforce_budget(policy, cache, budget, step, log, evictions_per_step=None):
     """Evict from every layer of ``cache`` until it is within ``budget``.
 
@@ -61,7 +94,7 @@ def enforce_budget(policy, cache, budget, step, log, evictions_per_step=None):
     ``(step, layer, position)`` triples; ``evictions_per_step`` caps the
     evictions per layer (``None`` = shrink to budget immediately).
     """
-    if budget is None:
+    if budget is None or all(layer.length <= budget for layer in cache):
         return
     for layer_index, layer_cache in enumerate(cache):
         evicted = 0
@@ -73,6 +106,26 @@ def enforce_budget(policy, cache, budget, step, log, evictions_per_step=None):
             policy.on_evict(layer_index, slot)
             log.append((step, layer_index, position))
             evicted += 1
+
+
+def observe_and_evict(
+    policy, cache, attention, budget, step, log, evictions_per_step=None, width=None
+):
+    """The decode epilogue of one sequence: observe, then evict.
+
+    Shared by every decode path — :meth:`GenerationEngine.generate` and
+    :meth:`~GenerationEngine.perplexity`, the scheduler's batched decode
+    and its speculative-verify bookkeeping — so they cannot drift apart:
+    one ``policy.observe_step`` over the token's per-layer ``(H, l)``
+    ``attention`` rows and the cache's slot positions, then
+    :func:`enforce_budget`.  ``width`` is a speculative row's causal
+    width: the verify pass appended every row up front, so positions are
+    sliced back to what the row's sequential step would have seen.
+    """
+    policy.observe_step(
+        attention, [layer.positions[:width] for layer in cache], GENERATION
+    )
+    enforce_budget(policy, cache, budget, step, log, evictions_per_step)
 
 
 @dataclass
@@ -143,6 +196,11 @@ class GenerationEngine:
     def _capacity(self, prompt_length, max_new_tokens):
         return sequence_capacity(prompt_length, max_new_tokens, self.budget)
 
+    def _check_servable(self, tokens, total_length):
+        problem = unservable_reason(self.model.config, tokens, total_length)
+        if problem is not None:
+            raise ValueError(problem[1])
+
     def _observe_prefill(self, attention, positions):
         """Feed the causal attention matrices to the policy, one block
         (= one ``observe_block`` call) per layer.
@@ -153,22 +211,6 @@ class GenerationEngine:
         """
         for layer, attn in enumerate(attention):
             self.policy.observe_block(layer, attn, positions, PREFILL)
-
-    def _observe_step(self, attention, cache):
-        for layer, attn in enumerate(attention):
-            self.policy.observe(
-                layer, attn, cache[layer].positions, GENERATION
-            )
-
-    def _enforce_budget(self, cache, step, log):
-        enforce_budget(
-            self.policy,
-            cache,
-            self.budget,
-            step,
-            log,
-            evictions_per_step=self.evictions_per_step,
-        )
 
     # ------------------------------------------------------------------
     # Generation
@@ -182,6 +224,7 @@ class GenerationEngine:
         prompt = np.asarray(prompt)
         if prompt.ndim != 1 or prompt.shape[0] == 0:
             raise ValueError("prompt must be a non-empty 1-D token array")
+        self._check_servable(prompt, prompt.shape[0] + max_new_tokens)
         rng = np.random.default_rng(seed)
         self.policy.reset()
 
@@ -191,7 +234,9 @@ class GenerationEngine:
         prefill = self.model.prefill(prompt, cache)
         positions = np.arange(prompt.shape[0])
         self._observe_prefill(prefill.attention, positions)
-        self._enforce_budget(cache, step=0, log=result.evictions)
+        enforce_budget(
+            self.policy, cache, self.budget, 0, result.evictions, self.evictions_per_step
+        )
         result.cache_lengths.append(cache[0].length)
 
         logits = prefill.logits
@@ -202,8 +247,15 @@ class GenerationEngine:
             if eos is not None and token == eos:
                 break
             step_result = self.model.step(token, position, cache)
-            self._observe_step(step_result.attention, cache)
-            self._enforce_budget(cache, step, result.evictions)
+            observe_and_evict(
+                self.policy,
+                cache,
+                step_result.attention,
+                self.budget,
+                step,
+                result.evictions,
+                self.evictions_per_step,
+            )
             result.cache_lengths.append(cache[0].length)
             logits = step_result.logits
             position += 1
@@ -228,6 +280,7 @@ class GenerationEngine:
         if tokens.ndim != 1 or tokens.shape[0] < 2:
             raise ValueError("need at least two tokens for perplexity")
         total = tokens.shape[0]
+        self._check_servable(tokens, total)
         if prefill_length is None:
             prefill_length = self.budget if self.budget is not None else total // 2
         prefill_length = int(min(max(prefill_length, 1), total - 1))
@@ -241,13 +294,22 @@ class GenerationEngine:
 
         prefill = self.model.prefill(tokens[:prefill_length], cache)
         self._observe_prefill(prefill.attention, np.arange(prefill_length))
-        self._enforce_budget(cache, step=0, log=evictions)
+        enforce_budget(
+            self.policy, cache, self.budget, 0, evictions, self.evictions_per_step
+        )
         nll.append(_token_nll(prefill.logits, tokens[prefill_length]))
 
         for i in range(prefill_length, total - 1):
             step_result = self.model.step(tokens[i], i, cache)
-            self._observe_step(step_result.attention, cache)
-            self._enforce_budget(cache, i, evictions)
+            observe_and_evict(
+                self.policy,
+                cache,
+                step_result.attention,
+                self.budget,
+                i,
+                evictions,
+                self.evictions_per_step,
+            )
             nll.append(_token_nll(step_result.logits, tokens[i + 1]))
         return PerplexityResult(nll_per_token=nll, budget=self.budget)
 

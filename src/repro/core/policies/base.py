@@ -8,17 +8,22 @@ Contract
 --------
 State is kept *slot-aligned* per layer: slot ``j`` of the policy's internal
 vectors corresponds to slot ``j`` of the layer's :class:`LayerKVCache`.
-The engine guarantees the following call order per layer:
+The engine guarantees the following call order:
 
-1. ``observe(layer, attn, positions, phase)`` once per processed token —
-   ``attn`` is ``(H, l)`` attention probabilities over the *current* cache
-   (the newest token occupies the last slot), ``positions`` the absolute
-   positions of the slots.  During prefill the engine instead makes one
+1. ``observe_step(attention, positions, phase)`` once per decoded token,
+   covering every layer — ``attention[layer]`` is the ``(H, l)`` attention
+   probabilities over that layer's *current* cache (the newest token
+   occupies the last slot), ``positions[layer]`` the absolute positions of
+   its slots.  The default implementation makes one
+   ``observe(layer, attn, positions, phase)`` call per layer, so
+   ``observe`` remains the reference semantics and ``observe_step`` a
+   vectorization hook (``VotingPolicy`` scores all layers in one stacked
+   pass).  During prefill the engine instead makes one
    ``observe_block(layer, attn, positions, phase)`` call per layer with
-   the full ``(H, L, L)`` causal matrix; the default implementation
-   replays it through ``observe`` row by row, so ``observe`` remains the
-   reference semantics and ``observe_block`` a vectorization hook.
-2. zero or more ``select_victim(layer, positions)`` /
+   the full ``(H, L, L)`` causal matrix (``observe_continuation`` for a
+   chunk); the default implementation replays it through ``observe`` row
+   by row — the same reference/hook relation.
+2. per layer, zero or more ``select_victim(layer, positions)`` /
    ``on_evict(layer, slot)`` pairs, one per eviction, until the cache is
    within budget.  ``on_evict`` must compact slot-aligned state the same
    way the cache compacts (delete slot, shift tail left).
@@ -81,6 +86,21 @@ class EvictionPolicy(ABC):
 
         Default: ignore (policies like StreamingLLM are score-free).
         """
+
+    def observe_step(self, attention, positions, phase=GENERATION):
+        """Consume one decoded token's attention rows for every layer.
+
+        ``attention[layer]`` is the ``(H, l)`` row ``step_batch``/``verify``
+        return for that layer, ``positions[layer]`` the ``(l,)`` slot
+        positions of the layer's cache.  Semantically equivalent to one
+        :meth:`observe` call per layer in layer order — which is exactly
+        what this default does.  Subclasses may override with a kernel
+        that scores all layers at once (see ``VotingPolicy.observe_step``);
+        the contract is that the resulting policy state is identical to
+        the per-layer loop.
+        """
+        for layer, (attn, slots) in enumerate(zip(attention, positions, strict=True)):
+            self.observe(layer, attn, slots, phase)
 
     def observe_block(self, layer, attn, positions, phase):
         """Consume a block of causal attention rows for ``layer`` at once.

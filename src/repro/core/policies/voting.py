@@ -31,24 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.policies.base import EvictionPolicy, register_policy
+from repro.core.policies.base import GENERATION, EvictionPolicy, register_policy
 
 __all__ = ["VotingPolicy", "adaptive_threshold", "vote_mask"]
-
-
-_TRIL_CACHE = {}
-
-
-def _tril_mask(length):
-    """Cached lower-triangular boolean mask (read-only, bounded cache)."""
-    mask = _TRIL_CACHE.get(length)
-    if mask is None:
-        if len(_TRIL_CACHE) >= 16:
-            _TRIL_CACHE.clear()
-        mask = np.tril(np.ones((length, length), dtype=bool))
-        mask.setflags(write=False)
-        _TRIL_CACHE[length] = mask
-    return mask
 
 
 def _causal_row_sums(rows, offset):
@@ -171,33 +156,40 @@ class VotingPolicy(EvictionPolicy):
         self.reset()
 
     def reset(self):
-        # Vote counters are stored in capacity-backed arrays with an
-        # explicit logical length so eviction can compact in place
-        # (mirroring ``LayerKVCache.evict``) instead of reallocating via
-        # ``np.delete``.  Slots in [length, capacity) are always zero.
-        self._votes = [np.zeros(0, dtype=np.int64) for _ in range(self.n_layers)]
+        # Vote counters live in one capacity-backed (n_layers, capacity)
+        # array with an explicit logical length per layer, so the stacked
+        # decode kernel accumulates every layer in one add and eviction
+        # compacts in place (mirroring ``LayerKVCache.evict``) instead of
+        # reallocating via ``np.delete``.  Slots in [length, capacity) are
+        # always zero.
+        self._votes = np.zeros((self.n_layers, 0), dtype=np.int64)
         self._lengths = [0] * self.n_layers
 
     def vote_counts(self, layer):
         """Slot-aligned vote counts for ``layer`` (copy, for diagnostics)."""
         self._check_layer(layer)
-        return self._votes[layer][: self._lengths[layer]].copy()
+        return self._votes[layer, : self._lengths[layer]].copy()
 
-    def _ensure_length(self, layer, length):
-        """Grow layer ``layer``'s counters to at least ``length`` slots.
+    def _ensure_capacity(self, length):
+        """Grow every layer's counters to at least ``length`` slots.
 
         Capacity doubles amortized so per-token growth during generation
         is O(1); newly exposed slots start at zero votes.
         """
-        votes = self._votes[layer]
-        if length > votes.shape[0]:
-            grown = np.zeros(max(length, 2 * votes.shape[0]), dtype=np.int64)
-            grown[: self._lengths[layer]] = votes[: self._lengths[layer]]
-            self._votes[layer] = grown
-            votes = grown
+        capacity = self._votes.shape[1]
+        if length > capacity:
+            grown = np.zeros(
+                (self.n_layers, max(length, 2 * capacity)), dtype=np.int64
+            )
+            grown[:, :capacity] = self._votes
+            self._votes = grown
+
+    def _ensure_length(self, layer, length):
+        """Layer ``layer``'s counter row, at least ``length`` slots long."""
+        self._ensure_capacity(length)
         if length > self._lengths[layer]:
             self._lengths[layer] = length
-        return votes
+        return self._votes[layer]
 
     # ------------------------------------------------------------------
     # Policy interface
@@ -225,6 +217,69 @@ class VotingPolicy(EvictionPolicy):
             row, positions, self.reserved_length, a=self.a, b=self.b
         )
         votes[:length] += mask.astype(np.int64)
+
+    def observe_step(self, attention, positions, phase=GENERATION):
+        """Layer-stacked decode voting: every layer's row in one pass.
+
+        Equivalent to one :meth:`observe` call per layer (the base-class
+        reference loop) — vote counters come out ``np.array_equal`` — but
+        the ``(n_layers, H, l)`` stack is head-reduced, thresholded and
+        accumulated with one numpy call each instead of one per layer.
+
+        Numerics contract: every step performs the *same float operations
+        in the same order* as the scalar path.  The head reduction is a
+        sequential row add in both layouts; ``np.mean`` is
+        ``np.add.reduce / n``; ``row.std()`` is sum/n → subtract → square
+        → sum/n → sqrt; and a reduction along the last contiguous axis is
+        row-independent (the same pairwise tree for the same ``l``), so
+        each layer's threshold is bitwise the scalar one.  That only holds
+        without padding, hence layers at different lengths (reachable
+        only through direct API use) or non-float64 rows take the
+        per-layer loop instead.
+        """
+        try:
+            attn = np.array(attention)  # (n_layers, H, l)
+            slots = np.array(positions)  # (n_layers, l)
+        except ValueError:  # ragged layers
+            return super().observe_step(attention, positions, phase)
+        if (
+            attn.ndim != 3
+            or attn.dtype != np.float64
+            or attn.shape[0] != self.n_layers
+            or attn.shape[2] == 0
+            or slots.shape != attn.shape[::2]
+        ):
+            return super().observe_step(attention, positions, phase)
+        length = attn.shape[2]
+        self._ensure_capacity(length)
+        self._lengths = [max(length, known) for known in self._lengths]
+
+        # Each layer's newest token (last slot) is its voter; rows produced
+        # inside the reserved stage do not vote (Fig. 3, "Reserved Stage").
+        eligible = slots >= self.reserved_length
+        voters = eligible[:, -1]
+
+        rows = np.add.reduce(attn, axis=1)
+        if self.head_reduction == "mean":
+            rows /= attn.shape[1]
+        means = np.add.reduce(rows, axis=1, keepdims=True) / length
+        deviations = rows - means
+        np.multiply(deviations, deviations, out=deviations)
+        stds = np.sqrt(np.add.reduce(deviations, axis=1, keepdims=True) / length)
+        thresholds = self.a * means - self.b * stds
+
+        mask = rows < thresholds
+        mask &= eligible
+        regular = voters & (thresholds[:, 0] > 0.0)
+        if not regular.all():
+            # Non-voters cast nothing; a voter whose threshold is not
+            # positive votes for its minimum eligible score only.
+            for layer in np.flatnonzero(~regular):
+                mask[layer] = False
+                if voters[layer]:
+                    scores = np.where(eligible[layer], rows[layer], np.inf)
+                    mask[layer, np.argmin(scores)] = True
+        self._votes[:, :length] += mask
 
     def observe_block(self, layer, attn, positions, phase):
         """Vectorized prefill voting: all rows of a causal block at once.
@@ -286,7 +341,7 @@ class VotingPolicy(EvictionPolicy):
         # Row i is the attention of slot offset+i over slots 0..offset+i;
         # entries beyond are exactly zero (the causal-softmax contract:
         # -1e30 masking underflows to a hard 0.0).
-        tri = _tril_mask(length)[offset:]
+        tri = np.tri(n_rows, length, offset, dtype=bool)
         counts = np.arange(offset + 1, length + 1, dtype=np.float64)
         means = _causal_row_sums(rows, offset) / counts
         deviations = rows - means[:, None]
@@ -327,7 +382,7 @@ class VotingPolicy(EvictionPolicy):
             raise ValueError(
                 f"export length {length} beyond observed {self._lengths[layer]}"
             )
-        return self._votes[layer][:length].copy()
+        return self._votes[layer, :length].copy()
 
     def import_prefill_state(self, layer, state, length):
         """Seed vote counters from a snapshot, in place of observing the
@@ -357,13 +412,12 @@ class VotingPolicy(EvictionPolicy):
             padded = np.zeros(length, dtype=np.int64)
             padded[: votes.shape[0]] = votes
             votes = padded
-        eligible = positions >= self.reserved_length
-        if not np.any(eligible):
-            return length - 1
-        masked = np.where(eligible, votes[:length], -1)
-        # np.argmax returns the first maximal index, implementing the
-        # paper's earliest-position tie-break.
-        return int(np.argmax(masked))
+        masked = np.where(positions >= self.reserved_length, votes[:length], -1)
+        # argmax returns the first maximal index, implementing the paper's
+        # earliest-position tie-break.  Counters are never negative, so a
+        # -1 maximum means no slot was eligible.
+        slot = int(masked.argmax())
+        return slot if masked[slot] >= 0 else length - 1
 
     def on_evict(self, layer, slot):
         self._check_layer(layer)

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.config import ModelConfig
 from repro.core.kv_cache import KVCache
-from repro.models.rope import RopeTable, apply_rope_numpy
+from repro.models.rope import RopeTable, rotate_half
 from repro.numerics.online import stable_softmax
 
 __all__ = [
@@ -194,12 +194,17 @@ class CachedTransformer:
     # Elementwise helpers (match repro.nn.functional exactly)
     # ------------------------------------------------------------------
     def _norm(self, x, weight, bias):
+        # Three calls per layer per decode step: the means are spelled as
+        # the ufunc reduction ``np.mean`` wraps (sum along the axis, then
+        # one true-divide by the count) and ``x**2`` as ``x * x`` — the
+        # same float operations without the python shims.
+        width = x.shape[-1]
         if self.config.norm == "rmsnorm":
-            mean_square = np.mean(x**2, axis=-1, keepdims=True)
+            mean_square = np.add.reduce(x * x, axis=-1, keepdims=True) / width
             return x / np.sqrt(mean_square + 1e-6) * weight
-        mean = np.mean(x, axis=-1, keepdims=True)
+        mean = np.add.reduce(x, axis=-1, keepdims=True) / width
         centered = x - mean
-        variance = np.mean(centered**2, axis=-1, keepdims=True)
+        variance = np.add.reduce(centered * centered, axis=-1, keepdims=True) / width
         return centered / np.sqrt(variance + 1e-5) * weight + bias
 
     def _ffn(self, lw, x, mm=np.matmul):
@@ -280,6 +285,9 @@ class CachedTransformer:
         (prior,) = prior_lengths
         total = prior + length
         positions = np.arange(start_position, start_position + length)
+        # Positions are the same in every layer: one table look-up (and
+        # one range check) serves q and k of all of them.
+        cos, sin = self.rope.at(positions)
         scale = 1.0 / math.sqrt(head_dim)
 
         x = self.embed[tokens]
@@ -294,8 +302,8 @@ class CachedTransformer:
             def split(mat):
                 return mat.reshape(length, heads, head_dim).transpose(1, 0, 2)
 
-            q = apply_rope_numpy(split(batch_matmul(normed, lw.wq)), positions, self.rope)
-            k = apply_rope_numpy(split(batch_matmul(normed, lw.wk)), positions, self.rope)
+            q = rotate_half(split(batch_matmul(normed, lw.wq)), cos, sin)
+            k = rotate_half(split(batch_matmul(normed, lw.wk)), cos, sin)
             v = split(batch_matmul(normed, lw.wv))
             layer_cache.append_block(k, v, positions)
             keys = layer_cache.keys  # (H, total, d)
@@ -374,6 +382,8 @@ class CachedTransformer:
                 f"positions, {len(caches)} caches"
             )
 
+        cos, sin = self.rope.at(positions[:, None])  # once for all layers
+
         x = self.embed[tokens]  # (B, D)
         attention_records = []
         for layer_index, lw in enumerate(self.layers):
@@ -382,8 +392,8 @@ class CachedTransformer:
             q = batch_matmul(normed, lw.wq).reshape(batch, heads, head_dim)
             k = batch_matmul(normed, lw.wk).reshape(batch, heads, head_dim)
             v = batch_matmul(normed, lw.wv).reshape(batch, heads, head_dim)
-            q = apply_rope_numpy(q, positions[:, None], self.rope)
-            k = apply_rope_numpy(k, positions[:, None], self.rope)
+            q = rotate_half(q, cos, sin)
+            k = rotate_half(k, cos, sin)
 
             contexts = np.empty((batch, config.d_model))
             layer_attn = []
@@ -470,6 +480,7 @@ class CachedTransformer:
                 "needs every layer at the same length"
             )
         positions = np.arange(start_position, start_position + length)
+        cos, sin = self.rope.at(positions[:, None])  # once for all layers
 
         x = self.embed[tokens]  # (L, D)
         attention_records = []
@@ -479,8 +490,8 @@ class CachedTransformer:
             q = batch_matmul(normed, lw.wq).reshape(length, heads, head_dim)
             k = batch_matmul(normed, lw.wk).reshape(length, heads, head_dim)
             v = batch_matmul(normed, lw.wv).reshape(length, heads, head_dim)
-            q = apply_rope_numpy(q, positions[:, None], self.rope)
-            k = apply_rope_numpy(k, positions[:, None], self.rope)
+            q = rotate_half(q, cos, sin)
+            k = rotate_half(k, cos, sin)
 
             layer_cache = cache[layer_index]
             contexts = np.empty((length, config.d_model))

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["RopeTable", "apply_rope_numpy", "apply_rope_tensor"]
+__all__ = ["RopeTable", "apply_rope_numpy", "apply_rope_tensor", "rotate_half"]
 
 
 class RopeTable:
@@ -39,13 +39,37 @@ class RopeTable:
         self.sin = np.sin(angles)
 
     def at(self, positions):
-        """cos/sin rows for integer ``positions`` (any shape)."""
+        """cos/sin rows for integer ``positions`` (any shape).
+
+        The range is checked once per call from the scalar extremes, so a
+        caller that rotates several tensors at the same positions (q and
+        k of every layer) should look the rows up once and reuse them.
+        """
         positions = np.asarray(positions)
-        if np.any(positions < 0) or np.any(positions >= self.max_len):
+        if positions.size and (
+            np.minimum.reduce(positions, axis=None) < 0
+            or np.maximum.reduce(positions, axis=None) >= self.max_len
+        ):
             raise IndexError(
                 f"position out of RoPE table range [0, {self.max_len})"
             )
         return self.cos[positions], self.sin[positions]
+
+
+def rotate_half(x, cos, sin):
+    """Rotate float ``x`` (..., head_dim) by looked-up ``cos``/``sin``.
+
+    ``cos``/``sin`` are :meth:`RopeTable.at` rows broadcasting against
+    ``x``'s leading axes.  Split from :func:`apply_rope_numpy` so the
+    cached-inference loops can look the rows up once per call and rotate
+    q and k of every layer with them.
+    """
+    half = x.shape[-1] // 2
+    x1 = x[..., :half]
+    x2 = x[..., half:]
+    rotated_1 = x1 * cos - x2 * sin
+    rotated_2 = x1 * sin + x2 * cos
+    return np.concatenate([rotated_1, rotated_2], axis=-1)
 
 
 def apply_rope_numpy(x, positions, table):
@@ -56,20 +80,11 @@ def apply_rope_numpy(x, positions, table):
     scalar position during single-token decode.
     """
     x = np.asarray(x, dtype=np.float64)
-    half = table.head_dim // 2
     if x.shape[-1] != table.head_dim:
         raise ValueError(
             f"last dim {x.shape[-1]} != RoPE head_dim {table.head_dim}"
         )
-    cos, sin = table.at(positions)
-    # Broadcast cos/sin to x's leading shape: they index the axis that
-    # positions describes, i.e. the second-to-last axis of x (or none for
-    # scalar positions).
-    x1 = x[..., :half]
-    x2 = x[..., half:]
-    rotated_1 = x1 * cos - x2 * sin
-    rotated_2 = x1 * sin + x2 * cos
-    return np.concatenate([rotated_1, rotated_2], axis=-1)
+    return rotate_half(x, *table.at(positions))
 
 
 def apply_rope_tensor(x, positions, table):

@@ -141,11 +141,17 @@ def stable_softmax(x, axis=-1):
 
     The two-pass reference implementation (subtract max, exponentiate,
     normalize); :func:`online_softmax` is tested to match it exactly.
+    It sits inside every attention call of the decode loop, so the
+    reductions go straight to the ufuncs (``np.max``/``np.sum`` are
+    python wrappers around exactly these calls) and ``exp``/divide run
+    in place on the one array allocated here — same float operations in
+    the same order, bitwise the same result.
     """
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / np.sum(exps, axis=axis, keepdims=True)
+    out = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=axis, keepdims=True)
+    return out
 
 
 def online_softmax(values):

@@ -196,7 +196,8 @@ class Rejection:
     """
 
     request_id: object
-    #: Machine-readable reason code (currently ``"pool_too_small"``).
+    #: Machine-readable reason code: ``"invalid_token"``,
+    #: ``"exceeds_max_seq_len"`` or ``"pool_too_small"``.
     reason: str
     #: Human-readable explanation.
     detail: str

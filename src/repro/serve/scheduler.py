@@ -133,8 +133,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.engine import enforce_budget, sequence_capacity
-from repro.core.policies.base import GENERATION, PREFILL
+from repro.core.engine import (
+    enforce_budget,
+    observe_and_evict,
+    sequence_capacity,
+    unservable_reason,
+)
+from repro.core.policies.base import PREFILL
 from repro.core.sampling import greedy
 from repro.core.policies.voting import VotingPolicy
 from repro.serve.request import (
@@ -719,15 +724,19 @@ class Scheduler:
         The request becomes visible to the admission loop at its
         ``arrival_time``; the admission policy (default: FIFO by
         arrival) orders arrived requests.  Returns the request's live
-        :class:`SequenceState` on acceptance.  An unsatisfiable paged
-        request (worst-case block demand exceeding the whole fixed pool
-        — it could never be admitted and would stall the queue forever)
-        is recorded as a structured :class:`Rejection` in the report
-        either way; with ``strict=False`` the rejection is *returned*
-        instead of raised, so engine-level admission can retry with a
-        smaller budget or degrade gracefully.  A rejected id is not
-        reserved: resubmission (e.g. after shrinking the request) is
-        allowed.
+        :class:`SequenceState` on acceptance.  An unservable request —
+        a prompt token outside ``[0, vocab_size)`` (``invalid_token``),
+        ``prompt + max_new_tokens`` beyond the model's ``max_seq_len``
+        (``exceeds_max_seq_len``; either would otherwise fail *inside* a
+        round and strand the rest of the batch), or a paged request
+        whose worst-case block demand exceeds the whole fixed pool
+        (``pool_too_small``; it could never be admitted and would stall
+        the queue forever) — is recorded as a structured
+        :class:`Rejection` in the report either way; with
+        ``strict=False`` the rejection is *returned* instead of raised,
+        so engine-level admission can retry with a smaller request or
+        degrade gracefully.  A rejected id is not reserved: resubmission
+        (e.g. after shrinking the request) is allowed.
 
         Raises
         ------
@@ -738,8 +747,8 @@ class Scheduler:
             (results are keyed by request id, so ids are never reused
             within one scheduler).
         ValueError
-            In strict mode (default), for an unsatisfiable paged
-            request as described above.
+            In strict mode (default), for an unservable request as
+            described above.
         """
         if not isinstance(request, Request):
             raise TypeError(f"expected Request, got {type(request).__name__}")
@@ -765,6 +774,13 @@ class Scheduler:
                     f"{request.num_branches} batch slots for its branches "
                     f"but max_batch_size is {self.max_batch_size}"
                 )
+        problem = unservable_reason(
+            self.model.config,
+            request.prompt,
+            request.prompt.shape[0] + request.max_new_tokens,
+        )
+        if problem is not None:
+            return self._reject(request, *problem, strict=strict)
         if self.paged and not self.block_pool.growable:
             budget = request.budget if request.budget is not None else self.budget
             # The worst case is also the request's *actual* peak demand
@@ -783,23 +799,15 @@ class Scheduler:
             # a one-way pool.
             worst *= request.num_branches
             if worst > self.block_pool.num_blocks:
-                rejection = Rejection(
-                    request_id=request.request_id,
-                    reason="pool_too_small",
-                    detail=(
-                        f"needs up to {worst} blocks but the pool only "
-                        f"has {self.block_pool.num_blocks}"
-                    ),
+                return self._reject(
+                    request,
+                    "pool_too_small",
+                    f"needs up to {worst} blocks but the pool only "
+                    f"has {self.block_pool.num_blocks}",
+                    strict=strict,
                     needed_blocks=worst,
                     pool_blocks=self.block_pool.num_blocks,
-                    round_index=self.round_index,
                 )
-                self._rejected.append(rejection)
-                if strict:
-                    raise ValueError(
-                        f"request {request.request_id!r} {rejection.detail}"
-                    )
-                return rejection
         state = SequenceState(request=request, submit_index=self._submit_count)
         self._submit_count += 1
         if request.num_branches > 1:
@@ -815,6 +823,21 @@ class Scheduler:
             key=lambda s: (s.request.arrival_time, s.submit_index)
         )
         return state
+
+    def _reject(self, request, reason, detail, strict, **blocks):
+        """Record a structured :class:`Rejection` of ``request``; raise it
+        as ``ValueError`` in strict mode, else return it."""
+        rejection = Rejection(
+            request_id=request.request_id,
+            reason=reason,
+            detail=detail,
+            round_index=self.round_index,
+            **blocks,
+        )
+        self._rejected.append(rejection)
+        if strict:
+            raise ValueError(f"request {request.request_id!r} {detail}")
+        return rejection
 
     @property
     def num_waiting(self):
@@ -1671,12 +1694,11 @@ class Scheduler:
         tokens = [s.tokens[-1] for s in active]
         positions = [s.position for s in active]
         caches = [s.cache for s in active]
-        for state in active:
-            budget = (
-                state.request.budget
-                if state.request.budget is not None
-                else self.budget
-            )
+        budgets = [
+            s.request.budget if s.request.budget is not None else self.budget
+            for s in active
+        ]
+        for state, budget in zip(active, budgets):
             # The step appends then attends, so attention runs against
             # the pre-step length plus the new token (append-then-evict).
             record.decodes.append(
@@ -1688,19 +1710,11 @@ class Scheduler:
             )
         result = self.model.step_batch(tokens, positions, caches)
 
-        for b, state in enumerate(active):
-            budget = (
-                state.request.budget
-                if state.request.budget is not None
-                else self.budget
-            )
-            for layer, rows in enumerate(result.attention):
-                state.policy.observe(
-                    layer, rows[b], state.cache[layer].positions, GENERATION
-                )
-            enforce_budget(
+        for b, (state, budget) in enumerate(zip(active, budgets)):
+            observe_and_evict(
                 state.policy,
                 state.cache,
+                [rows[b] for rows in result.attention],
                 budget,
                 step=state.num_generated,
                 log=state.evictions,
@@ -2075,20 +2089,15 @@ class Scheduler:
             # back to the width this row's sequential step would have
             # seen (row attention already has exactly that width).
             width = prior + row + 1
-            for layer in range(self.model.config.n_layers):
-                state.policy.observe(
-                    layer,
-                    result.attention[layer][row],
-                    state.cache[layer].positions[:width],
-                    GENERATION,
-                )
-            enforce_budget(
+            observe_and_evict(
                 state.policy,
                 state.cache,
+                [rows[row] for rows in result.attention],
                 budget,
                 step=state.num_generated,
                 log=state.evictions,
                 evictions_per_step=self.evictions_per_step,
+                width=width,
             )
             state.cache_lengths.append(width)
 

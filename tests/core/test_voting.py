@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.policies.base import GENERATION, PREFILL
+from repro.core.policies.base import GENERATION, PREFILL, EvictionPolicy
 from repro.core.policies.voting import VotingPolicy, adaptive_threshold, vote_mask
 
 
@@ -182,3 +182,128 @@ class TestVotingPolicy:
             policy.observe(0, np.ones(4), np.arange(4), GENERATION)
         with pytest.raises(IndexError):
             policy.select_victim(5, np.arange(4))
+
+
+class TestObserveStep:
+    """``observe_step`` — every layer's decode row in one stacked pass —
+    against the base class's per-layer ``observe`` loop (the reference)."""
+
+    @staticmethod
+    def _twins(n_layers, **kwargs):
+        return VotingPolicy(n_layers, **kwargs), VotingPolicy(n_layers, **kwargs)
+
+    @staticmethod
+    def _assert_same_votes(stacked, scalar):
+        for layer in range(stacked.n_layers):
+            np.testing.assert_array_equal(
+                stacked.vote_counts(layer), scalar.vote_counts(layer)
+            )
+
+    @pytest.mark.parametrize("head_reduction", ["mean", "sum"])
+    def test_thresholds_match_to_the_last_bit(self, head_reduction):
+        """A uniform row puts every score within an ulp of ``T = mean``,
+        so whether it votes hinges on the last bit of the stacked
+        mean/std: over these lengths the reference votes for every slot
+        at some and for none at others, i.e. an ulp of drift in either
+        direction would flip votes here."""
+        outcomes = set()
+        for heads in (1, 3, 7):
+            for length in range(1, 200):
+                stacked, scalar = self._twins(
+                    2, reserved_length=0, b=0.0, head_reduction=head_reduction
+                )
+                uniform = np.full((heads, length), 1.0 / (heads * length))
+                if head_reduction == "mean":
+                    uniform *= heads
+                attention = [uniform, uniform[:, ::-1] * 1.0]
+                positions = [np.arange(length)] * 2
+                stacked.observe_step(attention, positions)
+                EvictionPolicy.observe_step(scalar, attention, positions)
+                self._assert_same_votes(stacked, scalar)
+                outcomes.add(int(scalar.vote_counts(0).sum()) == length)
+        assert outcomes == {True, False}
+
+    def test_non_positive_threshold_votes_minimum_only(self):
+        """One layer's row is spiky enough for ``T <= 0`` (it votes for
+        its minimum eligible score only); its neighbour votes normally."""
+        spiky = np.zeros((1, 32))
+        spiky[0, 5] = 1.0
+        spiky[0, 7] = 1e-6
+        even = np.full((1, 32), 1.0 / 32)
+        even[0, 9] /= 2
+        stacked, scalar = self._twins(2, reserved_length=4)
+        attention, positions = [spiky, even], [np.arange(32)] * 2
+        stacked.observe_step(attention, positions)
+        EvictionPolicy.observe_step(scalar, attention, positions)
+        self._assert_same_votes(stacked, scalar)
+        votes = stacked.vote_counts(0)
+        assert votes.sum() == 1 and votes[4] == 1  # first eligible zero
+        assert stacked.vote_counts(1)[9] == 1
+
+    def test_reserved_stage_voter_casts_nothing(self):
+        """A layer whose newest position is inside the reserved prefix
+        does not vote, but its counters still grow to the row's length."""
+        attn = np.array([[0.1, 0.1, 0.1, 0.2, 0.2, 0.3]])
+        policy = VotingPolicy(n_layers=2, reserved_length=8)
+        # Layer 1 kept later positions (gaps from evictions): it votes.
+        policy.observe_step([attn, attn], [np.arange(6), np.arange(6) + 10])
+        assert policy.vote_counts(0).tolist() == [0] * 6
+        assert policy.vote_counts(1).sum() > 0
+
+    def test_ragged_layers_take_the_per_layer_loop(self):
+        """Layers at different lengths (direct API use only) cannot be
+        stacked without padding; they must still match the reference."""
+        rng = np.random.default_rng(5)
+        attention = [rng.dirichlet(np.ones(n), size=2) for n in (9, 12, 9)]
+        positions = [np.arange(n) for n in (9, 12, 9)]
+        stacked, scalar = self._twins(3, reserved_length=2)
+        stacked.observe_step(attention, positions)
+        EvictionPolicy.observe_step(scalar, attention, positions)
+        self._assert_same_votes(stacked, scalar)
+        assert [stacked.vote_counts(i).size for i in range(3)] == [9, 12, 9]
+
+    def test_non_float64_rows_take_the_per_layer_loop(self):
+        """The scalar path head-reduces a float32 row in float32;
+        stacking would promote first, so such rows are not stacked."""
+        rng = np.random.default_rng(1)
+        attention = [
+            rng.dirichlet(np.ones(17), size=3).astype(np.float32) for _ in range(2)
+        ]
+        positions = [np.arange(17)] * 2
+        stacked, scalar = self._twins(2, reserved_length=2)
+        stacked.observe_step(attention, positions)
+        EvictionPolicy.observe_step(scalar, attention, positions)
+        self._assert_same_votes(stacked, scalar)
+
+    def test_layer_count_mismatch_rejected(self):
+        policy = VotingPolicy(n_layers=2)
+        with pytest.raises(ValueError):
+            policy.observe_step([np.full((1, 4), 0.25)], [np.arange(4)] * 2)
+
+    def test_counters_survive_eviction_and_growth(self):
+        """One growth path for the shared ``(n_layers, capacity)``
+        counter array: per-layer evictions compact only their row."""
+        rng = np.random.default_rng(6)
+        stacked, scalar = self._twins(3, reserved_length=1)
+        live = [list(range(5)) for _ in range(3)]
+        for step in range(5, 40):
+            for layer, slots in enumerate(live):
+                slots.append(step)
+            attention = [rng.dirichlet(np.ones(len(s)), size=2) for s in live]
+            positions = [np.array(s) for s in live]
+            stacked.observe_step(attention, positions)
+            EvictionPolicy.observe_step(scalar, attention, positions)
+            for layer, slots in enumerate(live):
+                if len(slots) > 8:
+                    slot = stacked.select_victim(layer, positions[layer])
+                    assert slot == scalar.select_victim(layer, positions[layer])
+                    slots.pop(slot)
+                    stacked.on_evict(layer, slot)
+                    scalar.on_evict(layer, slot)
+            self._assert_same_votes(stacked, scalar)
+
+    def test_select_victim_with_nothing_eligible(self):
+        """Every slot reserved: the newest slot goes (read off the
+        arg-max value, which is the -1 mask)."""
+        policy = VotingPolicy(n_layers=1, reserved_length=10)
+        assert policy.select_victim(0, np.arange(6)) == 5

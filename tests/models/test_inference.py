@@ -46,6 +46,41 @@ class TestEquivalence:
         np.testing.assert_allclose(result.logits, train_logits[-1], atol=1e-9)
 
 
+class TestLeanKernels:
+    """The decode loop's elementwise helpers spell ``np.mean`` as the
+    ufunc reduction it wraps; the result must not move by a bit."""
+
+    @pytest.mark.parametrize("norm", ["rmsnorm", "layernorm"])
+    def test_norm_bitwise_equals_np_mean_formulation(self, norm, rng):
+        cfg = tiny_config(norm=norm)
+        inference = CachedTransformer.from_module(TransformerLM(cfg, seed=3))
+        weight = rng.normal(size=cfg.d_model)
+        bias = rng.normal(size=cfg.d_model)
+        for rows in (1, 2, 7, 33):
+            x = rng.normal(size=(rows, cfg.d_model)) * 3.0
+            if norm == "rmsnorm":
+                mean_square = np.mean(x**2, axis=-1, keepdims=True)
+                expected = x / np.sqrt(mean_square + 1e-6) * weight
+            else:
+                centered = x - np.mean(x, axis=-1, keepdims=True)
+                variance = np.mean(centered**2, axis=-1, keepdims=True)
+                expected = centered / np.sqrt(variance + 1e-5) * weight + bias
+            np.testing.assert_array_equal(inference._norm(x, weight, bias), expected)
+
+    def test_hoisted_rope_lookup_rejects_out_of_range_positions(self, tiny_inference):
+        """The once-per-call range check still guards every entry point,
+        before any cache is touched."""
+        limit = tiny_inference.config.max_seq_len
+        cache = tiny_inference.new_cache()
+        with pytest.raises(IndexError):
+            tiny_inference.step_batch([1], [limit], [cache])
+        with pytest.raises(IndexError):
+            tiny_inference.prefill(np.arange(4), cache, start_position=limit - 2)
+        with pytest.raises(IndexError):
+            tiny_inference.verify(np.arange(4), cache, start_position=limit - 2)
+        assert cache.lengths == [0] * tiny_inference.config.n_layers
+
+
 class TestAttentionRecords:
     def test_prefill_attention_shapes(self, tiny_inference, rng):
         tokens = rng.integers(0, 64, size=9)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.models.rope import RopeTable, apply_rope_numpy, apply_rope_tensor
+from repro.models.rope import RopeTable, apply_rope_numpy, apply_rope_tensor, rotate_half
 from repro.nn.tensor import Tensor
 
 
@@ -29,6 +29,38 @@ class TestRopeTable:
     def test_rejects_out_of_range_position(self, table, rng):
         with pytest.raises(IndexError):
             apply_rope_numpy(rng.normal(size=(1, 8)), np.array([64]), table)
+
+
+    @pytest.mark.parametrize("bad", [[-1], [3, 64], [[5], [-2]]])
+    def test_range_check_covers_every_entry(self, table, bad):
+        with pytest.raises(IndexError):
+            table.at(np.array(bad))
+
+    def test_in_range_and_empty_positions(self, table):
+        cos, sin = table.at(np.array([[0], [63]]))
+        assert cos.shape == sin.shape == (2, 1, 4)
+        cos, _ = table.at(np.array([], dtype=np.int64))
+        assert cos.shape == (0, 4)
+
+    def test_hoisted_rotation_bitwise_equals_per_call(self, table, rng):
+        """One ``at`` look-up reused for several tensors (q and k of
+        every layer) gives exactly what per-tensor calls — and the
+        ``np.concatenate`` formulation written out — give, in the decode
+        ``(B, H, d)`` and the prefill ``(H, L, d)`` layouts."""
+        decode = rng.normal(size=(5, 3, 8)), np.array([7, 0, 63, 21, 7])[:, None]
+        prefill = rng.normal(size=(6, 3, 8)).transpose(1, 0, 2), np.arange(20, 26)
+        for x, positions in (decode, prefill):
+            cos, sin = table.at(positions)
+            x1, x2 = x[..., :4], x[..., 4:]
+            expected = np.concatenate(
+                [x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1
+            )
+            for tensor in (x, -2.0 * x):
+                rotated = rotate_half(tensor, cos, sin)
+                per_call = apply_rope_numpy(tensor, positions, table)
+                np.testing.assert_array_equal(rotated, per_call)
+                assert rotated.strides == per_call.strides
+            np.testing.assert_array_equal(rotate_half(x, cos, sin), expected)
 
 
 class TestRotationProperties:

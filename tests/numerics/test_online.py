@@ -24,6 +24,19 @@ class TestOnlineSoftmax:
             stable_softmax(x), special.softmax(x, axis=-1), atol=1e-12
         )
 
+    @pytest.mark.parametrize("axis", [-1, 0, 1])
+    def test_stable_softmax_bitwise_equals_np_max_sum_formulation(self, rng, axis):
+        """The in-place ufunc spelling performs the same float
+        operations in the same order as the textbook one it replaced."""
+        for shape in [(4, 1), (4, 13), (2, 3, 130), (1, 1)]:
+            x = rng.normal(size=shape) * 8.0
+            keep = x.copy()
+            shifted = x - np.max(x, axis=axis, keepdims=True)
+            exps = np.exp(shifted)
+            expected = exps / np.sum(exps, axis=axis, keepdims=True)
+            np.testing.assert_array_equal(stable_softmax(x, axis=axis), expected)
+            np.testing.assert_array_equal(x, keep)  # input untouched
+
     def test_extreme_values(self):
         x = np.array([-1e4, 0.0, 1e4])
         out = online_softmax(x)

@@ -169,6 +169,96 @@ class TestObserveBlockEquivalence:
         )
 
 
+@st.composite
+def decode_episode(draw):
+    """A multi-layer decode episode for one sequence: per step, one
+    ``(H, l)`` softmax row and one ``(l,)`` slot-position vector per
+    layer (positions keep the gaps earlier evictions left), followed by
+    an optional eviction in some layers.
+
+    Sampled to hit every branch of the stacked kernel: voters still in
+    the reserved stage, reserved slots among the vote targets, sharp
+    rows (scale 30) and large ``b`` that push ``T <= 0`` into the
+    arg-min fallback, both head reductions, a mid-episode snapshot
+    round trip, and layers drifting to different lengths (ragged), which
+    must take the per-layer loop.  Uniform rows (scale 0) put every
+    score within an ulp of the threshold, so a last-bit difference in a
+    mean or a standard deviation flips votes.
+    """
+    n_layers = draw(st.integers(1, 4))
+    heads = draw(st.integers(1, 9))
+    start = draw(st.integers(1, 40))
+    steps = draw(st.integers(1, 6))
+    ragged = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    kwargs = dict(
+        reserved_length=draw(st.integers(0, 48)),
+        a=draw(st.sampled_from([0.5, 1.0, 1.5])),
+        b=draw(st.sampled_from([0.0, 0.2, 1.0, 5.0])),
+        head_reduction=draw(st.sampled_from(["mean", "sum"])),
+    )
+    live = [list(range(start)) for _ in range(n_layers)]
+    next_position = start
+    episode = []
+    for _ in range(steps):
+        for slots in live:
+            slots.append(next_position)
+        next_position += 1
+        scale = draw(st.sampled_from([0.0, 0.3, 3.0, 30.0]))
+        attention = [
+            stable_softmax(rng.normal(size=(heads, len(slots))) * scale)
+            for slots in live
+        ]
+        positions = [np.array(slots) for slots in live]
+        evictions = []
+        for layer, slots in enumerate(live):
+            # Without ``ragged`` every layer evicts together, keeping
+            # the lengths equal (the serving steady state).
+            if len(slots) > 2 and (rng.random() < 0.5 if ragged else len(episode) % 2):
+                slot = int(rng.integers(len(slots)))
+                slots.pop(slot)
+                evictions.append((layer, slot))
+        episode.append((attention, positions, evictions, draw(st.booleans())))
+    return n_layers, kwargs, episode
+
+
+class TestObserveStepEquivalence:
+    """The layer-stacked decode kernel is the per-layer ``observe`` loop,
+    exactly: vote counters are compared with ``np.array_equal``, so one
+    ulp of difference in any row's threshold that flips a vote fails."""
+
+    @given(decode_episode())
+    @settings(max_examples=150, deadline=None)
+    def test_vote_counts_bit_identical(self, sample):
+        n_layers, kwargs, episode = sample
+        stacked = VotingPolicy(n_layers, **kwargs)
+        scalar = VotingPolicy(n_layers, **kwargs)
+        for attention, positions, evictions, snapshot in episode:
+            stacked.observe_step(attention, positions)
+            # The base-class observe_step is the reference: one scalar
+            # ``observe`` per layer.
+            EvictionPolicy.observe_step(scalar, attention, positions)
+            for layer in range(n_layers):
+                np.testing.assert_array_equal(
+                    stacked.vote_counts(layer), scalar.vote_counts(layer)
+                )
+                assert stacked.select_victim(
+                    layer, positions[layer]
+                ) == scalar.select_victim(layer, positions[layer])
+            for layer, slot in evictions:
+                stacked.on_evict(layer, slot)
+                scalar.on_evict(layer, slot)
+            if snapshot:
+                # Swap-style round trip onto a fresh instance.
+                restored = VotingPolicy(n_layers, **kwargs)
+                for layer in range(n_layers):
+                    length = stacked.vote_counts(layer).shape[0]
+                    restored.import_prefill_state(
+                        layer, stacked.export_prefill_state(layer, length), length
+                    )
+                stacked = restored
+
+
 class TestH2OInvariants:
     @given(attention_stream(), st.integers(5, 12))
     @settings(max_examples=40, deadline=None)

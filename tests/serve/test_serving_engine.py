@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import tiny_config
-from repro.core.engine import budget_from_ratio
+from repro.core.engine import GenerationEngine, budget_from_ratio
 from repro.core.policies import VotingPolicy
 from repro.experiments.serving import make_workload
 from repro.models.inference import CachedTransformer
@@ -203,6 +203,66 @@ class TestRejectionPath:
         with pytest.raises(ValueError, match="blocks"):
             scheduler.submit(Request("big", np.arange(1, 9), max_new_tokens=8))
         assert scheduler.report().rejections[0]["reason"] == "pool_too_small"
+
+
+    @pytest.mark.parametrize("paged", [False, True])
+    @pytest.mark.parametrize(
+        "prompt, max_new, reason",
+        [
+            ([3, -1, 5], 4, "invalid_token"),
+            ([3, tiny_config().vocab_size, 5], 4, "invalid_token"),
+            (list(range(1, 21)), tiny_config().max_seq_len, "exceeds_max_seq_len"),
+        ],
+    )
+    def test_unservable_request_is_rejected_at_submit(
+        self, model, paged, prompt, max_new, reason
+    ):
+        """A token outside the vocabulary or a sequence beyond
+        ``max_seq_len`` used to pass ``submit`` and fail (or, for a
+        negative id, silently read ``embed[-k]``) inside a later round,
+        stranding the batch.  It is refused up front, and the neighbour
+        submitted alongside still finishes with the solo oracle's
+        tokens."""
+        engine = ServingEngine(
+            model,
+            policy_factory=lambda: VotingPolicy(
+                model.config.n_layers, reserved_length=4
+            ),
+            paged=paged,
+            max_batch_size=2,
+        )
+        (good,) = make_requests(model, 1)
+        bad = Request("bad", np.asarray(prompt), max_new_tokens=max_new)
+        good_handle = engine.submit(good)
+        bad_handle = engine.submit(bad)
+        assert bad_handle.status == "rejected"
+        assert bad_handle.rejection.reason == reason
+        engine.run_until_drained()
+
+        solo = GenerationEngine(
+            model,
+            VotingPolicy(model.config.n_layers, reserved_length=4),
+            budget=good.budget,
+        ).generate(good.prompt, good.max_new_tokens, seed=good.seed)
+        assert good_handle.result() == solo.tokens
+        report = engine.report()
+        assert [row["reason"] for row in report.rejections] == [reason]
+        assert report.summary()["rejected"] == 1
+
+        with pytest.raises(ValueError, match="bad"):
+            engine.scheduler.submit(bad)  # strict mode raises, and records
+        assert len(engine.report().rejections) == 2
+
+    def test_longest_servable_request_is_accepted(self, model):
+        """``prompt + max_new_tokens == max_seq_len`` is the boundary the
+        RoPE table still covers."""
+        limit = model.config.max_seq_len
+        engine = ServingEngine(model)
+        handle = engine.submit(
+            Request("edge", np.arange(1, 21), max_new_tokens=limit - 20)
+        )
+        engine.run_until_drained()
+        assert len(handle.result()) == limit - 20
 
 
 class TestAdmissionOrdering:
