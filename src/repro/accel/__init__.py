@@ -16,7 +16,6 @@ from repro.accel.gpu_model import (
 )
 from repro.accel.memory import HBMModel, SRAMModel, TrafficCounter
 from repro.accel.pe import PEMode, ProcessingElement
-from repro.accel.predictor import RoundCostPredictor
 from repro.accel.rtl_array import RTLArray
 from repro.accel.pe_array import (
     PEArray,
@@ -90,7 +89,6 @@ __all__ = [
     "TrafficCounter",
     "VotingEngine",
     "AcceleratorSimulator",
-    "RoundCostPredictor",
     "TilePlan",
     "plan_weight_tiling",
     "prefill_gemm_cycles",

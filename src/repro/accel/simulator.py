@@ -18,12 +18,40 @@ budget ``S`` the cache is ``min(P + i, S + 1)`` at decode step ``i``
 KV length the paper's voting engine maintains.  The voting engine itself
 runs in parallel (paper Sec. V) and adds HBM traffic for the off-chip
 vote counts but no latency.
+
+**Pricing cache.**  A serving replay or a cost-guided scheduler prices
+the same shapes thousands of times, so each simulator instance caches
+its own building blocks: whole prefill passes keyed ``(rows, prefix,
+resolved mapping)``, the weight-side half of a decode round keyed by
+batch size, and per-layer decode attention keyed ``(length, resolved
+mapping)``.  Cached fragments are re-assembled in the one accumulation
+order the model defines, so a warm instance returns exactly what a cold
+one does — identical floating-point partial sums, not merely close —
+and every call hands back a fresh stats object the caller may mutate.
+``tests/properties/test_property_predictor.py`` pins both against a
+test-local transcription of the uncached loops.
+
+Worked example — warm pricing equals cold pricing, and the scalars the
+scheduler decides with::
+
+    >>> from repro.accel.config import veda_config
+    >>> from repro.accel.simulator import AcceleratorSimulator
+    >>> from repro.config import llama2_7b_shapes
+    >>> hw, model = veda_config(), llama2_7b_shapes()
+    >>> warm = AcceleratorSimulator(hw, model)
+    >>> first = warm.mixed_round(prefill_lengths=[64], decode_lengths=[128, 256])
+    >>> again = warm.mixed_round(prefill_lengths=[64], decode_lengths=[128, 256])
+    >>> cold = AcceleratorSimulator(hw, model).mixed_round(
+    ...     prefill_lengths=[64], decode_lengths=[128, 256])
+    >>> again.cycles == first.cycles == cold.cycles
+    True
+    >>> warm.swap_cycles(256) < warm.prefill_cycles(256)
+    True
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.accel.config import HardwareConfig
 from repro.accel.llm_mapping import decode_linear_ops, layer_norm_count, prefill_linear_ops
@@ -218,6 +246,9 @@ class AcceleratorSimulator:
     lock-step — so ``tp=1`` reproduces the single-device numbers
     bit-for-bit: every shard dimension divides by 1 and the all-reduce
     terms are skipped entirely.
+
+    The pricing caches (module docstring) live on the instance: share
+    one simulator to share warm entries, drop it to free them.
     """
 
     def __init__(self, hw: HardwareConfig, model, tp=1):
@@ -236,6 +267,12 @@ class AcceleratorSimulator:
             clock_ghz=hw.clock_ghz,
             strided_derate=hw.dram_strided_derate,
         )
+        #: (rows, prefix, mapping) -> PhaseStats of one prefill pass.
+        self._prefill_cache = {}
+        #: batch -> weight-side decode accumulators (dataflow-free).
+        self._decode_base = {}
+        #: (length, mapping) -> one layer's decode AttentionBreakdown.
+        self._decode_attn = {}
 
     def _allreduce_charge(self, stats, rows):
         """Charge one layer's two ring all-reduces for ``rows`` activation
@@ -258,20 +295,17 @@ class AcceleratorSimulator:
     # ------------------------------------------------------------------
     # Linear layers
     # ------------------------------------------------------------------
-    def _linear_cycles(self, op, weights_resident):
-        """max(compute, memory) for one linear op.
-
-        ``weights_resident``: True when weights are reused from the
-        on-chip buffer (prefill GEMM) so HBM cost is paid once, not per
-        row.
-        """
-        compute = op.compute_cycles(self.hw.tree_width)
-        memory = self.hbm.stream_cycles(op.weight_bytes)
-        if weights_resident:
-            # One fetch amortized over all rows; compute dominates for
-            # long prompts.
-            return max(compute, memory), op.macs, op.weight_bytes
-        return max(compute, memory), op.macs, op.weight_bytes
+    def _charge_linear(self, stats, ops, batch=1):
+        """Charge linear ``ops`` to ``stats``: each op fetches its
+        weights once per pass and reuses them for every row (``batch``
+        decode rows share one fetch), so it costs
+        ``max(batch * compute, memory)``."""
+        for op in ops:
+            compute = batch * op.compute_cycles(self.hw.tree_width)
+            memory = self.hbm.stream_cycles(op.weight_bytes)
+            stats.linear_cycles += max(compute, memory)
+            stats.macs += batch * op.macs
+            stats.hbm_bytes += op.weight_bytes
 
     # ------------------------------------------------------------------
     # Phases
@@ -287,9 +321,25 @@ class AcceleratorSimulator:
         array mapping (see :mod:`repro.accel.scheduler`); the streaming
         ``"decode"`` mapping re-streams K/V from HBM per row, which is
         charged to ``hbm_bytes`` as well as cycles.
+
+        Cached per ``(prompt_length, prefix_length, resolved mapping)``,
+        so ``"auto"`` and ``"prefill"`` share entries and fixed-dataflow
+        hardware collapses every selection to one.
         """
         if prompt_length <= 0:
             raise ValueError("prompt length must be positive")
+        key = (
+            int(prompt_length),
+            int(prefix_length),
+            resolve_dataflow(dataflow, self.hw, "prefill"),
+        )
+        stats = self._prefill_cache.get(key)
+        if stats is None:
+            stats = self._prefill_cache[key] = self._price_prefill(*key)
+        return replace(stats, attention=replace(stats.attention))
+
+    def _price_prefill(self, prompt_length, prefix_length, mapping):
+        """One uncached prefill pass under a resolved ``mapping``."""
         model, hw = self.model, self.hw
         stats = PhaseStats()
         local_heads = model.n_heads // self.tp
@@ -303,7 +353,7 @@ class AcceleratorSimulator:
             model.head_dim,
             local_heads,
             hw,
-            dataflow=dataflow,
+            dataflow=mapping,
             prefix_length=prefix_length,
         )
         # Sum over computed rows j of the keys each attends to
@@ -316,21 +366,14 @@ class AcceleratorSimulator:
         # Streaming (GEMV-pinned) prefill re-reads the growing K and V
         # from HBM for every computed row instead of reusing tiles.
         streamed_kv_bytes = 0.0
-        if (
-            hw.flexible_dataflow
-            and resolve_dataflow(dataflow, hw, "prefill") == "decode"
-        ):
+        if mapping == "decode":
             streamed_kv_bytes = (
                 2 * attended * kv_width * hw.bytes_per_element
             )
         norm_stall = layernorm_stall_cycles(model.d_model, hw, hw.element_serial)
 
         for _ in range(model.n_layers):
-            for op in per_layer_ops:
-                cycles, macs, hbm_bytes = self._linear_cycles(op, weights_resident=True)
-                stats.linear_cycles += cycles
-                stats.macs += macs
-                stats.hbm_bytes += hbm_bytes
+            self._charge_linear(stats, per_layer_ops)
             stats.attention = stats.attention + attn
             stats.macs += attn_macs
             # KV cache write-back for this layer (computed rows only,
@@ -344,11 +387,7 @@ class AcceleratorSimulator:
                 else layer_norm_count(model) * prompt_length * hw.element_serial_drain
             )
             self._allreduce_charge(stats, prompt_length)
-        for op in head_ops:
-            cycles, macs, hbm_bytes = self._linear_cycles(op, weights_resident=False)
-            stats.linear_cycles += cycles
-            stats.macs += macs
-            stats.hbm_bytes += hbm_bytes
+        self._charge_linear(stats, head_ops)
 
         stats.cycles = (
             stats.linear_cycles
@@ -358,54 +397,52 @@ class AcceleratorSimulator:
         )
         return stats
 
-    def decode_step(self, cache_length, dataflow="auto"):
-        """Simulate one decode step against a cache of ``cache_length``.
-
-        ``dataflow`` selects the round-level array mapping (see
-        :mod:`repro.accel.scheduler`); ``"prefill"`` pins the array to
-        the tiled configuration, pricing the step like the fixed
-        baseline.
-        """
+    # ------------------------------------------------------------------
+    # Decode rounds (batched decode, mixed prefill/decode)
+    # ------------------------------------------------------------------
+    def _decode_weight_base(self, batch):
+        """Accumulators after a ``batch``-row decode round's weight side
+        (linear layers, nonlinear stalls, all-reduces), cached per batch
+        size: dataflow never enters it.  :meth:`decode_round` resumes its
+        per-sequence accumulation from this snapshot."""
+        base = self._decode_base.get(batch)
+        if base is not None:
+            return base
         model, hw = self.model, self.hw
         stats = PhaseStats()
-        local_heads = model.n_heads // self.tp
-        kv_width = model.d_model // self.tp
         per_layer_ops, head_ops = decode_linear_ops(model, tp=self.tp)
-        attn = decode_attention(
-            cache_length, model.head_dim, local_heads, hw, dataflow=dataflow
-        )
         norm_stall = layernorm_stall_cycles(model.d_model, hw, hw.element_serial)
-
         for _ in range(model.n_layers):
-            for op in per_layer_ops:
-                cycles, macs, hbm_bytes = self._linear_cycles(op, weights_resident=False)
-                stats.linear_cycles += cycles
-                stats.macs += macs
-                stats.hbm_bytes += hbm_bytes
-            stats.attention = stats.attention + attn
-            stats.macs += 2 * local_heads * model.head_dim * cache_length
-            # KV cache read (K and V) + current token write-back.
-            stats.hbm_bytes += 2 * cache_length * kv_width * hw.bytes_per_element
-            stats.hbm_bytes += 2 * kv_width * hw.bytes_per_element
-            stats.nonlinear_cycles += layer_norm_count(model) * norm_stall
-            self._allreduce_charge(stats, 1)
-        for op in head_ops:
-            cycles, macs, hbm_bytes = self._linear_cycles(op, weights_resident=False)
-            stats.linear_cycles += cycles
-            stats.macs += macs
-            stats.hbm_bytes += hbm_bytes
-
-        stats.cycles = (
-            stats.linear_cycles
-            + stats.attention.total
-            + stats.nonlinear_cycles
-            + stats.interconnect_cycles
+            self._charge_linear(stats, per_layer_ops, batch)
+            stats.nonlinear_cycles += batch * (layer_norm_count(model) * norm_stall)
+            self._allreduce_charge(stats, batch)
+        self._charge_linear(stats, head_ops, batch)
+        base = self._decode_base[batch] = (
+            stats.linear_cycles,
+            stats.nonlinear_cycles,
+            stats.macs,
+            stats.hbm_bytes,
+            stats.interconnect_cycles,
+            stats.interconnect_bytes,
         )
-        return stats
+        return base
 
-    # ------------------------------------------------------------------
-    # Serving rounds (batched decode, mixed prefill/decode)
-    # ------------------------------------------------------------------
+    def _decode_attention(self, length, dataflow):
+        """One layer's decode attention at ``length``, cached per
+        ``(length, resolved mapping)``.  Callers only rebind sums of it,
+        so the shared breakdown is never mutated."""
+        key = (int(length), resolve_dataflow(dataflow, self.hw, "decode"))
+        attn = self._decode_attn.get(key)
+        if attn is None:
+            attn = self._decode_attn[key] = decode_attention(
+                key[0],
+                self.model.head_dim,
+                self.model.n_heads // self.tp,
+                self.hw,
+                dataflow=key[1],
+            )
+        return attn
+
     def decode_round(self, cache_lengths, dataflow="auto"):
         """Simulate one batched decode round (serving).
 
@@ -414,44 +451,31 @@ class AcceleratorSimulator:
         weight fetch per operator per layer serves every row, so the
         cost is ``max(batch * compute, weight_memory)`` — while
         attention stays per-sequence (every request has a private KV
-        cache, the paper's Orca argument).  With a single sequence this
-        is cycle-identical to :meth:`decode_step`, which is what anchors
-        the batch-size-1 serving-cosim equivalence.
+        cache, the paper's Orca argument).  A single-sequence round is
+        one solo decode step: :meth:`run` and
+        :class:`repro.cosim.CoSimulator` price steps this way, which is
+        what anchors the batch-size-1 serving-cosim equivalence.
 
-        Returns a :class:`RoundStats`; ``per_sequence_attention`` holds
-        each sequence's all-layer attention cycles in input order.
+        Returns a fresh :class:`RoundStats`; ``per_sequence_attention``
+        holds each sequence's all-layer attention cycles in input order.
         """
         cache_lengths = list(cache_lengths)
         if not cache_lengths:
             raise ValueError("decode round needs at least one sequence")
         model, hw = self.model, self.hw
         stats = RoundStats()
-        batch = len(cache_lengths)
+        (
+            stats.linear_cycles,
+            stats.nonlinear_cycles,
+            stats.macs,
+            stats.hbm_bytes,
+            stats.interconnect_cycles,
+            stats.interconnect_bytes,
+        ) = self._decode_weight_base(len(cache_lengths))
         local_heads = model.n_heads // self.tp
         kv_width = model.d_model // self.tp
-        per_layer_ops, head_ops = decode_linear_ops(model, tp=self.tp)
-        norm_stall = layernorm_stall_cycles(model.d_model, hw, hw.element_serial)
-
-        for _ in range(model.n_layers):
-            for op in per_layer_ops:
-                compute = batch * op.compute_cycles(hw.tree_width)
-                memory = self.hbm.stream_cycles(op.weight_bytes)
-                stats.linear_cycles += max(compute, memory)
-                stats.macs += batch * op.macs
-                stats.hbm_bytes += op.weight_bytes
-            stats.nonlinear_cycles += batch * (layer_norm_count(model) * norm_stall)
-            self._allreduce_charge(stats, batch)
-        for op in head_ops:
-            compute = batch * op.compute_cycles(hw.tree_width)
-            memory = self.hbm.stream_cycles(op.weight_bytes)
-            stats.linear_cycles += max(compute, memory)
-            stats.macs += batch * op.macs
-            stats.hbm_bytes += op.weight_bytes
-
         for length in cache_lengths:
-            attn = decode_attention(
-                length, model.head_dim, local_heads, hw, dataflow=dataflow
-            )
+            attn = self._decode_attention(length, dataflow)
             for _ in range(model.n_layers):
                 stats.attention = stats.attention + attn
                 stats.macs += 2 * local_heads * model.head_dim * length
@@ -512,6 +536,48 @@ class AcceleratorSimulator:
         return MixedRoundStats(prefills=prefills, decode=decode)
 
     # ------------------------------------------------------------------
+    # Decision scalars (what a cost-guided scheduler asks for)
+    # ------------------------------------------------------------------
+    def prefill_cycles(self, rows, prefix_length=0, dataflow="auto"):
+        """Cycles of one prefill pass over ``rows`` rows."""
+        return self.prefill(
+            rows, dataflow=dataflow, prefix_length=prefix_length
+        ).cycles
+
+    def decode_round_cycles(self, cache_lengths, dataflow="auto"):
+        """Cycles of one batched decode round (0.0 if empty)."""
+        cache_lengths = list(cache_lengths)
+        if not cache_lengths:
+            return 0.0
+        return self.decode_round(cache_lengths, dataflow=dataflow).cycles
+
+    @property
+    def swap_bytes_per_slot(self):
+        """Bytes one KV slot moves (keys + values, every layer) when it
+        is swapped over the host link or copied by a dense fork;
+        positions/metadata are negligible and not charged."""
+        return (
+            2
+            * self.model.d_model
+            * self.hw.bytes_per_element
+            * self.model.n_layers
+        )
+
+    def swap_cycles(self, kv_slots):
+        """Host-link cycles to move ``kv_slots`` one way (out *or* in)."""
+        return kv_slots * self.swap_bytes_per_slot / self.hw.host_bytes_per_cycle
+
+    def preempt_swap_cycles(self, kv_slots):
+        """Cost of evicting a victim by swapping: the round trip (page
+        out now, page back in at resume)."""
+        return 2.0 * self.swap_cycles(kv_slots)
+
+    def preempt_recompute_cycles(self, total_rows):
+        """Cost of evicting a victim by recompute: re-prefilling its
+        prompt plus every token generated so far."""
+        return self.prefill_cycles(total_rows)
+
+    # ------------------------------------------------------------------
     # Full runs
     # ------------------------------------------------------------------
     def cache_length_at(self, prompt_length, step, kv_budget=None):
@@ -537,7 +603,7 @@ class AcceleratorSimulator:
         stats = RunStats(prefill=self.prefill(prompt_length))
         for step in range(1, gen_length + 1):
             length = self.cache_length_at(prompt_length, step, kv_budget)
-            step_stats = self.decode_step(length)
+            step_stats = self.decode_round([length])
             if kv_budget is not None:
                 vote_bytes = 2 * 2 * length * self.model.n_layers
                 step_stats.hbm_bytes += vote_bytes

@@ -307,7 +307,7 @@ def _serve_bench(argv):
         "controller (adaptive chunk sizing, per-victim modeled "
         "preemption, cycle-priced EDF admission); per-request tokens "
         "are asserted bit-identical across all rows and every trace is "
-        "priced per dataflow through the memoized round-cost predictor",
+        "priced per dataflow on the accelerator cycle model",
     )
     parser.add_argument(
         "--objective",

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.accel.config import HardwareConfig, veda_config
-from repro.accel.scheduler import decode_attention
 from repro.accel.simulator import AcceleratorSimulator
 from repro.core.engine import GenerationEngine
 
@@ -84,13 +83,8 @@ class CoSimulator:
         # entry is the post-step length.  The attention in step i ran
         # against (previous length + 1) entries (append-then-evict).
         for previous in result.cache_lengths[:-1]:
-            length = previous + 1
-            breakdown = decode_attention(
-                length, self.hw_model.head_dim, self.hw_model.n_heads, self.hw
-            )
-            per_layer = breakdown.total
-            attention_cycles.append(per_layer * self.hw_model.n_layers)
-            step = self.simulator.decode_step(length)
+            step = self.simulator.decode_round([previous + 1])
+            attention_cycles.append(step.per_sequence_attention[0])
             total_cycles += step.cycles
 
         return CoSimResult(

@@ -20,7 +20,6 @@ pull at once: the prefix is stored once and prefilled once.
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 
@@ -28,7 +27,7 @@ import math
 from dataclasses import replace
 
 from repro.accel.config import veda_config
-from repro.accel.predictor import RoundCostPredictor
+from repro.accel.simulator import AcceleratorSimulator
 from repro.config import ModelConfig, llama2_7b_shapes, tiny_config
 from repro.core.engine import budget_from_ratio, sequence_capacity
 from repro.core.policies.voting import VotingPolicy
@@ -1272,7 +1271,9 @@ def run_preempt(
     hw_model = llama2_7b_shapes() if cosim_shapes == "7b" else model.config
     n_layers = model.config.n_layers
     cost_model = (
-        RoundCostPredictor(hw, hw_model) if "model" in modes else None
+        AcceleratorSimulator(hw or veda_config(), hw_model)
+        if "model" in modes
+        else None
     )
 
     def serve(mode, workload, num_blocks, max_rounds=None):
@@ -1424,13 +1425,10 @@ def run_cosim_schedule(
     never touch the numerics, so every configuration must retire
     bit-identical per-request tokens — asserted here.
 
-    Each trace is then priced under every dataflow through one shared
-    memoized :class:`~repro.accel.predictor.RoundCostPredictor`
-    (``compare_dataflows(memoize=True)``) and the winner is picked by
-    ``objective`` (``"cycles"`` or ``"energy"``); rows carry modeled
-    throughput, p95 TTFT in cycles, and joules/token.  The memoized
-    replay is also timed against the unmemoized simulator on the same
-    trace (bit-identity asserted) — the replay speedup satellite.
+    Each trace is then priced under every dataflow
+    (:func:`~repro.serve.cosim.compare_dataflows`) and the winner is
+    picked by ``objective`` (``"cycles"`` or ``"energy"``); rows carry
+    modeled throughput, p95 TTFT in cycles, and joules/token.
 
     Returns ``(ExperimentResult, extra_text)`` like :func:`run_cosim`.
     """
@@ -1451,7 +1449,7 @@ def run_cosim_schedule(
         )
     hw_model = llama2_7b_shapes() if cosim_shapes == "7b" else model.config
     n_layers = model.config.n_layers
-    cost_model = RoundCostPredictor(hw, hw_model)
+    cost_model = AcceleratorSimulator(hw or veda_config(), hw_model)
 
     workload = make_workload(
         n_requests=n_requests,
@@ -1515,7 +1513,7 @@ def run_cosim_schedule(
             )
         report = engine.report()
         hw_reports = compare_dataflows(
-            scheduler=engine.scheduler, hw=hw, hw_model=hw_model, memoize=True
+            scheduler=engine.scheduler, hw=hw, hw_model=hw_model
         )
         dataflow, hw_report = best_dataflow(hw_reports, objective=objective)
         rows.append(
@@ -1535,36 +1533,6 @@ def run_cosim_schedule(
         if policy == "adaptive":
             adaptive_engine = engine
 
-    # Replay-speedup satellite: the memoized pricer must reproduce the
-    # full simulator bit-for-bit while skipping the repeated work.
-    predictor = RoundCostPredictor(hw, hw_model)
-    warmup = ServingCoSimulator(
-        scheduler=adaptive_engine.scheduler,
-        hw=hw,
-        hw_model=hw_model,
-        predictor=predictor,
-    ).replay()
-    t0 = time.perf_counter()
-    cold = ServingCoSimulator(
-        scheduler=adaptive_engine.scheduler, hw=hw, hw_model=hw_model
-    ).replay()
-    t1 = time.perf_counter()
-    warm = ServingCoSimulator(
-        scheduler=adaptive_engine.scheduler,
-        hw=hw,
-        hw_model=hw_model,
-        predictor=predictor,
-    ).replay()
-    t2 = time.perf_counter()
-    if (warm.total_cycles, warm.macs, warm.hbm_bytes) != (
-        cold.total_cycles,
-        cold.macs,
-        cold.hbm_bytes,
-    ):
-        raise AssertionError("memoized replay diverged from the full simulator")
-    assert warmup.total_cycles == cold.total_cycles
-    replay_speedup = (t1 - t0) / max(t2 - t1, 1e-9)
-
     static_rows = [row for row in rows if row["policy"] == "static"]
     adaptive_row = rows[-1]
     best_static = max(static_rows, key=lambda row: row["hw_tokens/s"])
@@ -1582,8 +1550,6 @@ def run_cosim_schedule(
             f"{adaptive_row['joules/token']:.4f} J/token.",
             f"Model-preempt split: {adaptive_engine.report().model_swaps} "
             f"swaps / {adaptive_engine.report().model_recomputes} recomputes.",
-            f"Memoized replay speedup: {replay_speedup:.2f}x "
-            f"(predictor hit rate {predictor.hit_rate:.2f}), bit-identical.",
         ]
     )
     notes = (
@@ -1595,7 +1561,7 @@ def run_cosim_schedule(
         "budget without outrunning the free block pool, picks swap vs "
         "recompute per victim by modeled cycles, and admits by "
         "cycle-priced laxity. Traces are priced per dataflow through "
-        "one shared memoized predictor and the winner is chosen by the "
+        "one shared pricing cache and the winner is chosen by the "
         f"'{objective}' objective."
     )
     result = ExperimentResult(
@@ -1604,7 +1570,6 @@ def run_cosim_schedule(
         rows=rows,
         notes=notes,
     )
-    result.replay_speedup = replay_speedup
     return result, extra
 
 

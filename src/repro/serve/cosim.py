@@ -92,7 +92,6 @@ import numpy as np
 
 from repro.accel.area_power import AreaPowerModel
 from repro.accel.config import HardwareConfig, veda_config
-from repro.accel.predictor import RoundCostPredictor
 from repro.accel.scheduler import DATAFLOWS
 from repro.accel.simulator import AcceleratorSimulator
 
@@ -340,19 +339,11 @@ class ServingCoSimulator:
         across ``tp`` PE clusters and price the per-layer all-reduces
         over the hardware configuration's interconnect link.  ``tp=1``
         (default) is bit-identical to the single-device replay.
-    memoize:
-        Route round pricing through a
-        :class:`~repro.accel.predictor.RoundCostPredictor` instead of
-        the bare simulator.  The predictor re-assembles cached cost
-        fragments in the simulator's own accumulation order, so every
-        replayed number — cycles, energy, per-step attention — is
-        **bit-identical** to ``memoize=False``; long traces just price
-        several times faster (chunk shapes and batch depths repeat).
-    predictor / draft_predictor:
-        Explicit predictor instances to price with (implies memoized
-        pricing for that side).  Passing one lets several replays — e.g.
-        the three :func:`compare_dataflows` passes — share one warm
-        cache; shapes/tp must match ``hw_model``/``hw_draft_model``.
+
+    Rounds are priced by one :class:`AcceleratorSimulator` per model
+    (target, and draft when speculating), whose pricing caches stay warm
+    across repeated :meth:`replay` calls on this instance — chunk shapes
+    and batch depths repeat, so long traces price mostly from cache.
     """
 
     def __init__(
@@ -364,9 +355,6 @@ class ServingCoSimulator:
         count_dead_steps=True,
         hw_draft_model=None,
         tp=1,
-        memoize=False,
-        predictor=None,
-        draft_predictor=None,
     ):
         if dataflow not in DATAFLOWS:
             raise ValueError(
@@ -380,28 +368,18 @@ class ServingCoSimulator:
         self.dataflow = dataflow
         self.count_dead_steps = bool(count_dead_steps)
         self.tp = int(tp)
-        if predictor is not None:
-            self.simulator = predictor
-        elif memoize:
-            self.simulator = RoundCostPredictor(self.hw, self.hw_model, tp=self.tp)
-        else:
-            self.simulator = AcceleratorSimulator(self.hw, self.hw_model, tp=self.tp)
+        self.simulator = AcceleratorSimulator(self.hw, self.hw_model, tp=self.tp)
         self.power_model = AreaPowerModel(self.hw)
         if hw_draft_model is None and scheduler is not None:
             draft = getattr(scheduler, "draft_model", None)
             if draft is not None:
                 hw_draft_model = draft.config
         self.hw_draft_model = hw_draft_model
-        if draft_predictor is not None:
-            self.draft_simulator = draft_predictor
-        elif hw_draft_model is not None:
-            self.draft_simulator = (
-                RoundCostPredictor(self.hw, hw_draft_model, tp=self.tp)
-                if memoize
-                else AcceleratorSimulator(self.hw, hw_draft_model, tp=self.tp)
-            )
-        else:
-            self.draft_simulator = None
+        self.draft_simulator = (
+            AcceleratorSimulator(self.hw, hw_draft_model, tp=self.tp)
+            if hw_draft_model is not None
+            else None
+        )
 
     def _scheduler_arrivals(self):
         """``request_id -> arrival round`` of every request the attached
@@ -440,12 +418,7 @@ class ServingCoSimulator:
             tp=self.tp,
         )
         n_layers = self.hw_model.n_layers
-        # Swap transfers move a slot's keys and values for every layer
-        # over the host link (preempt="swap"); positions/metadata are
-        # negligible next to the KV floats and are not charged.
-        swap_bytes_per_slot = (
-            2 * self.hw_model.d_model * self.hw.bytes_per_element * n_layers
-        )
+        swap_bytes_per_slot = self.simulator.swap_bytes_per_slot
         has_swaps = any(record.swaps for record in trace)
         has_forks = any(record.forks for record in trace)
         has_verifies = any(record.verifies for record in trace)
@@ -590,8 +563,8 @@ class ServingCoSimulator:
                 round_swap_bytes = (
                     record.swapped_kv_slots * swap_bytes_per_slot
                 )
-                round_swap_cycles = (
-                    round_swap_bytes / self.hw.host_bytes_per_cycle
+                round_swap_cycles = self.simulator.swap_cycles(
+                    record.swapped_kv_slots
                 )
                 report.swap_events += record.num_swaps
                 report.swap_bytes += round_swap_bytes
@@ -684,7 +657,6 @@ def compare_dataflows(
     hw_model=None,
     count_dead_steps=True,
     hw_draft_model=None,
-    memoize=False,
 ):
     """Replay one trace under every dataflow selection.
 
@@ -698,38 +670,24 @@ def compare_dataflows(
     ``{"auto", "prefill"}`` — both pricing the baseline's tiled
     configuration.
 
-    ``memoize=True`` prices every pass through one *shared*
-    :class:`~repro.accel.predictor.RoundCostPredictor` (its caches key
-    on the resolved mapping, so the selections never collide), keeping
-    the reports bit-identical while the repeat passes run mostly warm.
+    Every pass replays through one co-simulator, so the target and
+    draft simulators' pricing caches are shared across the passes
+    (their keys carry the resolved mapping, so the selections never
+    collide) and freed when this call returns.
     """
-    effective_hw = hw or veda_config()
-    selections = (
-        DATAFLOWS if effective_hw.flexible_dataflow else ("auto", "prefill")
+    cosim = ServingCoSimulator(
+        scheduler=scheduler,
+        hw=hw,
+        hw_model=hw_model,
+        count_dead_steps=count_dead_steps,
+        hw_draft_model=hw_draft_model,
     )
-    predictor = draft_predictor = None
-    if memoize:
-        effective_model = hw_model or scheduler.model.config
-        predictor = RoundCostPredictor(effective_hw, effective_model)
-        effective_draft = hw_draft_model
-        if effective_draft is None and scheduler is not None:
-            draft = getattr(scheduler, "draft_model", None)
-            if draft is not None:
-                effective_draft = draft.config
-        if effective_draft is not None:
-            draft_predictor = RoundCostPredictor(effective_hw, effective_draft)
+    selections = (
+        DATAFLOWS if cosim.hw.flexible_dataflow else ("auto", "prefill")
+    )
     reports = {}
     for dataflow in selections:
-        cosim = ServingCoSimulator(
-            scheduler=scheduler,
-            hw=hw,
-            hw_model=hw_model,
-            dataflow=dataflow,
-            count_dead_steps=count_dead_steps,
-            hw_draft_model=hw_draft_model,
-            predictor=predictor,
-            draft_predictor=draft_predictor,
-        )
+        cosim.dataflow = dataflow
         reports[dataflow] = cosim.replay(trace)
     return reports
 

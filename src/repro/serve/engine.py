@@ -148,7 +148,7 @@ class CycleEDFAdmission(AdmissionPolicy):
     Parameters
     ----------
     cost_model:
-        A :class:`repro.accel.predictor.RoundCostPredictor` pricing
+        A :class:`repro.accel.simulator.AcceleratorSimulator` pricing
         prompt prefills.  Defaults to VEDA hardware at Llama-2 7B
         shapes — the same datacenter-scale substitution the serving
         co-simulator defaults to.
@@ -167,10 +167,11 @@ class CycleEDFAdmission(AdmissionPolicy):
 
     def __init__(self, cost_model=None, cycles_per_round=None):
         if cost_model is None:
-            from repro.accel.predictor import RoundCostPredictor
+            from repro.accel.config import veda_config
+            from repro.accel.simulator import AcceleratorSimulator
             from repro.config import llama2_7b_shapes
 
-            cost_model = RoundCostPredictor(model=llama2_7b_shapes())
+            cost_model = AcceleratorSimulator(veda_config(), llama2_7b_shapes())
         self.cost_model = cost_model
         if cycles_per_round is None:
             cycles_per_round = cost_model.decode_round_cycles(
@@ -584,17 +585,14 @@ class ServingEngine:
         hw_model=None,
         dataflow="auto",
         count_dead_steps=True,
-        memoize=False,
     ):
         """Price the run's recorded trace on the accelerator cycle
         model; the returned report includes per-request TTFT in cycles
-        (anchored on each request's final prefill event).  ``memoize``
-        prices through a bit-identical memoized round-cost predictor."""
+        (anchored on each request's final prefill event)."""
         return ServingCoSimulator(
             scheduler=self.scheduler,
             hw=hw,
             hw_model=hw_model,
             dataflow=dataflow,
             count_dead_steps=count_dead_steps,
-            memoize=memoize,
         ).replay()

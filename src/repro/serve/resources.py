@@ -46,7 +46,7 @@ co-simulator:
 ``preempt="model"`` is not a third mechanism: the scheduler picks
 recompute *or* swap per victim from modeled cost (host-link transfer
 cycles vs re-prefill cycles, via
-:class:`repro.accel.predictor.RoundCostPredictor`), using the same two
+:class:`repro.accel.simulator.AcceleratorSimulator`), using the same two
 paths above.  The manager treats it exactly like the other two-way
 modes.
 

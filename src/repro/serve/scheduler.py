@@ -512,7 +512,7 @@ class Scheduler:
         oversized chunk never forces preemptions a smaller one avoids.
         Tokens stay bit-identical (chunk-budget invariance).
     cost_model:
-        A :class:`repro.accel.predictor.RoundCostPredictor` pricing the
+        A :class:`repro.accel.simulator.AcceleratorSimulator` pricing the
         decisions above (and ``preempt="model"``).  Its model config
         sets the *cost shapes* — pass Llama-2 7B shapes to steer a
         tiny-model trace by datacenter-scale costs, exactly like the
@@ -627,13 +627,13 @@ class Scheduler:
             if cost_model is None:
                 raise ValueError(
                     "adaptive_chunk needs a cost_model "
-                    "(repro.accel.predictor.RoundCostPredictor) to price "
+                    "(repro.accel.simulator.AcceleratorSimulator) to price "
                     "candidate chunk budgets"
                 )
         if preempt == "model" and cost_model is None:
             raise ValueError(
                 "preempt='model' needs a cost_model "
-                "(repro.accel.predictor.RoundCostPredictor) to price "
+                "(repro.accel.simulator.AcceleratorSimulator) to price "
                 "recompute vs swap per victim"
             )
         #: The chunk budget in force for the current round (equals
@@ -1013,7 +1013,7 @@ class Scheduler:
 
         The candidate ladder spans power-of-two rungs around the
         configured ``prefill_chunk`` (``x/4`` … ``4x`` — a small fixed
-        set keeps the predictor's prefill cache hot).  The round's cycle
+        set keeps the cost model's prefill cache hot).  The round's cycle
         budget is the predicted cost of a max-rung prefill alone; the
         chosen rung is the largest whose predicted prefill pass fits the
         budget left after the current decode batch's predicted cycles,

@@ -105,19 +105,21 @@ class TestDataflowPenalties:
 
 
 class TestDecodeRound:
-    def test_single_sequence_matches_decode_step(self, hw, shapes):
-        """The anchor for batch-size-1 serving-cosim equivalence: exact
-        equality, not approximate."""
+    def test_single_sequence_round_is_a_solo_step(self, hw, shapes):
+        """The anchor for batch-size-1 serving-cosim equivalence: a
+        one-sequence round is exactly the step ``run()`` prices (the
+        field-by-field check against the uncached decode-step loop is in
+        tests/properties/test_property_predictor.py)."""
         sim = AcceleratorSimulator(hw, shapes)
-        for length in (5, 64, 500):
-            step = sim.decode_step(length)
-            round_stats = sim.decode_round([length])
-            assert round_stats.cycles == step.cycles
-            assert round_stats.linear_cycles == step.linear_cycles
-            assert round_stats.attention.total == step.attention.total
-            assert round_stats.nonlinear_cycles == step.nonlinear_cycles
-            assert round_stats.macs == step.macs
-            assert round_stats.hbm_bytes == step.hbm_bytes
+        for prompt in (4, 63, 499):
+            round_stats = sim.decode_round([prompt + 1])
+            run = sim.run(prompt, 1)
+            assert round_stats.cycles == run.decode_total_per_token[0]
+            assert round_stats.attention.total == run.decode_attention_per_token[0]
+            assert round_stats.per_sequence_attention == [
+                decode_attention(prompt + 1, shapes.head_dim, shapes.n_heads, hw).total
+                * shapes.n_layers
+            ]
 
     def test_batched_round_amortizes_weight_fetch(self, shapes):
         """On bandwidth-rich hardware decode GEMVs are memory-bound, so
@@ -127,7 +129,7 @@ class TestDecodeRound:
         sim = AcceleratorSimulator(cloud, shapes)
         lengths = [256] * 8
         batched = sim.decode_round(lengths)
-        sequential = sum(sim.decode_step(l).cycles for l in lengths)
+        sequential = sum(sim.decode_round([l]).cycles for l in lengths)
         assert batched.cycles < sequential
 
     def test_batched_round_never_beats_per_token_attention(self, hw, shapes):

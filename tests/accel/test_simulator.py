@@ -13,16 +13,18 @@ def llama_sim():
 
 
 class TestDecodeStep:
+    """A solo decode step is a one-sequence decode round."""
+
     def test_cycles_positive_and_monotone_in_cache(self, llama_sim):
-        short = llama_sim.decode_step(128)
-        long = llama_sim.decode_step(1024)
+        short = llama_sim.decode_round([128])
+        long = llama_sim.decode_round([1024])
         assert 0 < short.cycles < long.cycles
         assert short.attention.total < long.attention.total
 
     def test_linear_layers_memory_bound(self, llama_sim):
         """Decode weights stream from HBM: linear cycles ≈ weight bytes /
         bandwidth."""
-        stats = llama_sim.decode_step(128)
+        stats = llama_sim.decode_round([128])
         model = llama_sim.model
         weight_bytes = (
             model.n_layers * (4 * model.d_model**2 + 3 * model.d_model * model.d_ff)
@@ -32,7 +34,7 @@ class TestDecodeStep:
         assert stats.linear_cycles == pytest.approx(expected, rel=0.01)
 
     def test_macs_counted(self, llama_sim):
-        stats = llama_sim.decode_step(256)
+        stats = llama_sim.decode_round([256])
         model = llama_sim.model
         linear_macs = (
             model.n_layers * (4 * model.d_model**2 + 3 * model.d_model * model.d_ff)

@@ -1,28 +1,161 @@
-"""Property-based tests: the memoized round-cost predictor.
+"""Property-based tests: the simulator's pricing cache.
 
-The predictor's contract is *exactness*, not approximation: every cached
-re-assembly must reproduce the uncached ``AcceleratorSimulator`` result
-bit-for-bit, and the scalar helpers the scheduler leans on must be
-monotone in the work they price (a bigger chunk or a wider decode batch
-can never be predicted cheaper).
+``AcceleratorSimulator`` caches whole prefill passes, the weight side of
+a decode round and per-length decode attention.  The contract is
+*exactness*: every cached re-assembly must reproduce the uncached cycle
+model bit-for-bit, warm or cold.  The uncached model is transcribed
+below (:class:`ReferenceModel`, the pre-cache ``prefill`` /
+``decode_round`` / ``decode_step`` loops) and is the reference every
+cached result is compared against with ``==`` on every field.  The
+scalar helpers the scheduler leans on must also be monotone in the work
+they price (a bigger chunk or a wider decode batch never prices cheaper).
 """
 
+from dataclasses import fields
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.config import baseline_config, veda_config
-from repro.accel.predictor import RoundCostPredictor
-from repro.accel.simulator import AcceleratorSimulator
+from repro.accel.llm_mapping import (
+    decode_linear_ops,
+    layer_norm_count,
+    prefill_linear_ops,
+)
+from repro.accel.scheduler import decode_attention, prefill_attention, resolve_dataflow
+from repro.accel.sfu import layernorm_stall_cycles
+from repro.accel.simulator import AcceleratorSimulator, PhaseStats, RoundStats
 from repro.config import llama2_7b_shapes
 
-MODEL = llama2_7b_shapes()
-#: Shared across examples on purpose: later examples re-hit earlier
-#: examples' cache entries, so equality also covers the warm path.
-PREDICTOR = RoundCostPredictor(veda_config(), MODEL)
-SIMULATOR = AcceleratorSimulator(veda_config(), MODEL)
-FIXED_PREDICTOR = RoundCostPredictor(baseline_config(), MODEL)
-FIXED_SIMULATOR = AcceleratorSimulator(baseline_config(), MODEL)
 
+class ReferenceModel:
+    """The uncached cycle model: a transcription of the simulator's
+    loops before the pricing cache, kept here as the reference."""
+
+    def __init__(self, hw, model, tp=1):
+        self.sim = AcceleratorSimulator(hw, model, tp=tp)  # hbm + all-reduce
+        self.hw, self.model, self.tp = hw, model, tp
+
+    def _finish(self, stats):
+        stats.cycles = (
+            stats.linear_cycles
+            + stats.attention.total
+            + stats.nonlinear_cycles
+            + stats.interconnect_cycles
+        )
+        return stats
+
+    def _linear(self, stats, op, batch=1):
+        compute = batch * op.compute_cycles(self.hw.tree_width)
+        memory = self.sim.hbm.stream_cycles(op.weight_bytes)
+        stats.linear_cycles += max(compute, memory)
+        stats.macs += batch * op.macs
+        stats.hbm_bytes += op.weight_bytes
+
+    def prefill(self, prompt_length, dataflow="auto", prefix_length=0):
+        model, hw = self.model, self.hw
+        stats = PhaseStats()
+        local_heads = model.n_heads // self.tp
+        kv_width = model.d_model // self.tp
+        per_layer_ops, head_ops = prefill_linear_ops(model, prompt_length, tp=self.tp)
+        attn = prefill_attention(
+            prompt_length,
+            model.head_dim,
+            local_heads,
+            hw,
+            dataflow=dataflow,
+            prefix_length=prefix_length,
+        )
+        attended = (
+            prefix_length * prompt_length + prompt_length * (prompt_length + 1) / 2
+        )
+        attn_macs = 2 * local_heads * model.head_dim * attended
+        streamed_kv_bytes = 0.0
+        if hw.flexible_dataflow and resolve_dataflow(dataflow, hw, "prefill") == "decode":
+            streamed_kv_bytes = 2 * attended * kv_width * hw.bytes_per_element
+        norm_stall = layernorm_stall_cycles(model.d_model, hw, hw.element_serial)
+        for _ in range(model.n_layers):
+            for op in per_layer_ops:
+                self._linear(stats, op)
+            stats.attention = stats.attention + attn
+            stats.macs += attn_macs
+            stats.hbm_bytes += 2 * prompt_length * kv_width * hw.bytes_per_element
+            stats.hbm_bytes += streamed_kv_bytes
+            stats.nonlinear_cycles += (
+                layer_norm_count(model) * prompt_length * norm_stall
+                if not hw.element_serial
+                else layer_norm_count(model) * prompt_length * hw.element_serial_drain
+            )
+            self.sim._allreduce_charge(stats, prompt_length)
+        for op in head_ops:
+            self._linear(stats, op)
+        return self._finish(stats)
+
+    def decode_step(self, cache_length, dataflow="auto"):
+        model, hw = self.model, self.hw
+        stats = PhaseStats()
+        local_heads = model.n_heads // self.tp
+        kv_width = model.d_model // self.tp
+        per_layer_ops, head_ops = decode_linear_ops(model, tp=self.tp)
+        attn = decode_attention(
+            cache_length, model.head_dim, local_heads, hw, dataflow=dataflow
+        )
+        norm_stall = layernorm_stall_cycles(model.d_model, hw, hw.element_serial)
+        for _ in range(model.n_layers):
+            for op in per_layer_ops:
+                self._linear(stats, op)
+            stats.attention = stats.attention + attn
+            stats.macs += 2 * local_heads * model.head_dim * cache_length
+            stats.hbm_bytes += 2 * cache_length * kv_width * hw.bytes_per_element
+            stats.hbm_bytes += 2 * kv_width * hw.bytes_per_element
+            stats.nonlinear_cycles += layer_norm_count(model) * norm_stall
+            self.sim._allreduce_charge(stats, 1)
+        for op in head_ops:
+            self._linear(stats, op)
+        return self._finish(stats)
+
+    def decode_round(self, cache_lengths, dataflow="auto"):
+        model, hw = self.model, self.hw
+        stats = RoundStats()
+        batch = len(cache_lengths)
+        local_heads = model.n_heads // self.tp
+        kv_width = model.d_model // self.tp
+        per_layer_ops, head_ops = decode_linear_ops(model, tp=self.tp)
+        norm_stall = layernorm_stall_cycles(model.d_model, hw, hw.element_serial)
+        for _ in range(model.n_layers):
+            for op in per_layer_ops:
+                self._linear(stats, op, batch)
+            stats.nonlinear_cycles += batch * (layer_norm_count(model) * norm_stall)
+            self.sim._allreduce_charge(stats, batch)
+        for op in head_ops:
+            self._linear(stats, op, batch)
+        for length in cache_lengths:
+            attn = decode_attention(
+                length, model.head_dim, local_heads, hw, dataflow=dataflow
+            )
+            for _ in range(model.n_layers):
+                stats.attention = stats.attention + attn
+                stats.macs += 2 * local_heads * model.head_dim * length
+                stats.hbm_bytes += 2 * length * kv_width * hw.bytes_per_element
+                stats.hbm_bytes += 2 * kv_width * hw.bytes_per_element
+            stats.per_sequence_attention.append(attn.total * model.n_layers)
+        return self._finish(stats)
+
+
+MODEL = llama2_7b_shapes()
+#: (hw name, tp) -> (warm simulator shared across examples, reference).
+#: Later examples re-hit earlier examples' entries, so comparing the warm
+#: instance covers cache hits; a fresh instance per example covers misses.
+CONFIGS = {
+    (name, tp): (AcceleratorSimulator(hw, MODEL, tp=tp), ReferenceModel(hw, MODEL, tp))
+    for name, hw in (("veda", veda_config()), ("baseline", baseline_config()))
+    for tp in (1, 2)
+}
+HW = {"veda": veda_config(), "baseline": baseline_config()}
+WARM = CONFIGS[("veda", 1)][0]
+
+configs = st.sampled_from(sorted(CONFIGS))
 rows = st.integers(1, 384)
 prefixes = st.integers(0, 128)
 lengths = st.integers(1, 512)
@@ -30,71 +163,85 @@ batches = st.lists(st.integers(1, 512), min_size=1, max_size=6)
 dataflows = st.sampled_from(["auto", "prefill", "decode"])
 
 
-def _phase_tuple(stats):
-    return (
-        stats.cycles,
-        stats.linear_cycles,
-        stats.attention.total,
-        stats.nonlinear_cycles,
-        stats.interconnect_cycles,
-        stats.macs,
-        stats.hbm_bytes,
-        stats.interconnect_bytes,
-    )
+def _legal(config, dataflow):
+    """The baseline array cannot select the streaming mapping."""
+    return "auto" if config[0] == "baseline" and dataflow == "decode" else dataflow
 
 
-def _round_tuple(stats):
-    return (
-        stats.cycles,
-        stats.linear_cycles,
-        stats.attention_cycles,
-        stats.nonlinear_cycles,
-        stats.interconnect_cycles,
-        stats.macs,
-        stats.hbm_bytes,
-        stats.interconnect_bytes,
-        tuple(stats.per_sequence_attention),
-    )
+def _fields(stats):
+    """Every PhaseStats field, compared with ``==``."""
+    return {f.name: getattr(stats, f.name) for f in fields(PhaseStats)}
 
 
-class TestPredictorMatchesSimulator:
-    @given(rows, prefixes, dataflows)
+def _simulators(config):
+    warm, reference = CONFIGS[config]
+    fresh = AcceleratorSimulator(HW[config[0]], MODEL, tp=config[1])
+    return warm, fresh, reference
+
+
+class TestCacheMatchesReference:
+    @given(configs, rows, prefixes, dataflows)
     @settings(max_examples=60, deadline=None)
-    def test_prefill_bitwise_equal(self, prompt, prefix, dataflow):
-        """Cached prefill is the simulator's, bit for bit (the issue's
-        <1% agreement bar, met with error exactly 0)."""
-        fast = PREDICTOR.prefill(prompt, dataflow=dataflow, prefix_length=prefix)
-        slow = SIMULATOR.prefill(prompt, dataflow=dataflow, prefix_length=prefix)
-        assert _phase_tuple(fast) == _phase_tuple(slow)
+    def test_prefill_bitwise_equal(self, config, prompt, prefix, dataflow):
+        dataflow = _legal(config, dataflow)
+        warm, fresh, reference = _simulators(config)
+        expected = _fields(reference.prefill(prompt, dataflow, prefix))
+        for sim in (warm, fresh):
+            assert _fields(sim.prefill(prompt, dataflow, prefix)) == expected
 
-    @given(batches, dataflows)
+    @given(configs, batches, dataflows)
     @settings(max_examples=60, deadline=None)
-    def test_decode_round_bitwise_equal(self, cache_lengths, dataflow):
-        fast = PREDICTOR.decode_round(cache_lengths, dataflow=dataflow)
-        slow = SIMULATOR.decode_round(cache_lengths, dataflow=dataflow)
-        assert _round_tuple(fast) == _round_tuple(slow)
+    def test_decode_round_bitwise_equal(self, config, cache_lengths, dataflow):
+        dataflow = _legal(config, dataflow)
+        warm, fresh, reference = _simulators(config)
+        expected = reference.decode_round(cache_lengths, dataflow)
+        for sim in (warm, fresh):
+            got = sim.decode_round(cache_lengths, dataflow)
+            assert _fields(got) == _fields(expected)
+            assert got.per_sequence_attention == expected.per_sequence_attention
 
-    @given(st.lists(rows, min_size=0, max_size=3), batches)
+    @given(configs, lengths, dataflows)
+    @settings(max_examples=60, deadline=None)
+    def test_single_sequence_round_is_decode_step(self, config, length, dataflow):
+        """``decode_round([L])`` is the solo decode step ``run()`` and
+        ``CoSimulator`` price, field for field."""
+        dataflow = _legal(config, dataflow)
+        warm, fresh, reference = _simulators(config)
+        expected = _fields(reference.decode_step(length, dataflow))
+        for sim in (warm, fresh):
+            assert _fields(sim.decode_round([length], dataflow)) == expected
+
+    @given(configs, st.lists(rows, min_size=0, max_size=3), batches)
     @settings(max_examples=40, deadline=None)
-    def test_mixed_round_bitwise_equal(self, prefill_lengths, decode_lengths):
-        fast = PREDICTOR.mixed_round(
-            prefill_lengths=prefill_lengths, decode_lengths=decode_lengths
-        )
-        slow = SIMULATOR.mixed_round(
-            prefill_lengths=prefill_lengths, decode_lengths=decode_lengths
-        )
-        assert fast.cycles == slow.cycles
-        assert fast.macs == slow.macs
-        assert fast.hbm_bytes == slow.hbm_bytes
+    def test_mixed_round_warm_equals_cold(self, config, prefill_lengths, decode_lengths):
+        warm, fresh, reference = _simulators(config)
+        got = [
+            sim.mixed_round(prefill_lengths=prefill_lengths, decode_lengths=decode_lengths)
+            for sim in (warm, fresh)
+        ]
+        assert got[0] == got[1]
+        assert [_fields(p) for p in got[0].prefills] == [
+            _fields(reference.prefill(length)) for length in prefill_lengths
+        ]
 
-    @given(rows, prefixes)
-    @settings(max_examples=30, deadline=None)
-    def test_fixed_dataflow_hardware_equal(self, prompt, prefix):
-        """The baseline array resolves every selection to one tiled
-        mapping; the cache keys on the resolved mapping and must agree."""
-        fast = FIXED_PREDICTOR.prefill(prompt, prefix_length=prefix)
-        slow = FIXED_SIMULATOR.prefill(prompt, prefix_length=prefix)
-        assert _phase_tuple(fast) == _phase_tuple(slow)
+
+class TestReturnedStatsAreFresh:
+    def test_mutating_a_result_leaves_the_cache_intact(self):
+        """``run()`` adds vote traffic to each step's ``hbm_bytes`` in
+        place, so a cached result must never be handed out shared."""
+        sim = AcceleratorSimulator(veda_config(), MODEL)
+        round_stats = sim.decode_round([128, 256])
+        expected_round = _fields(sim.decode_round([128, 256]))
+        round_stats.hbm_bytes += 1.0
+        round_stats.attention.qk += 1.0
+        round_stats.per_sequence_attention.append(0.0)
+        prefill = sim.prefill(64)
+        expected_prefill = _fields(sim.prefill(64))
+        prefill.cycles += 1.0
+        prefill.attention.sv += 1.0
+        assert _fields(sim.decode_round([128, 256])) == expected_round
+        assert len(sim.decode_round([128, 256]).per_sequence_attention) == 2
+        assert _fields(sim.prefill(64)) == expected_prefill
 
 
 class TestPredictedCostMonotone:
@@ -103,16 +250,14 @@ class TestPredictedCostMonotone:
     def test_prefill_nondecreasing_in_chunk_rows(self, prompt, extra):
         """A bigger prefill chunk never predicts cheaper — the ordering
         the adaptive chunk ladder's budget search relies on."""
-        assert PREDICTOR.prefill_cycles(prompt + extra) >= PREDICTOR.prefill_cycles(
-            prompt
-        )
+        assert WARM.prefill_cycles(prompt + extra) >= WARM.prefill_cycles(prompt)
 
     @given(batches, lengths)
     @settings(max_examples=60, deadline=None)
     def test_decode_nondecreasing_in_width(self, cache_lengths, added):
         """Admitting one more decode sequence never predicts cheaper."""
         wider = cache_lengths + [added]
-        assert PREDICTOR.decode_round_cycles(wider) >= PREDICTOR.decode_round_cycles(
+        assert WARM.decode_round_cycles(wider) >= WARM.decode_round_cycles(
             cache_lengths
         )
 
@@ -123,7 +268,7 @@ class TestPredictedCostMonotone:
         index %= len(cache_lengths)
         longer = list(cache_lengths)
         longer[index] += grow
-        assert PREDICTOR.decode_round_cycles(longer) >= PREDICTOR.decode_round_cycles(
+        assert WARM.decode_round_cycles(longer) >= WARM.decode_round_cycles(
             cache_lengths
         )
 
@@ -132,8 +277,11 @@ class TestPredictedCostMonotone:
     def test_preempt_prices_positive(self, kv_slots):
         """Both preemption mechanisms cost real cycles, and a swap-out
         plus swap-in is exactly two one-way transfers."""
-        assert PREDICTOR.preempt_swap_cycles(kv_slots) == 2 * PREDICTOR.swap_cycles(
-            kv_slots
-        )
-        assert PREDICTOR.preempt_swap_cycles(kv_slots) > 0
-        assert PREDICTOR.preempt_recompute_cycles(kv_slots) > 0
+        assert WARM.preempt_swap_cycles(kv_slots) == 2 * WARM.swap_cycles(kv_slots)
+        assert WARM.preempt_swap_cycles(kv_slots) > 0
+        assert WARM.preempt_recompute_cycles(kv_slots) > 0
+
+    def test_empty_decode_round_prices_zero(self):
+        assert WARM.decode_round_cycles([]) == 0.0
+        with pytest.raises(ValueError):
+            WARM.decode_round([])

@@ -78,7 +78,7 @@ class TestTP1Exactness:
         sharded = AcceleratorSimulator(hw, shapes, tp=1)
         for phase in (
             lambda s: s.prefill(96),
-            lambda s: s.decode_step(128),
+            lambda s: s.decode_round([128]),
         ):
             a, b = phase(base), phase(sharded)
             assert a.cycles == b.cycles

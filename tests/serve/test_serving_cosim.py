@@ -192,6 +192,19 @@ class TestDataflowSelection:
         assert reports["decode"].decode_cycles == reports["auto"].decode_cycles
         assert reports["decode"].prefill_cycles > reports["auto"].prefill_cycles
 
+    def test_shared_cache_passes_equal_cold_replays(self, tiny_inference, rng):
+        """Every pass shares one warm pricing cache; each report still
+        equals a cold single-dataflow replay in every field."""
+        requests = make_requests(rng, n=4)
+        scheduler, _ = serve(tiny_inference, requests, max_batch_size=3)
+        shapes = llama2_7b_shapes()
+        reports = compare_dataflows(scheduler, hw_model=shapes)
+        for dataflow, report in reports.items():
+            cold = ServingCoSimulator(
+                scheduler, hw_model=shapes, dataflow=dataflow
+            ).replay()
+            assert report == cold
+
     def test_fixed_hardware_comparison_degrades_gracefully(
         self, tiny_inference, rng
     ):
