@@ -25,6 +25,7 @@ import numpy as np
 
 import math
 from dataclasses import replace
+from functools import partial
 
 from repro.accel.config import veda_config
 from repro.accel.simulator import AcceleratorSimulator
@@ -48,7 +49,6 @@ from repro.serve import (
 
 __all__ = [
     "run",
-    "run_cosim",
     "run_cosim_schedule",
     "run_engine",
     "run_fleet",
@@ -300,71 +300,79 @@ def load_workload(path):
     return requests
 
 
-def _make_server(
-    model,
-    reserved_length,
-    block_size,
-    prefix_caching,
-    shared_prefix,
-    workload_kwargs,
-    prefill_chunk=None,
-    prefix_match_mode="token",
-    prefix_cache_blocks=-1,
-    workload=None,
-):
-    """Build a ``serve(batch_size, use_paged) -> (scheduler, report)``
-    closure over one reproducible workload (shared by :func:`run` and
-    :func:`run_cosim`).  ``prefix_cache_blocks=-1`` (the default) sizes
-    the retained set from the shared prefix; pass ``None`` for an
-    unbounded cache or an explicit block count.  ``workload`` (a request
-    list, e.g. from :func:`load_workload`) replaces the generated
-    trace."""
-    n_layers = model.config.n_layers
-    if prefix_cache_blocks == -1:
-        # Keep the hot shared prefix resident with headroom while letting
-        # never-rehit unique-suffix blocks recycle back to the pool.
-        prefix_cache_blocks = max(
-            16, 2 * n_layers * (int(shared_prefix) // block_size + 1)
+def _served(model=None):
+    """``model``, or the untrained tiny model every serving benchmark
+    serves by default."""
+    if model is None:
+        model = CachedTransformer.from_module(
+            TransformerLM(tiny_config(), seed=0)
         )
-    requests = (
-        list(workload) if workload is not None else make_workload(**workload_kwargs)
+    return model
+
+
+def _priced_shapes(cosim_shapes, model):
+    """The model shapes the co-simulator prices: Llama-2 7B (``"7b"``,
+    the paper's hardware evaluation model — real cache trajectories,
+    datacenter shapes) or the ``"served"`` model itself."""
+    if cosim_shapes == "7b":
+        return llama2_7b_shapes()
+    if cosim_shapes == "served":
+        return model.config
+    raise ValueError(
+        f"cosim_shapes must be '7b' or 'served', got {cosim_shapes!r}"
     )
 
-    def serve(batch_size, use_paged):
-        scheduler = Scheduler(
-            model,
-            policy_factory=lambda: VotingPolicy(
-                n_layers, reserved_length=reserved_length
-            ),
-            max_batch_size=batch_size,
-            paged=use_paged,
-            block_size=block_size,
-            prefix_caching=prefix_caching,
-            prefix_cache_blocks=prefix_cache_blocks,
-            prefill_chunk=prefill_chunk,
-            prefix_match_mode=prefix_match_mode,
-        )
-        for request in requests:
-            scheduler.submit(request)
-        report = scheduler.run()
-        return scheduler, report
 
-    serve.request_ids = [request.request_id for request in requests]
-    return serve
+def _voting(model, reserved_length):
+    """Per-request :class:`VotingPolicy` factory (the paper's eviction)."""
+    return partial(
+        VotingPolicy, model.config.n_layers, reserved_length=reserved_length
+    )
 
 
-def _assert_paged_tokens_match(
-    dense_scheduler, paged_scheduler, request_ids, batch_size
-):
-    """The paged run must be bit-identical to the dense run, per request."""
-    for request_id in request_ids:
-        if paged_scheduler.tokens_for(request_id) != dense_scheduler.tokens_for(
+def _serve(model, requests, reserved_length, **scheduler_kwargs):
+    """Serve ``requests`` to completion on a fresh :class:`Scheduler`
+    with VotingPolicy eviction; returns ``(scheduler, report)``."""
+    scheduler = Scheduler(
+        model,
+        policy_factory=_voting(model, reserved_length),
+        **scheduler_kwargs,
+    )
+    for request in requests:
+        scheduler.submit(request)
+    return scheduler, scheduler.run()
+
+
+def _tokens(server, requests):
+    """Per-request tokens a scheduler or engine generated."""
+    return {
+        request.request_id: server.tokens_for(request.request_id)
+        for request in requests
+    }
+
+
+def _handle_tokens(handles):
+    """Per-request tokens of every handle that was not rejected."""
+    return {
+        handle.request_id: tuple(handle.result())
+        for handle in handles
+        if handle.rejection is None
+    }
+
+
+def _check_tokens(tokens, reference, where):
+    """A benchmark's rows may differ in how tokens were served, never in
+    which tokens: raise if ``tokens`` diverge from ``reference``."""
+    if tokens != reference:
+        diverged = sorted(
             request_id
-        ):
-            raise AssertionError(
-                f"paged tokens diverged from dense for {request_id} "
-                f"at batch cap {batch_size}"
-            )
+            for request_id in tokens.keys() | reference.keys()
+            if tokens.get(request_id) != reference.get(request_id)
+        )
+        raise AssertionError(
+            f"tokens diverged from the reference for {diverged} under "
+            f"{where}"
+        )
 
 
 def run(
@@ -383,12 +391,17 @@ def run(
     compression_ratio=0.5,
     prefill_chunk=None,
     workload=None,
+    cosim=False,
+    cosim_shapes="7b",
+    hw=None,
 ):
     """Serve the same trace at several batch caps; tabulate the effect.
 
     ``batch=1`` degenerates to sequential serving (the seed repo's only
     mode); larger caps show continuous batching amortizing per-round
     Python/linear-layer overhead and collapsing queue waits.
+    ``workload`` (a request list, e.g. from :func:`load_workload`)
+    replaces the generated trace.
 
     With ``paged=True`` every cap is served twice — dense and paged on
     the identical trace — the generated tokens are asserted bit-equal,
@@ -396,90 +409,191 @@ def run(
     slabs, mean block utilization, prefix-cache hit rate, and prefill
     tokens saved.  Combine with ``shared_prefix`` (a common system
     prompt) to exercise cross-request prefix sharing.
-    """
-    if model is None:
-        model = CachedTransformer.from_module(
-            TransformerLM(tiny_config(), seed=0)
-        )
 
-    serve = _make_server(
-        model,
-        reserved_length=reserved_length,
-        block_size=block_size,
-        prefix_caching=prefix_caching,
+    With ``cosim=True`` each recorded per-round trace is instead priced
+    on the accelerator cycle model: replayed through
+    :class:`~repro.serve.ServingCoSimulator` under all three dataflow
+    selections, at the shapes ``cosim_shapes`` picks (``"7b"``: Llama-2
+    7B; ``"served"``: the model actually served).  Rows then carry
+    hardware cycles, batched tokens/s, utilization, and the cycle
+    overhead of pinning the array to either fixed mapping (plus the
+    paged trace's cycles when ``paged``), and the returned text block
+    holds the per-round cycle tables and the dataflow comparison at the
+    largest cap.
+
+    Returns ``(ExperimentResult, extra_text)``; ``extra_text`` is empty
+    without ``cosim``.
+    """
+    model = _served(model)
+    hw_model = _priced_shapes(cosim_shapes, model)
+    workload = list(workload) if workload is not None else make_workload(
+        n_requests=n_requests,
+        mean_interarrival=mean_interarrival,
+        prompt_range=prompt_range,
+        max_new_range=max_new_range,
+        compression_ratio=compression_ratio,
         shared_prefix=shared_prefix,
-        workload_kwargs=dict(
-            n_requests=n_requests,
-            mean_interarrival=mean_interarrival,
-            prompt_range=prompt_range,
-            max_new_range=max_new_range,
-            compression_ratio=compression_ratio,
-            shared_prefix=shared_prefix,
-            vocab=model.config.vocab_size,
-            seed=seed,
-        ),
-        prefill_chunk=prefill_chunk,
-        workload=workload,
+        vocab=model.config.vocab_size,
+        seed=seed,
+    )
+    # Keep the hot shared prefix resident with headroom while letting
+    # never-rehit unique-suffix blocks recycle back to the pool.
+    prefix_cache_blocks = max(
+        16, 2 * model.config.n_layers * (int(shared_prefix) // block_size + 1)
     )
 
+    def serve(batch_size, use_paged):
+        return _serve(
+            model,
+            workload,
+            reserved_length,
+            max_batch_size=batch_size,
+            paged=use_paged,
+            block_size=block_size,
+            prefix_caching=prefix_caching,
+            prefix_cache_blocks=prefix_cache_blocks,
+            prefill_chunk=prefill_chunk,
+        )
+
     rows = []
+    extra_blocks = []
     for batch_size in batch_sizes:
         scheduler, report = serve(batch_size, use_paged=False)
-        summary = report.summary()
-        row = {
-            "max_batch": batch_size,
-            "rounds": summary["rounds"],
-            "tokens": summary["tokens"],
-            "tokens/round": summary["tokens/round"],
-            "tokens/s": summary["tokens/s"],
-            "mean_wait": summary["mean_wait_rounds"],
-            "mean_ttft": summary["mean_ttft_rounds"],
-            "mean_latency": summary["mean_latency_rounds"],
-            "peak_batch": summary["peak_batch"],
-            "peak_kv": summary["peak_kv_slots"],
-        }
         if paged:
             paged_scheduler, paged_report = serve(batch_size, use_paged=True)
-            _assert_paged_tokens_match(
-                scheduler, paged_scheduler, serve.request_ids, batch_size
+            _check_tokens(
+                _tokens(paged_scheduler, workload),
+                _tokens(scheduler, workload),
+                f"paged serving at batch cap {batch_size}",
             )
-            reduction = (
-                1.0 - paged_report.peak_kv_slots / report.peak_kv_slots
-                if report.peak_kv_slots
-                else 0.0
+        if not cosim:
+            summary = report.summary()
+            row = {
+                "max_batch": batch_size,
+                "rounds": summary["rounds"],
+                "tokens": summary["tokens"],
+                "tokens/round": summary["tokens/round"],
+                "tokens/s": summary["tokens/s"],
+                "mean_wait": summary["mean_wait_rounds"],
+                "mean_ttft": summary["mean_ttft_rounds"],
+                "mean_latency": summary["mean_latency_rounds"],
+                "peak_batch": summary["peak_batch"],
+                "peak_kv": summary["peak_kv_slots"],
+            }
+            if paged:
+                reduction = (
+                    1.0 - paged_report.peak_kv_slots / report.peak_kv_slots
+                    if report.peak_kv_slots
+                    else 0.0
+                )
+                row.update(
+                    {
+                        "peak_kv_paged": paged_report.peak_kv_slots,
+                        "kv_reduction": reduction,
+                        "block_util": paged_report.mean_block_utilization,
+                        "prefix_hit_rate": paged_report.prefix_hit_rate,
+                        "token_hit_rate": paged_report.prefix_token_hit_rate,
+                        "prefill_saved": paged_report.prefill_tokens_saved,
+                    }
+                )
+            rows.append(row)
+            continue
+
+        reports = compare_dataflows(scheduler, hw=hw, hw_model=hw_model)
+        flexible = reports["auto"]
+        row = {
+            "max_batch": batch_size,
+            "rounds": report.total_rounds,
+            "tokens": flexible.total_tokens,
+            "cycles": flexible.total_cycles,
+            "max_round_cyc": flexible.max_round_cycles,
+            "mean_ttft_cyc": flexible.mean_ttft_cycles,
+            "hw_tokens/s": flexible.tokens_per_second,
+            "util": flexible.utilization,
+            # Pre-formatted to 4 decimals: the pinned-mapping overheads
+            # are real but small when linear layers dominate, and the
+            # table's 3-decimal float format would round them away.
+            "fixed_prefill_x": format(
+                reports["prefill"].total_cycles / flexible.total_cycles, ".4f"
+            ),
+            "fixed_decode_x": format(
+                reports["decode"].total_cycles / flexible.total_cycles, ".4f"
+            ),
+        }
+        if paged:
+            paged_reports = compare_dataflows(
+                paged_scheduler, hw=hw, hw_model=hw_model
             )
+            paged_flexible = paged_reports["auto"]
             row.update(
                 {
-                    "peak_kv_paged": paged_report.peak_kv_slots,
-                    "kv_reduction": reduction,
-                    "block_util": paged_report.mean_block_utilization,
-                    "prefix_hit_rate": paged_report.prefix_hit_rate,
-                    "token_hit_rate": paged_report.prefix_token_hit_rate,
-                    "prefill_saved": paged_report.prefill_tokens_saved,
+                    "cycles_paged": paged_flexible.total_cycles,
+                    "hw_tokens/s_paged": paged_flexible.tokens_per_second,
+                    "prefill_rows_saved": flexible.prefill_tokens
+                    - paged_flexible.prefill_tokens,
                 }
             )
         rows.append(row)
-    notes = (
-        "Same request trace at every cap; per-request tokens are "
-        "identical across caps (batch-invariant decode), so rows "
-        "differ only in scheduling. Linear layers share one stacked "
-        "matmul per round while each request keeps a private KV "
-        "cache with VotingPolicy eviction."
-    )
-    if paged:
-        notes += (
-            " Paged rows re-serve the identical trace from a shared "
-            f"block pool (block_size={block_size}, shared_prefix="
-            f"{shared_prefix}); tokens are asserted bit-equal to the "
-            "dense run, so kv_reduction and prefix hits are pure memory/"
-            "compute wins."
+
+        if batch_size == max(batch_sizes):
+            extra_blocks.append(
+                format_table(
+                    flexible.rounds,
+                    title=f"Per-round cycles, dense, batch cap {batch_size} "
+                    f"(dataflow=auto)",
+                )
+            )
+            if paged:
+                extra_blocks.append(
+                    format_table(
+                        paged_reports["auto"].rounds,
+                        title=f"Per-round cycles, paged, batch cap "
+                        f"{batch_size} (dataflow=auto)",
+                    )
+                )
+            extra_blocks.append(
+                format_table(
+                    [r.summary() for r in reports.values()],
+                    title=f"Dataflow selection on the same trace "
+                    f"(dense, batch cap {batch_size})",
+                )
+            )
+
+    if cosim:
+        experiment_id = "serving_cosim"
+        title = f"Serving-scale hardware co-simulation ({n_requests} requests)"
+        notes = (
+            f"Scheduler traces (real per-sequence cache lengths under "
+            f"VotingPolicy eviction) replayed through the accelerator cycle "
+            f"model on {'Llama-2 7B' if cosim_shapes == '7b' else 'served-model'} "
+            "shapes. 'auto' reconfigures the PE array per phase (tiled "
+            "mapping for prefill rows, streaming for decode rows); "
+            "fixed_prefill_x / fixed_decode_x are the cycle multipliers paid "
+            "for pinning the array to either fixed mapping — the win of "
+            "dataflow flexibility at serving scale."
         )
-    return ExperimentResult(
-        "serving",
-        f"Continuous-batching throughput vs batch cap ({n_requests} requests)",
-        rows=rows,
-        notes=notes,
-    )
+    else:
+        experiment_id = "serving"
+        title = (
+            f"Continuous-batching throughput vs batch cap ({n_requests} requests)"
+        )
+        notes = (
+            "Same request trace at every cap; per-request tokens are "
+            "identical across caps (batch-invariant decode), so rows "
+            "differ only in scheduling. Linear layers share one stacked "
+            "matmul per round while each request keeps a private KV "
+            "cache with VotingPolicy eviction."
+        )
+        if paged:
+            notes += (
+                " Paged rows re-serve the identical trace from a shared "
+                f"block pool (block_size={block_size}, shared_prefix="
+                f"{shared_prefix}); tokens are asserted bit-equal to the "
+                "dense run, so kv_reduction and prefix hits are pure memory/"
+                "compute wins."
+            )
+    result = ExperimentResult(experiment_id, title, rows=rows, notes=notes)
+    return result, "\n\n".join(extra_blocks)
 
 
 def run_prefix(
@@ -521,11 +635,8 @@ def run_prefix(
     partial tail is copy-on-write'd once when the sequence first appends
     past it.
     """
-    if model is None:
-        model = CachedTransformer.from_module(
-            TransformerLM(tiny_config(), seed=0)
-        )
-    workload_kwargs = dict(
+    model = _served(model)
+    workload = make_workload(
         n_requests=n_requests,
         mean_interarrival=mean_interarrival,
         compression_ratio=compression_ratio,
@@ -535,27 +646,23 @@ def run_prefix(
         turns=turns,
         turn_gap=turn_gap,
     )
-    request_ids = [
-        request.request_id for request in make_workload(**workload_kwargs)
-    ]
 
-    def serve(use_paged, match_mode):
-        server = _make_server(
+    def serve(use_paged, match_mode="token"):
+        # The scheduler's default unbounded prefix retention: both modes
+        # keep every registered block, so the comparison measures
+        # matching granularity, not eviction luck.
+        return _serve(
             model,
-            reserved_length=reserved_length,
+            workload,
+            reserved_length,
+            max_batch_size=max_batch_size,
+            paged=use_paged,
             block_size=block_size,
-            prefix_caching=True,
-            shared_prefix=shared_prefix,
-            workload_kwargs=workload_kwargs,
             prefix_match_mode=match_mode,
-            # Unbounded retention: both modes keep every registered
-            # block, so the comparison measures matching granularity,
-            # not eviction luck.
-            prefix_cache_blocks=None,
         )
-        return server(max_batch_size, use_paged)
 
-    dense_scheduler, dense_report = serve(False, "token")
+    dense_scheduler, dense_report = serve(use_paged=False)
+    dense_tokens = _tokens(dense_scheduler, workload)
     rows = [
         {
             "mode": "dense",
@@ -568,15 +675,12 @@ def run_prefix(
         }
     ]
     for match_mode in ("block", "token"):
-        scheduler, report = serve(True, match_mode)
-        for request_id in request_ids:
-            if scheduler.tokens_for(request_id) != dense_scheduler.tokens_for(
-                request_id
-            ):
-                raise AssertionError(
-                    f"paged tokens diverged from dense for {request_id} "
-                    f"under prefix_match_mode={match_mode!r}"
-                )
+        scheduler, report = serve(use_paged=True, match_mode=match_mode)
+        _check_tokens(
+            _tokens(scheduler, workload),
+            dense_tokens,
+            f"paged serving with prefix_match_mode={match_mode!r}",
+        )
         rows.append(
             {
                 "mode": f"paged/{match_mode}",
@@ -614,158 +718,6 @@ def run_prefix(
         rows=rows,
         notes=notes,
     )
-
-
-def run_cosim(
-    batch_sizes=(1, 2, 4, 8),
-    n_requests=8,
-    mean_interarrival=2.0,
-    reserved_length=4,
-    model=None,
-    seed=0,
-    paged=False,
-    block_size=8,
-    shared_prefix=0,
-    prefix_caching=True,
-    prompt_range=(12, 48),
-    max_new_range=(8, 24),
-    compression_ratio=0.5,
-    hw=None,
-    cosim_shapes="7b",
-    prefill_chunk=None,
-    workload=None,
-):
-    """Serve the trace, then price it on the accelerator cycle model.
-
-    For every batch cap the workload is served (dense, and additionally
-    paged when ``paged=True``; tokens asserted bit-equal as in
-    :func:`run`), and the recorded per-round trace is replayed through
-    :class:`~repro.serve.ServingCoSimulator` under all three dataflow
-    selections.  ``cosim_shapes`` picks the priced model shapes:
-    ``"7b"`` projects the trace onto Llama-2 7B (the paper's hardware
-    evaluation model — real cache trajectories, datacenter shapes) while
-    ``"served"`` prices the model actually served.
-
-    Returns ``(ExperimentResult, extra_text)``: one summary row per
-    batch cap (hardware cycles, batched tokens/s, utilization, and the
-    cycle overhead of pinning the array to either fixed mapping), plus a
-    text block with the per-round cycle tables and the dataflow
-    comparison at the largest cap.
-    """
-    if cosim_shapes not in ("7b", "served"):
-        raise ValueError(f"cosim_shapes must be '7b' or 'served', got {cosim_shapes!r}")
-    if model is None:
-        model = CachedTransformer.from_module(
-            TransformerLM(tiny_config(), seed=0)
-        )
-    hw_model = llama2_7b_shapes() if cosim_shapes == "7b" else model.config
-
-    serve = _make_server(
-        model,
-        reserved_length=reserved_length,
-        block_size=block_size,
-        prefix_caching=prefix_caching,
-        shared_prefix=shared_prefix,
-        workload_kwargs=dict(
-            n_requests=n_requests,
-            mean_interarrival=mean_interarrival,
-            prompt_range=prompt_range,
-            max_new_range=max_new_range,
-            compression_ratio=compression_ratio,
-            shared_prefix=shared_prefix,
-            vocab=model.config.vocab_size,
-            seed=seed,
-        ),
-        prefill_chunk=prefill_chunk,
-        workload=workload,
-    )
-
-    rows = []
-    extra_blocks = []
-    for batch_size in batch_sizes:
-        scheduler, report = serve(batch_size, use_paged=False)
-        reports = compare_dataflows(scheduler, hw=hw, hw_model=hw_model)
-        flexible = reports["auto"]
-        row = {
-            "max_batch": batch_size,
-            "rounds": report.total_rounds,
-            "tokens": flexible.total_tokens,
-            "cycles": flexible.total_cycles,
-            "max_round_cyc": flexible.max_round_cycles,
-            "mean_ttft_cyc": flexible.mean_ttft_cycles,
-            "hw_tokens/s": flexible.tokens_per_second,
-            "util": flexible.utilization,
-            # Pre-formatted to 4 decimals: the pinned-mapping overheads
-            # are real but small when linear layers dominate, and the
-            # table's 3-decimal float format would round them away.
-            "fixed_prefill_x": format(
-                reports["prefill"].total_cycles / flexible.total_cycles, ".4f"
-            ),
-            "fixed_decode_x": format(
-                reports["decode"].total_cycles / flexible.total_cycles, ".4f"
-            ),
-        }
-        paged_reports = None
-        if paged:
-            paged_scheduler, paged_report = serve(batch_size, use_paged=True)
-            _assert_paged_tokens_match(
-                scheduler, paged_scheduler, serve.request_ids, batch_size
-            )
-            paged_reports = compare_dataflows(
-                paged_scheduler, hw=hw, hw_model=hw_model
-            )
-            paged_flexible = paged_reports["auto"]
-            row.update(
-                {
-                    "cycles_paged": paged_flexible.total_cycles,
-                    "hw_tokens/s_paged": paged_flexible.tokens_per_second,
-                    "prefill_rows_saved": flexible.prefill_tokens
-                    - paged_flexible.prefill_tokens,
-                }
-            )
-        rows.append(row)
-
-        if batch_size == max(batch_sizes):
-            extra_blocks.append(
-                format_table(
-                    flexible.rounds,
-                    title=f"Per-round cycles, dense, batch cap {batch_size} "
-                    f"(dataflow=auto)",
-                )
-            )
-            if paged_reports is not None:
-                extra_blocks.append(
-                    format_table(
-                        paged_reports["auto"].rounds,
-                        title=f"Per-round cycles, paged, batch cap "
-                        f"{batch_size} (dataflow=auto)",
-                    )
-                )
-            extra_blocks.append(
-                format_table(
-                    [r.summary() for r in reports.values()],
-                    title=f"Dataflow selection on the same trace "
-                    f"(dense, batch cap {batch_size})",
-                )
-            )
-
-    notes = (
-        f"Scheduler traces (real per-sequence cache lengths under "
-        f"VotingPolicy eviction) replayed through the accelerator cycle "
-        f"model on {'Llama-2 7B' if cosim_shapes == '7b' else 'served-model'} "
-        "shapes. 'auto' reconfigures the PE array per phase (tiled "
-        "mapping for prefill rows, streaming for decode rows); "
-        "fixed_prefill_x / fixed_decode_x are the cycle multipliers paid "
-        "for pinning the array to either fixed mapping — the win of "
-        "dataflow flexibility at serving scale."
-    )
-    result = ExperimentResult(
-        "serving_cosim",
-        f"Serving-scale hardware co-simulation ({n_requests} requests)",
-        rows=rows,
-        notes=notes,
-    )
-    return result, "\n\n".join(extra_blocks)
 
 
 def run_engine(
@@ -808,16 +760,8 @@ def run_engine(
     adding hardware TTFT (cycles) and the worst single-round cycle cost
     (the head-of-line spike chunked prefill caps).
     """
-    if model is None:
-        model = CachedTransformer.from_module(
-            TransformerLM(tiny_config(), seed=0)
-        )
-    if cosim_shapes not in ("7b", "served"):
-        raise ValueError(
-            f"cosim_shapes must be '7b' or 'served', got {cosim_shapes!r}"
-        )
-    hw_model = llama2_7b_shapes() if cosim_shapes == "7b" else model.config
-    n_layers = model.config.n_layers
+    model = _served(model)
+    hw_model = _priced_shapes(cosim_shapes, model)
     workload = make_workload(
         n_requests=n_requests,
         mean_interarrival=mean_interarrival,
@@ -835,34 +779,25 @@ def run_engine(
     )
 
     rows = []
-    reference_tokens = None
+    reference = None
     for admission in admissions:
         for chunk in chunk_sizes:
             engine = ServingEngine(
                 model,
                 admission=admission,
                 prefill_chunk=chunk,
-                policy_factory=lambda: VotingPolicy(
-                    n_layers, reserved_length=reserved_length
-                ),
+                policy_factory=_voting(model, reserved_length),
                 max_batch_size=max_batch_size,
                 paged=paged,
                 block_size=block_size,
             )
-            handles = engine.play(workload)
+            tokens = _handle_tokens(engine.play(workload))
+            if reference is None:
+                reference = tokens
+            _check_tokens(
+                tokens, reference, f"admission={admission} chunk={chunk}"
+            )
             report = engine.report()
-            tokens = {
-                h.request_id: tuple(h.result())
-                for h in handles
-                if h.rejection is None
-            }
-            if reference_tokens is None:
-                reference_tokens = tokens
-            elif tokens != reference_tokens:
-                raise AssertionError(
-                    f"tokens diverged under admission={admission} "
-                    f"chunk={chunk}: scheduling must never change outputs"
-                )
             row = {
                 "admission": admission,
                 "chunk": "whole" if chunk is None else chunk,
@@ -1002,12 +937,8 @@ def run_spec(
     regime speculative decoding exists for; pass ``hw=`` to price any
     other configuration.
 
-    Returns ``(ExperimentResult, extra_text)`` like :func:`run_cosim`.
+    Returns ``(ExperimentResult, extra_text)`` like :func:`run`.
     """
-    if cosim_shapes not in ("7b", "served"):
-        raise ValueError(
-            f"cosim_shapes must be '7b' or 'served', got {cosim_shapes!r}"
-        )
     if prompts not in (None, "corpus", "random"):
         raise ValueError(
             f"prompts must be 'corpus' or 'random', got {prompts!r}"
@@ -1015,13 +946,12 @@ def run_spec(
     zoo_target = model is None and target != "tiny"
     if model is None:
         if target == "tiny":
-            model = CachedTransformer.from_module(
-                TransformerLM(tiny_config(), seed=0)
-            )
+            model = _served()
         else:
             from repro.zoo import get_pretrained
 
             model, _, _ = get_pretrained(target)
+    hw_model = _priced_shapes(cosim_shapes, model)
     if draft_model is None:
         if draft == "self":
             draft_model = model
@@ -1029,10 +959,12 @@ def run_spec(
             from repro.zoo import get_pretrained
 
             draft_model, _, _ = get_pretrained(draft)
+    hw_draft_model = (
+        spec_draft_7b_shapes() if cosim_shapes == "7b" else draft_model.config
+    )
     if prompts is None:
         prompts = "corpus" if zoo_target else "random"
-    n_layers = model.config.n_layers
-    workload_kwargs = dict(
+    workload = make_workload(
         n_requests=n_requests,
         mean_interarrival=mean_interarrival,
         prompt_range=prompt_range,
@@ -1041,7 +973,6 @@ def run_spec(
         vocab=model.config.vocab_size,
         seed=seed,
     )
-    corpus_stream = None
     if prompts == "corpus":
         from repro.zoo import default_corpus
 
@@ -1055,74 +986,41 @@ def run_spec(
                 f"tokenizer (vocab {tokenizer.vocab_size}), got model "
                 f"vocab {model.config.vocab_size}; use prompts='random'"
             )
+        # Same lengths, arrivals, caps, and budgets as the random
+        # workload — only the prompt *contents* become corpus text.
+        offset_rng = np.random.default_rng(seed + 1)
+        for request in workload:
+            length = request.prompt.shape[0]
+            start = int(
+                offset_rng.integers(0, corpus_stream.shape[0] - length)
+            )
+            request.prompt = corpus_stream[start : start + length].copy()
 
-    def build_workload():
-        requests = make_workload(**workload_kwargs)
-        if corpus_stream is not None:
-            # Same lengths, arrivals, caps, and budgets as the random
-            # workload — only the prompt *contents* become corpus text.
-            offset_rng = np.random.default_rng(seed + 1)
-            for request in requests:
-                length = request.prompt.shape[0]
-                start = int(
-                    offset_rng.integers(0, corpus_stream.shape[0] - length)
-                )
-                request.prompt = corpus_stream[start : start + length].copy()
-        return requests
+    if cosim:
+        effective_hw = hw or veda_config(hbm_bandwidth_gb_s=float(hbm_gb_s))
 
-    def serve(k):
-        scheduler = Scheduler(
+    rows = []
+    extra_blocks = []
+    baseline_tokens = baseline_hw = None
+    for k in (0, *spec_ks):
+        scheduler, report = _serve(
             model,
-            policy_factory=lambda: VotingPolicy(
-                n_layers, reserved_length=reserved_length
-            ),
+            workload,
+            reserved_length,
             max_batch_size=max_batch_size,
             paged=paged,
             block_size=block_size,
             draft_model=draft_model if k else None,
             spec_k=k or 4,
         )
-        for request in build_workload():
-            scheduler.submit(request)
-        report = scheduler.run()
-        return scheduler, report
-
-    if cosim:
-        effective_hw = hw or _spec_default_hw(hbm_gb_s)
-        hw_model = (
-            llama2_7b_shapes() if cosim_shapes == "7b" else model.config
+        tokens = _tokens(scheduler, workload)
+        if baseline_tokens is None:
+            baseline_tokens = tokens
+        _check_tokens(
+            tokens,
+            baseline_tokens,
+            f"spec_k={k} (greedy verification must be exact)",
         )
-        hw_draft_model = (
-            spec_draft_7b_shapes()
-            if cosim_shapes == "7b"
-            else draft_model.config
-        )
-
-    rows = []
-    extra_blocks = []
-    baseline_scheduler, baseline_report = serve(0)
-    baseline_tokens = {
-        f"req-{i}": baseline_scheduler.tokens_for(f"req-{i}")
-        for i in range(n_requests)
-    }
-    baseline_hw = None
-    if cosim:
-        baseline_hw = ServingCoSimulator(
-            scheduler=baseline_scheduler, hw=effective_hw, hw_model=hw_model
-        ).replay()
-
-    for k in (0, *spec_ks):
-        if k == 0:
-            scheduler, report = baseline_scheduler, baseline_report
-        else:
-            scheduler, report = serve(k)
-            for request_id, tokens in baseline_tokens.items():
-                if scheduler.tokens_for(request_id) != tokens:
-                    raise AssertionError(
-                        f"speculative tokens diverged from baseline for "
-                        f"{request_id} at spec_k={k}: greedy verification "
-                        "must be exact"
-                    )
         row = {
             "spec_k": k if k else "off",
             "rounds": report.total_rounds,
@@ -1133,15 +1031,14 @@ def run_spec(
             "tokens/s": report.tokens_per_second,
         }
         if cosim:
-            if k == 0:
-                hw_report = baseline_hw
-            else:
-                hw_report = ServingCoSimulator(
-                    scheduler=scheduler,
-                    hw=effective_hw,
-                    hw_model=hw_model,
-                    hw_draft_model=hw_draft_model,
-                ).replay()
+            hw_report = ServingCoSimulator(
+                scheduler=scheduler,
+                hw=effective_hw,
+                hw_model=hw_model,
+                hw_draft_model=hw_draft_model if k else None,
+            ).replay()
+            if baseline_hw is None:
+                baseline_hw = hw_report
             row.update(
                 {
                     "cycles": hw_report.total_cycles,
@@ -1188,13 +1085,6 @@ def run_spec(
         notes=notes,
     )
     return result, "\n\n".join(extra_blocks)
-
-
-def _spec_default_hw(hbm_gb_s):
-    """The spec experiment's bandwidth-starved pricing point."""
-    from repro.accel.config import veda_config
-
-    return veda_config(hbm_bandwidth_gb_s=float(hbm_gb_s))
 
 
 def overload_pool_blocks(requests, block_size, n_layers, fraction=0.4):
@@ -1255,51 +1145,18 @@ def run_preempt(
     resident KV, recompute pays re-prefill compute that grows
     superlinearly with sequence length.
 
-    Returns ``(ExperimentResult, extra_text)`` like :func:`run_cosim`.
+    Returns ``(ExperimentResult, extra_text)`` like :func:`run`.
     """
     for mode in modes:
         if mode not in ("off", "recompute", "swap", "model"):
             raise ValueError(f"unknown preempt mode {mode!r}")
-    if model is None:
-        model = CachedTransformer.from_module(
-            TransformerLM(tiny_config(), seed=0)
-        )
-    if cosim_shapes not in ("7b", "served"):
-        raise ValueError(
-            f"cosim_shapes must be '7b' or 'served', got {cosim_shapes!r}"
-        )
-    hw_model = llama2_7b_shapes() if cosim_shapes == "7b" else model.config
-    n_layers = model.config.n_layers
+    model = _served(model)
+    hw_model = _priced_shapes(cosim_shapes, model)
     cost_model = (
         AcceleratorSimulator(hw or veda_config(), hw_model)
         if "model" in modes
         else None
     )
-
-    def serve(mode, workload, num_blocks, max_rounds=None):
-        engine = ServingEngine(
-            model,
-            admission=admission,
-            policy_factory=lambda: VotingPolicy(
-                n_layers, reserved_length=reserved_length
-            ),
-            max_batch_size=max_batch_size,
-            paged=True,
-            block_size=block_size,
-            num_blocks=num_blocks,
-            # Prefix sharing is orthogonal to the overload story, and its
-            # registrations pin pool blocks (CoW on every budgeted
-            # shrink), muddying the pool-pressure signal being measured.
-            prefix_caching=False,
-            preempt=mode,
-            cost_model=cost_model if mode == "model" else None,
-        )
-        engine.play(workload, drain=False)
-        while not engine.drained:
-            if max_rounds is not None and engine.now >= max_rounds:
-                break
-            engine.step()
-        return engine
 
     rows = []
     extra_blocks = []
@@ -1316,7 +1173,7 @@ def run_preempt(
             seed=seed,
         )
         num_blocks = overload_pool_blocks(
-            workload, block_size, n_layers, fraction=pool_fraction
+            workload, block_size, model.config.n_layers, fraction=pool_fraction
         )
         engines = {}
         preempting_rounds = []
@@ -1329,9 +1186,30 @@ def run_preempt(
                 horizon = int(
                     math.ceil(stall_horizon_factor * max(preempting_rounds))
                 )
-            engines[mode] = serve(mode, workload, num_blocks, horizon)
+            engine = ServingEngine(
+                model,
+                admission=admission,
+                policy_factory=_voting(model, reserved_length),
+                max_batch_size=max_batch_size,
+                paged=True,
+                block_size=block_size,
+                num_blocks=num_blocks,
+                # Prefix sharing is orthogonal to the overload story, and
+                # its registrations pin pool blocks (CoW on every budgeted
+                # shrink), muddying the pool-pressure signal being
+                # measured.
+                prefix_caching=False,
+                preempt=mode,
+                cost_model=cost_model if mode == "model" else None,
+            )
+            engine.play(workload, drain=False)
+            while not engine.drained:
+                if horizon is not None and engine.now >= horizon:
+                    break
+                engine.step()
+            engines[mode] = engine
             if mode != "off":
-                preempting_rounds.append(engines[mode].now)
+                preempting_rounds.append(engine.now)
         hw_reports = {}
         for mode in modes:
             engine = engines[mode]
@@ -1430,7 +1308,7 @@ def run_cosim_schedule(
     picked by ``objective`` (``"cycles"`` or ``"energy"``); rows carry
     modeled throughput, p95 TTFT in cycles, and joules/token.
 
-    Returns ``(ExperimentResult, extra_text)`` like :func:`run_cosim`.
+    Returns ``(ExperimentResult, extra_text)`` like :func:`run`.
     """
     if objective not in ("cycles", "energy"):
         raise ValueError(f"objective must be 'cycles' or 'energy', got {objective!r}")
@@ -1439,16 +1317,8 @@ def run_cosim_schedule(
             raise ValueError(
                 f"static preempt modes must be 'recompute' or 'swap', got {mode!r}"
             )
-    if model is None:
-        model = CachedTransformer.from_module(
-            TransformerLM(tiny_config(), seed=0)
-        )
-    if cosim_shapes not in ("7b", "served"):
-        raise ValueError(
-            f"cosim_shapes must be '7b' or 'served', got {cosim_shapes!r}"
-        )
-    hw_model = llama2_7b_shapes() if cosim_shapes == "7b" else model.config
-    n_layers = model.config.n_layers
+    model = _served(model)
+    hw_model = _priced_shapes(cosim_shapes, model)
     cost_model = AcceleratorSimulator(hw or veda_config(), hw_model)
 
     workload = make_workload(
@@ -1460,30 +1330,8 @@ def run_cosim_schedule(
         seed=seed,
     )
     num_blocks = overload_pool_blocks(
-        workload, block_size, n_layers, fraction=pool_fraction
+        workload, block_size, model.config.n_layers, fraction=pool_fraction
     )
-
-    def serve(chunk, preempt, adaptive):
-        engine = ServingEngine(
-            model,
-            admission=CycleEDFAdmission(cost_model=cost_model),
-            policy_factory=lambda: VotingPolicy(
-                n_layers, reserved_length=reserved_length
-            ),
-            max_batch_size=max_batch_size,
-            paged=True,
-            block_size=block_size,
-            num_blocks=num_blocks,
-            prefix_caching=False,
-            prefill_chunk=chunk,
-            adaptive_chunk=adaptive,
-            preempt=preempt,
-            cost_model=cost_model if (adaptive or preempt == "model") else None,
-        )
-        engine.play(workload, drain=False)
-        while not engine.drained:
-            engine.step()
-        return engine
 
     configs = [
         ("static", chunk, preempt)
@@ -1496,21 +1344,30 @@ def run_cosim_schedule(
     baseline_tokens = None
     adaptive_engine = None
     for policy, chunk, preempt in configs:
-        engine = serve(chunk, preempt, adaptive=policy == "adaptive")
-        tokens = {
-            request.request_id: engine.tokens_for(request.request_id)
-            for request in workload
-        }
+        adaptive = policy == "adaptive"
+        engine = ServingEngine(
+            model,
+            admission=CycleEDFAdmission(cost_model=cost_model),
+            policy_factory=_voting(model, reserved_length),
+            max_batch_size=max_batch_size,
+            paged=True,
+            block_size=block_size,
+            num_blocks=num_blocks,
+            prefix_caching=False,
+            prefill_chunk=chunk,
+            adaptive_chunk=adaptive,
+            preempt=preempt,
+            cost_model=cost_model if (adaptive or preempt == "model") else None,
+        )
+        engine.play(workload)
+        tokens = _tokens(engine, workload)
         if baseline_tokens is None:
             baseline_tokens = tokens
-        elif tokens != baseline_tokens:
-            diverged = sorted(
-                rid for rid in tokens if tokens[rid] != baseline_tokens[rid]
-            )
-            raise AssertionError(
-                f"scheduling changed tokens for {diverged} at "
-                f"({policy}, chunk={chunk}, preempt={preempt})"
-            )
+        _check_tokens(
+            tokens,
+            baseline_tokens,
+            f"({policy}, chunk={chunk}, preempt={preempt})",
+        )
         report = engine.report()
         hw_reports = compare_dataflows(
             scheduler=engine.scheduler, hw=hw, hw_model=hw_model
@@ -1530,7 +1387,7 @@ def run_cosim_schedule(
                 "dataflow": dataflow,
             }
         )
-        if policy == "adaptive":
+        if adaptive:
             adaptive_engine = engine
 
     static_rows = [row for row in rows if row["policy"] == "static"]
@@ -1620,13 +1477,10 @@ def run_fork(
         raise ValueError(
             f"fork benchmark needs at least 2 branches, got {width}"
         )
-    if model is None:
-        model = CachedTransformer.from_module(
-            TransformerLM(tiny_config(), seed=0)
-        )
+    model = _served(model)
+    hw_model = _priced_shapes(cosim_shapes, model)
     if max_batch_size is None:
         max_batch_size = max(8, 2 * width)
-    n_layers = model.config.n_layers
     sampler = greedy if mode == "beam" else temperature_sampler(0.8)
 
     base_requests = make_workload(
@@ -1649,20 +1503,15 @@ def run_fork(
     ]
 
     def serve(requests, use_paged):
-        scheduler = Scheduler(
+        return _serve(
             model,
-            policy_factory=lambda: VotingPolicy(
-                n_layers, reserved_length=reserved_length
-            ),
+            requests,
+            reserved_length,
             max_batch_size=max_batch_size,
             sampler=sampler,
             paged=use_paged,
             block_size=block_size,
         )
-        for request in requests:
-            scheduler.submit(request)
-        report = scheduler.run()
-        return scheduler, report
 
     _, single_report = serve(base_requests, use_paged=True)
     forked_paged, paged_report = serve(forked_requests, use_paged=True)
@@ -1709,9 +1558,6 @@ def run_fork(
 
     extra_blocks = []
     if cosim:
-        hw_model = (
-            llama2_7b_shapes() if cosim_shapes == "7b" else model.config
-        )
         cosim_rows = []
         for label, scheduler in (
             (f"{mode}/paged", forked_paged),
@@ -1809,15 +1655,8 @@ def run_fleet(
     """
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
-    if cosim_shapes not in ("7b", "served"):
-        raise ValueError(
-            f"cosim_shapes must be '7b' or 'served', got {cosim_shapes!r}"
-        )
-    if model is None:
-        model = CachedTransformer.from_module(
-            TransformerLM(tiny_config(), seed=0)
-        )
-    n_layers = model.config.n_layers
+    model = _served(model)
+    hw_model = _priced_shapes(cosim_shapes, model)
     stream_desc = f"{turns}-turn conversations"
     if workload is None:
         workload = make_workload(
@@ -1836,9 +1675,7 @@ def run_fleet(
         workload = list(workload)
         stream_desc = "replayed"
     engine_kwargs = dict(
-        policy_factory=lambda: VotingPolicy(
-            n_layers, reserved_length=reserved_length
-        ),
+        policy_factory=_voting(model, reserved_length),
         max_batch_size=max_batch_size,
         paged=True,
         block_size=block_size,
@@ -1847,33 +1684,21 @@ def run_fleet(
         hw = hw or veda_config()
         if interconnect_gb_s is not None:
             hw = replace(hw, interconnect_gb_s=interconnect_gb_s)
-        hw_model = llama2_7b_shapes() if cosim_shapes == "7b" else model.config
 
     # Fleet-equivalence reference: the same stream on one engine.
     single = ServingEngine(model, **engine_kwargs)
-    single_handles = single.play(workload)
-    reference = {
-        h.request_id: tuple(h.result())
-        for h in single_handles
-        if h.rejection is None
-    }
+    reference = _handle_tokens(single.play(workload))
 
     rows = []
     for placement in placements:
         fleet = ServingFleet(
             model, replicas=replicas, placement=placement, **engine_kwargs
         )
-        handles = fleet.play(workload)
-        tokens = {
-            h.request_id: tuple(h.result())
-            for h in handles
-            if h.rejection is None
-        }
-        if tokens != reference:
-            raise AssertionError(
-                f"fleet tokens diverged from the single engine under "
-                f"placement={placement}: routing must never change outputs"
-            )
+        _check_tokens(
+            _handle_tokens(fleet.play(workload)),
+            reference,
+            f"placement={placement} (the single engine is the reference)",
+        )
         report = fleet.report()
         row = {
             "placement": placement,

@@ -48,7 +48,7 @@ row-count-invariant over a populated cache and every policy's
 bit-identical to whole-prompt prefill at any chunk budget — the win is
 latency shape only: no single round carries a whole long prompt, so
 decode rounds never stall behind one (the head-of-line cycle spike
-visible in ``serve-bench --cosim``).
+visible in ``serve-bench batch --cosim``).
 
 Admission order is pluggable (``admission_policy``): the default is
 FIFO by arrival; the engine layer provides EDF and priority-with-aging

@@ -34,8 +34,10 @@ class TestPlotting:
 class TestCLI:
     def test_list(self, capsys):
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig8_center" in out and "table1" in out
+        listed = capsys.readouterr().out.split()
+        for name in ("fig8_center", "table1", "serving", "serve-bench",
+                     "serve-engine", "serve-fleet"):
+            assert name in listed
 
     def test_table1_runs(self, capsys, tmp_path, monkeypatch):
         import repro.cli as cli

@@ -148,8 +148,8 @@ class TestWorkloadRoundTrip:
         workload = serving.make_workload(n_requests=4, seed=5)
         path = tmp_path / "w.jsonl"
         serving.save_workload(workload, path)
-        direct = serving.run(batch_sizes=(4,), workload=workload)
-        replayed = serving.run(
+        direct, _ = serving.run(batch_sizes=(4,), workload=workload)
+        replayed, _ = serving.run(
             batch_sizes=(4,), workload=serving.load_workload(path)
         )
 
@@ -269,7 +269,7 @@ class TestServeFleetCLI:
             main(
                 [
                     "serve-bench",
+                    "spec",
                     "--workload-file", str(path),
-                    "--spec-decode",
                 ]
             )
