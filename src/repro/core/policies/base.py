@@ -18,11 +18,13 @@ The engine guarantees the following call order:
    ``observe(layer, attn, positions, phase)`` call per layer, so
    ``observe`` remains the reference semantics and ``observe_step`` a
    vectorization hook (``VotingPolicy`` scores all layers in one stacked
-   pass).  During prefill the engine instead makes one
+   pass).  During prefill the solo engine instead makes one
    ``observe_block(layer, attn, positions, phase)`` call per layer with
-   the full ``(H, L, L)`` causal matrix (``observe_continuation`` for a
-   chunk); the default implementation replays it through ``observe`` row
-   by row — the same reference/hook relation.
+   the full ``(H, L, L)`` causal matrix, and the serving scheduler one
+   ``observe_continuation`` call per layer over each prefilled range (a
+   chunk, or the rows after an adopted prefix); the default
+   implementations replay them through ``observe`` row by row — the
+   same reference/hook relation.
 2. per layer, zero or more ``select_victim(layer, positions)`` /
    ``on_evict(layer, slot)`` pairs, one per eviction, until the cache is
    within budget.  ``on_evict`` must compact slot-aligned state the same

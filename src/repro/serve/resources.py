@@ -7,7 +7,10 @@ can hold — its batch slot, its :class:`~repro.serve.paging.BlockPool`
 blocks, and the prefix-cache reservations that pin pool blocks across
 requests — behind one ``can_admit / admit / preempt-side (release /
 swap_out) / resume (swap_in) / retire`` surface, for all four serving
-modes (dense/paged x scheduler/engine).
+modes (dense/paged x scheduler/engine).  It is also the only place that
+knows which storage layout is in use: every block-demand, pool-capacity,
+fork-footprint and KV-usage question the scheduler asks is answered
+here, with dense storage answering "no blocks, unbounded pool".
 
 Two admission regimes live here:
 
@@ -246,6 +249,12 @@ prefix_ttl, prefix_match_mode:
         # (one-way scheduling's block-side mirror of the slot claim).
         self._block_reservations = {}
 
+        # ---- KV usage (feeds ServingReport) ----
+        #: Peak KV memory in slots (see :meth:`sample_usage`).
+        self.peak_kv_slots = 0
+        self._utilization_sum = 0.0
+        self._utilization_rounds = 0
+
         # ---- fork/join counters (feed ServingReport) ----
         self.forks = 0
         self.joins = 0
@@ -260,8 +269,6 @@ prefix_ttl, prefix_match_mode:
         self.swap_ins = 0
         self.swap_out_blocks = 0
         self.swap_in_blocks = 0
-        self.swap_out_slots = 0  # per-layer convention, like SwapEvent
-        self.swap_in_slots = 0
         #: Host-pool occupancy in KV slots (all layers) and its peak.
         self.host_kv_slots = 0
         self.host_peak_kv_slots = 0
@@ -285,16 +292,27 @@ prefix_ttl, prefix_match_mode:
         return self.max_batch_size - self.slots_used
 
     @property
-    def num_swapped(self):
-        return len(self._swapped)
+    def fixed_pool(self):
+        """Whether block supply is bounded (paged with a fixed pool) —
+        the only configuration where block demand can refuse an
+        admission or force a preemption."""
+        return self.paged and not self.block_pool.growable
 
     @property
-    def swapped_request_ids(self):
-        return list(self._swapped)
+    def free_blocks(self):
+        """Free blocks of a fixed pool, read without reclaiming prefix
+        entries; ``None`` when block supply is unbounded."""
+        return self.block_pool.num_free if self.fixed_pool else None
 
-    def cache_for(self, request_id):
-        """The device cache of an admitted sequence."""
-        return self._admitted[request_id]
+    @property
+    def free_kv_capacity(self):
+        """Free pool blocks when paged, free batch slots when dense (the
+        fleet router's tie-break)."""
+        return self.block_pool.num_free if self.paged else self.slots_free
+
+    @property
+    def num_swapped(self):
+        return len(self._swapped)
 
     # ------------------------------------------------------------------
     # Demand arithmetic
@@ -328,6 +346,29 @@ prefix_ttl, prefix_match_mode:
                 prompt_length // self.block_pool.block_size
             ) * self.config.n_layers
         return worst
+
+    def pool_shortfall(self, prompt_length, max_new_tokens, budget, branches=1):
+        """``(needed, pool_blocks)`` when a request's worst-case demand —
+        ``branches`` sequences resident at once — exceeds the whole fixed
+        pool, else ``None``.
+
+        The worst case is also the request's *actual* peak demand
+        (prefill transient or budget steady state, plus the
+        prefix-registration CoW a budgeted shrink performs), so such a
+        request is unservable in every preempt mode.  A fork family must
+        eventually hold every branch resident (branches are never
+        half-admitted), so its threshold is the per-branch worst times
+        the branch count — conservative, since paged branches share
+        their prompt blocks, but a family beyond it could deadlock a
+        one-way pool.
+        """
+        if not self.fixed_pool:
+            return None
+        worst = branches * self.sequence_worst_blocks(
+            prompt_length, max_new_tokens, budget
+        )
+        pool_blocks = self.block_pool.num_blocks
+        return (worst, pool_blocks) if worst > pool_blocks else None
 
     def blocks_for_rows(self, rows):
         """Pool blocks needed to append ``rows`` fresh slots in every
@@ -387,6 +428,27 @@ prefix_ttl, prefix_match_mode:
             demand += fresh
         return demand
 
+    def admission_block_demand(self, rows, budgeted, step_tokens=1):
+        """Pool blocks a newly admitted sequence may claim in its
+        admission round: its first ``rows``-row prefill chunk into an
+        empty cache, plus either the copy-on-write of the full blocks
+        that chunk registers in the prefix cache (budgeted: the
+        shrink-to-budget eviction copies them) or the fresh tail blocks
+        the same-round first step of ``step_tokens`` appended slots
+        crosses into (unbudgeted: no eviction frees slack)."""
+        if not self.paged:
+            return 0
+        block_size = self.block_pool.block_size
+        demand = self.blocks_for_rows(rows)
+        if not budgeted:
+            fresh = -(-(rows + step_tokens) // block_size) - (
+                -(-rows // block_size)
+            )
+            demand += fresh * self.config.n_layers
+        elif self.prefix_cache is not None:
+            demand += (rows // block_size) * self.config.n_layers
+        return demand
+
     def swap_in_blocks_needed(self, request_id):
         """Pool blocks required to page ``request_id``'s image back in."""
         if not self.paged:
@@ -421,7 +483,7 @@ prefix_ttl, prefix_match_mode:
         """Can the pool cover ``needed`` blocks right now?  The prefix
         cache is asked to shed idle entries first; a growable pool (and
         dense mode) always says yes."""
-        if not self.paged or self.block_pool.growable:
+        if not self.fixed_pool:
             return True
         pool = self.block_pool
         if pool.num_free < needed and self.prefix_cache is not None:
@@ -452,7 +514,7 @@ prefix_ttl, prefix_match_mode:
         """
         if self.slots_free < slots:
             return False
-        if not self.paged or self.block_pool.growable:
+        if not self.fixed_pool:
             return True
         if self.preemptible:
             return self.has_blocks(immediate_blocks)
@@ -528,13 +590,18 @@ prefix_ttl, prefix_match_mode:
             else reserved_blocks
         )
         self.forks += 1
-        if self.paged:
-            self.fork_shared_blocks += child.num_blocks
-        else:
-            self.fork_copied_slots += max(
-                (layer.length for layer in child), default=0
-            )
+        shared_blocks, copied_slots = self.fork_footprint(child)
+        self.fork_shared_blocks += shared_blocks
+        self.fork_copied_slots += copied_slots
         return child
+
+    def fork_footprint(self, cache):
+        """``(blocks shared copy-on-write, KV slots physically copied)``
+        by forking into ``cache`` — blocks when paged, slots (per-layer
+        convention) when dense; the other is 0."""
+        if self.paged:
+            return cache.num_blocks, 0
+        return 0, max((layer.length for layer in cache), default=0)
 
     def join(self, request_id):
         """Prune a losing branch back into the pool.
@@ -603,7 +670,6 @@ prefix_ttl, prefix_match_mode:
 
         self.swap_outs += 1
         self.swap_out_blocks += image.blocks_out
-        self.swap_out_slots += image.kv_slots
         self.host_kv_slots += image.total_slots
         self.host_peak_kv_slots = max(self.host_peak_kv_slots, self.host_kv_slots)
         return image
@@ -647,13 +713,79 @@ prefix_ttl, prefix_match_mode:
 
         self.swap_ins += 1
         self.swap_in_blocks += image.blocks_in
-        self.swap_in_slots += image.kv_slots
         self.host_kv_slots -= image.total_slots
         return image
 
     # ------------------------------------------------------------------
-    # Prefix-cache teardown
+    # KV usage
     # ------------------------------------------------------------------
+    def sample_usage(self):
+        """Fold the current KV footprint into the run's peak (and, paged,
+        the mean block utilization).
+
+        Dense slabs pin ``capacity`` slots per layer for a sequence's
+        whole lifetime; paged storage pins only the blocks in use, so the
+        pool's own high-water mark (updated at every allocation, i.e.
+        including the transient prefill peak before eviction shrinks a
+        sequence to budget) is the honest comparison point.
+        """
+        if self.paged:
+            pool = self.block_pool
+            self.peak_kv_slots = pool.peak_in_use * pool.block_size
+            if pool.num_used:
+                self._utilization_sum += self.cache_bank.total_entries / (
+                    pool.num_used * pool.block_size
+                )
+                self._utilization_rounds += 1
+        else:
+            allocated = self.config.n_layers * sum(
+                cache[0].capacity for cache in self._admitted.values()
+            )
+            self.peak_kv_slots = max(self.peak_kv_slots, allocated)
+
+    def usage_report(self):
+        """The :class:`~repro.serve.scheduler.ServingReport` fields that
+        describe KV storage over the run (the paged extras only when
+        paged)."""
+        fields = {"peak_kv_slots": self.peak_kv_slots}
+        if not self.paged:
+            return fields
+        pool = self.block_pool
+        fields.update(
+            paged=True,
+            block_size=pool.block_size,
+            peak_blocks=pool.peak_in_use,
+            cow_copies=pool.cow_copies,
+        )
+        if self._utilization_rounds:
+            fields["mean_block_utilization"] = (
+                self._utilization_sum / self._utilization_rounds
+            )
+        prefix = self.prefix_cache
+        if prefix is not None:
+            fields.update(
+                prefix_lookups=prefix.lookups,
+                prefix_hits=prefix.hits,
+                prompt_tokens_seen=prefix.tokens_seen,
+                prefix_tokens_hit=prefix.tokens_hit,
+            )
+        return fields
+
+    # ------------------------------------------------------------------
+    # Prefix cache: registration and teardown
+    # ------------------------------------------------------------------
+    def register_prefix_block(self, parent, tokens, cache, block_index, policy_state):
+        """Register ``cache``'s freshly prefilled full block
+        ``block_index`` (holding ``tokens``) under trie node ``parent``;
+        returns the node to register the next block under."""
+        return self.prefix_cache.insert(
+            parent,
+            tokens,
+            [layer.block_ids[block_index] for layer in cache],
+            policy_state,
+            self.block_pool,
+        )
+
     def clear_prefix_cache(self):
         """Drop every prefix-cache entry, returning its blocks to the
         pool (end-of-trace teardown)."""

@@ -33,10 +33,17 @@ Paged mode (``paged=True``) swaps the dense per-sequence slabs for
 fixed-size blocks from a shared :class:`~repro.serve.paging.BlockPool`
 and shares full prompt-prefix blocks across requests through a
 :class:`~repro.serve.prefix_cache.PrefixCache` (copy-on-write, with
-eviction-policy state snapshots).  The equivalence guarantee extends to
-it: tokens are bit-identical dense vs paged, at any block size, with or
-without prefix hits — ``tests/serve/test_paged_equivalence.py`` and the
-fuzz suite lock this in.
+eviction-policy state snapshots).  The scheduler itself never branches
+on the layout: the :class:`~repro.serve.resources.KVResourceManager`
+answers every block and pool question (demand, capacity, fork
+footprint, KV usage), and there is one prefill path — model
+continuation over the range, one ``observe_continuation`` per layer —
+which splits observation at block boundaries only while the sequence
+registers its prompt blocks in the prefix trie (each boundary needs a
+policy snapshot).  The equivalence guarantee extends to paging: tokens
+are bit-identical dense vs paged, at any block size, with or without
+prefix hits — ``tests/serve/test_paged_equivalence.py`` and the fuzz
+suite lock this in.
 
 Chunked prefill (``prefill_chunk=N``) bounds the prompt rows computed
 per round, Sarathi-style: an admitted prompt is prefilled in N-token
@@ -436,6 +443,13 @@ class _ForkFamily:
     spawned: bool = False
 
 
+def _namespace_owner(request_id):
+    """The family id (as a string) whose ``<family id>#<int>`` branch
+    namespace holds ``request_id``, else ``None``."""
+    family, sep, index = str(request_id).rpartition("#")
+    return family if sep and index.isdigit() else None
+
+
 class Scheduler:
     """Continuous-batching serving loop over one model.
 
@@ -653,14 +667,13 @@ class Scheduler:
         self.draft_model = draft_model
         self.spec_k = int(spec_k)
 
-        self.paged = bool(paged)
         #: The one owner of every device resource a sequence can hold:
         #: batch slots, pool blocks, prefix-cache reservations, and the
         #: modeled host swap pool.
         self.manager = KVResourceManager(
             model.config,
             max_batch_size=self.max_batch_size,
-            paged=self.paged,
+            paged=paged,
             block_size=block_size,
             num_blocks=num_blocks,
             prefix_caching=prefix_caching,
@@ -689,9 +702,6 @@ class Scheduler:
         self._total_tokens = 0
         self._peak_concurrency = 0
         self._prefill_tokens_saved = 0
-        self._peak_kv_slots = 0
-        self._utilization_sum = 0.0
-        self._utilization_rounds = 0
         self._preemption_count = 0
         self._model_swaps = 0
         self._model_recomputes = 0
@@ -699,21 +709,6 @@ class Scheduler:
         self._spec_proposed = 0
         self._spec_accepted = 0
         self._spec_tokens = 0
-
-    # ------------------------------------------------------------------
-    # Resource views (owned by the manager)
-    # ------------------------------------------------------------------
-    @property
-    def block_pool(self):
-        return self.manager.block_pool
-
-    @property
-    def prefix_cache(self):
-        return self.manager.prefix_cache
-
-    @property
-    def cache_bank(self):
-        return self.manager.cache_bank
 
     # ------------------------------------------------------------------
     # Client API
@@ -745,7 +740,11 @@ class Scheduler:
         KeyError
             If the id collides with any live *or finished* request
             (results are keyed by request id, so ids are never reused
-            within one scheduler).
+            within one scheduler), or with a fork family's branch
+            namespace: ``<family id>#<int>`` ids belong to the family's
+            branches (minted at fork time), so neither such an id nor a
+            family whose namespace already holds a submitted id is
+            accepted.
         ValueError
             In strict mode (default), for an unservable request as
             described above.
@@ -758,7 +757,7 @@ class Scheduler:
             s.request_id
             for s in self._waiting + self._running + self._finished
         }
-        if request.request_id in seen or request.request_id in self.cache_bank:
+        if request.request_id in seen or self._namespace_clash(request, seen):
             raise KeyError(f"duplicate request id {request.request_id!r}")
         if request.num_branches > 1:
             if self.draft_model is not None:
@@ -781,33 +780,21 @@ class Scheduler:
         )
         if problem is not None:
             return self._reject(request, *problem, strict=strict)
-        if self.paged and not self.block_pool.growable:
-            budget = request.budget if request.budget is not None else self.budget
-            # The worst case is also the request's *actual* peak demand
-            # (prefill transient or budget steady state, plus the
-            # prefix-registration CoW a budgeted shrink performs), so a
-            # request beyond the whole pool is unservable in every
-            # preempt mode.
-            worst = self.manager.sequence_worst_blocks(
-                request.prompt.shape[0], request.max_new_tokens, budget
+        shortfall = self.manager.pool_shortfall(
+            request.prompt.shape[0], request.max_new_tokens,
+            self._budget_of(request), request.num_branches,
+        )
+        if shortfall is not None:
+            worst, pool_blocks = shortfall
+            return self._reject(
+                request,
+                "pool_too_small",
+                f"needs up to {worst} blocks but the pool only "
+                f"has {pool_blocks}",
+                strict=strict,
+                needed_blocks=worst,
+                pool_blocks=pool_blocks,
             )
-            # A fork family must eventually hold every branch resident at
-            # once (branches are never half-admitted), so its unservable
-            # threshold is the per-branch worst times the branch count —
-            # conservative for paged mode, where branches actually share
-            # their prompt blocks, but a family beyond it could deadlock
-            # a one-way pool.
-            worst *= request.num_branches
-            if worst > self.block_pool.num_blocks:
-                return self._reject(
-                    request,
-                    "pool_too_small",
-                    f"needs up to {worst} blocks but the pool only "
-                    f"has {self.block_pool.num_blocks}",
-                    strict=strict,
-                    needed_blocks=worst,
-                    pool_blocks=self.block_pool.num_blocks,
-                )
         state = SequenceState(request=request, submit_index=self._submit_count)
         self._submit_count += 1
         if request.num_branches > 1:
@@ -818,11 +805,35 @@ class Scheduler:
                 width=request.num_branches,
                 branches=[state],
             )
+        self._enqueue(state)
+        return state
+
+    def _namespace_clash(self, request, seen):
+        """Whether ``request`` collides with a fork family's
+        ``<family id>#<int>`` branch namespace: its id lies in a known
+        family's, or it opens a family whose namespace already holds one
+        of the ``seen`` ids.  The whole namespace is checked, not just
+        ``1..width-1``: beam families mint branch ids past their width."""
+        owner = _namespace_owner(request.request_id)
+        if owner is not None and any(str(f) == owner for f in self._families):
+            return True
+        if request.num_branches > 1:
+            family = str(request.request_id)
+            return any(_namespace_owner(rid) == family for rid in seen)
+        return False
+
+    def _enqueue(self, state):
+        """Put ``state`` in the waiting queue, kept sorted by (arrival,
+        submission order)."""
         self._waiting.append(state)
         self._waiting.sort(
             key=lambda s: (s.request.arrival_time, s.submit_index)
         )
-        return state
+
+    def _budget_of(self, request):
+        """``request``'s effective KV budget: its own, else the
+        scheduler default (``None`` = no eviction)."""
+        return request.budget if request.budget is not None else self.budget
 
     def _reject(self, request, reason, detail, strict, **blocks):
         """Record a structured :class:`Rejection` of ``request``; raise it
@@ -858,15 +869,17 @@ class Scheduler:
     def outstanding_tokens(self):
         """Tokens of work still owed to live requests: unprefilled
         prompt rows plus ungenerated decode tokens, summed over the
-        waiting queue and the running batch.  The fleet router's
-        least-loaded placement signal; read-only."""
+        waiting queue and the running batch.  A sequence not yet
+        admitted — or recompute-preempted, which re-prefills its
+        generated tokens too — owes ``prompt + generated`` rows.  The
+        fleet router's least-loaded placement signal; read-only."""
         total = 0
         for state in self._waiting + self._running:
             request = state.request
             prompt_rows = (
                 state.prompt_tokens.shape[0]
                 if state.prompt_tokens is not None
-                else request.prompt.shape[0]
+                else request.prompt.shape[0] + state.num_generated
             )
             total += max(0, int(prompt_rows) - state.prefilled)
             total += max(0, request.max_new_tokens - state.num_generated)
@@ -876,9 +889,7 @@ class Scheduler:
     def free_kv_capacity(self):
         """Free KV capacity for the router's tie-breaks: free pool
         blocks when paged, free batch slots when dense."""
-        if self.paged:
-            return self.block_pool.num_free
-        return self.manager.slots_free
+        return self.manager.free_kv_capacity
 
     def prefix_probe(self, request):
         """Longest cached prefix (in tokens) this scheduler's radix trie
@@ -890,18 +901,18 @@ class Scheduler:
         placement decision cannot perturb any replica's cache behavior.
         Returns 0 when prefix sharing cannot apply (dense mode, prefix
         caching off, or a non-shareable eviction policy)."""
-        if self.prefix_cache is None:
+        prefix_cache = self.manager.prefix_cache
+        if prefix_cache is None:
             return 0
         policy = self._probe_policy
         if policy is None:
             policy = self._probe_policy = self.policy_factory()
         if not policy.prefix_shareable:
             return 0
-        budget = request.budget if request.budget is not None else self.budget
-        return self.prefix_cache.probe(
+        return prefix_cache.probe(
             np.asarray(request.prompt),
             policy.prefix_state_key(),
-            budgeted=budget is not None,
+            budgeted=self._budget_of(request) is not None,
         )
 
     # ------------------------------------------------------------------
@@ -961,7 +972,7 @@ class Scheduler:
         chunk_budget = self._continue_prefills(record, self._round_chunk)
         self._admit(record, chunk_budget)
         self._peak_concurrency = max(self._peak_concurrency, len(self._running))
-        self._sample_kv_usage()
+        self.manager.sample_usage()
 
         sampled = self._sample(record)
         beam_ready = None
@@ -1018,8 +1029,8 @@ class Scheduler:
         chosen rung is the largest whose predicted prefill pass fits the
         budget left after the current decode batch's predicted cycles,
         so the chunk shrinks monotonically as the decode batch deepens
-        (Sarathi's dynamic split, decided in modeled cycles).  On a
-        fixed paged pool under two-way scheduling, rungs whose block
+        (Sarathi's dynamic split, decided in modeled cycles).  Under
+        two-way scheduling against a fixed pool, rungs whose block
         demand exceeds the blocks currently free are also skipped — a
         bigger chunk that only fits by preempting someone costs more
         than it saves.  The smallest rung is always available, so
@@ -1035,13 +1046,7 @@ class Scheduler:
             if state.status == RUNNING and state.cache is not None
         ]
         decode_cycles = cost.decode_round_cycles(decode_lengths)
-        block_cap = None
-        if (
-            self.paged
-            and not self.block_pool.growable
-            and self.manager.preemptible
-        ):
-            block_cap = self.block_pool.num_free
+        block_cap = self.manager.free_blocks if self.manager.preemptible else None
         chunk = ladder[0]
         for candidate in ladder[1:]:
             if cost.prefill_cycles(candidate) + decode_cycles > cycle_budget:
@@ -1063,13 +1068,7 @@ class Scheduler:
                 continue
             if chunk_budget is not None and chunk_budget <= 0:
                 break
-            request = state.request
-            budget = (
-                request.budget if request.budget is not None else self.budget
-            )
-            chunk_budget = self._prefill_state(
-                state, budget, chunk_budget, record
-            )
+            chunk_budget = self._prefill_state(state, chunk_budget, record)
         return chunk_budget
 
     def _next_admission(self):
@@ -1097,8 +1096,8 @@ class Scheduler:
     def _admit(self, record, chunk_budget):
         """Admit arrived requests into free batch slots (prefill them).
 
-        In paged mode, admission additionally *reserves blocks, not
-        slabs*: under one-way scheduling (``preempt="off"``) a fixed
+        Admission also reserves blocks through the resource manager:
+        under one-way scheduling (``preempt="off"``) a fixed
         pool must cover the request's worst-case block demand
         (prefix-cache entries are shed first), otherwise the request —
         and everyone ranked behind it — keeps waiting until retirements
@@ -1139,17 +1138,13 @@ class Scheduler:
 
             request = state.request
             resumed = state.status == PREEMPTED
-            budget = request.budget if request.budget is not None else self.budget
+            budget = self._budget_of(request)
             state.prompt_tokens = self._effective_prompt(state)
-            capacity = sequence_capacity(
-                state.prompt_tokens.shape[0],
-                request.max_new_tokens - state.num_generated,
-                budget,
-            )
+            prompt_length = state.prompt_tokens.shape[0]
+            remaining = request.max_new_tokens - state.num_generated
+            capacity = sequence_capacity(prompt_length, remaining, budget)
             state.reserved_blocks = self.manager.sequence_worst_blocks(
-                state.prompt_tokens.shape[0],
-                request.max_new_tokens - state.num_generated,
-                budget,
+                prompt_length, remaining, budget
             )
 
             state.policy = self.policy_factory()
@@ -1170,11 +1165,8 @@ class Scheduler:
                     family.branch_worst = state.reserved_blocks
                 self._sync_family(family)
 
-            if self.paged:
-                self._attach_prefix(state)
-            chunk_budget = self._prefill_state(
-                state, budget, chunk_budget, record
-            )
+            self._attach_prefix(state)
+            chunk_budget = self._prefill_state(state, chunk_budget, record)
             self._running.append(state)
 
     def _effective_prompt(self, state):
@@ -1207,37 +1199,21 @@ class Scheduler:
             )
         else:
             request = state.request
-            budget = request.budget if request.budget is not None else self.budget
+            budget = self._budget_of(request)
             prompt_length = request.prompt.shape[0] + state.num_generated
-            worst = manager.sequence_worst_blocks(
-                prompt_length,
-                request.max_new_tokens - state.num_generated,
-                budget,
-            )
+            remaining = request.max_new_tokens - state.num_generated
+            worst = manager.sequence_worst_blocks(prompt_length, remaining, budget)
             rows_now = (
                 prompt_length
                 if chunk_budget is None
                 else min(chunk_budget, prompt_length)
             )
-            own_need = manager.blocks_for_rows(rows_now)
-            if self.paged:
-                n_layers = self.model.config.n_layers
-                block_size = self.block_pool.block_size
-                if budget is not None and self.prefix_cache is not None:
-                    # The shrink-to-budget eviction CoWs the *full*
-                    # blocks this prefill registers in the prefix cache.
-                    own_need += (rows_now // block_size) * n_layers
-                elif budget is None:
-                    # No eviction will free slack: count the fresh tail
-                    # blocks the same-round first step crosses into.
-                    fresh = -(-(rows_now + step_tokens) // block_size) - (
-                        -(-rows_now // block_size)
-                    )
-                    own_need += fresh * n_layers
+            own_need = manager.admission_block_demand(
+                rows_now, budget is not None, step_tokens
+            )
         slots = 1
         if state.family is not None:
-            worst = self._family_admission_worst(state, worst)
-            slots = self._family_slots_needed(state)
+            worst, slots = self._family_claim(state, worst)
 
         def immediate():
             # Optimistic admission must not eat the blocks the resident
@@ -1246,7 +1222,7 @@ class Scheduler:
             # round-start headroom had been assured.  Recomputed per
             # check: preempting a victim below removes its share of the
             # round demand along with its blocks.
-            if manager.preemptible and self.paged:
+            if manager.preemptible:
                 return own_need + self._round_block_demand()
             return own_need
 
@@ -1274,11 +1250,13 @@ class Scheduler:
             -state.submit_index,
         )
 
+    def _victim_candidates(self):
+        """Resident sequences preemption may evict."""
+        return [s for s in self._running if s.status in (RUNNING, PREFILLING)]
+
     def _select_victim(self):
         """The running sequence two-way scheduling would evict next."""
-        candidates = [
-            s for s in self._running if s.status in (RUNNING, PREFILLING)
-        ]
+        candidates = self._victim_candidates()
         if not candidates:
             return None
         return min(candidates, key=self._victim_rank)
@@ -1313,8 +1291,7 @@ class Scheduler:
         go to swap (no recomputed logits to re-derive).
         """
         request = state.request
-        budget = request.budget if request.budget is not None else self.budget
-        if budget is not None:
+        if self._budget_of(request) is not None:
             return "swap"
         cost = self.cost_model
         kv_slots = max((layer.length for layer in state.cache), default=0)
@@ -1371,10 +1348,7 @@ class Scheduler:
             # draft cache included; a swap victim keeps its draft cache —
             # its contents are committed tokens, still valid at resume.
             state.draft_cache = None
-        self._waiting.append(state)
-        self._waiting.sort(
-            key=lambda s: (s.request.arrival_time, s.submit_index)
-        )
+        self._enqueue(state)
         if state.family is not None:
             # Losing residency may drop the family's standing reservation
             # (re-secured wholesale at the next branch's re-admission).
@@ -1392,19 +1366,13 @@ class Scheduler:
         admission verified against the whole pool.
         """
         manager = self.manager
-        if (
-            not manager.preemptible
-            or not self.paged
-            or self.block_pool.growable
-        ):
+        if not manager.preemptible or not manager.fixed_pool:
             return
         while True:
             demand = self._round_block_demand()
             if demand == 0 or manager.has_blocks(demand):
                 return
-            candidates = [
-                s for s in self._running if s.status in (RUNNING, PREFILLING)
-            ]
+            candidates = self._victim_candidates()
             if len(candidates) <= 1:
                 # A lone sequence always fits: its true round demand is
                 # bounded by its worst case, which submission verified
@@ -1420,9 +1388,7 @@ class Scheduler:
         chunk_budget = self._round_chunk
         demand = 0
         for state in self._running:
-            budgeted = (
-                state.request.budget is not None or self.budget is not None
-            )
+            budgeted = self._budget_of(state.request) is not None
             if state.status == PREFILLING:
                 remaining = state.prompt_tokens.shape[0] - state.prefilled
                 rows = (
@@ -1453,26 +1419,25 @@ class Scheduler:
             live = self._family_live(family)
             if not live or any(s.status != RUNNING for s in live):
                 continue
-            budgeted = (
-                family.request.budget is not None or self.budget is not None
-            )
+            budgeted = self._budget_of(family.request) is not None
             per_step = max(
                 manager.decode_block_demand(s.cache, budgeted) for s in live
             )
             demand += (family.width - 1) * per_step
         return demand
 
-    def _prefill_state(self, state, budget, chunk_budget, record):
+    def _prefill_state(self, state, chunk_budget, record):
         """Prefill the next chunk (or the whole remainder) of ``state``'s
         effective prompt (the request prompt, plus generated tokens on a
         recompute resume), record the trace event, and complete the
         prefill when the last token lands.  Returns the chunk budget
         left."""
         request = state.request
+        budget = self._budget_of(request)
         total = state.prompt_tokens.shape[0]
         start = state.prefilled
         end = total if chunk_budget is None else min(total, start + chunk_budget)
-        logits = self._prefill_compute(state, start, end)
+        logits = self._prefill_range(state, start, end)
         state.prefilled = end
         if chunk_budget is not None:
             chunk_budget -= end - start
@@ -1507,46 +1472,65 @@ class Scheduler:
                 self._fork_family(state, record)
         return chunk_budget
 
-    def _prefill_compute(self, state, start, end):
-        """Run the model over prompt rows ``[start, end)`` against the
-        populated cache; dispatches dense vs paged."""
-        if self.paged:
-            return self._prefill_paged_range(state, start, end)
-        if start == 0 and end == state.prompt_tokens.shape[0]:
-            return self._prefill_dense(state)
-        return self._prefill_dense_range(state, start, end)
+    def _prefill_range(self, state, start, end):
+        """Prefill effective-prompt rows ``[start, end)`` against the
+        populated cache (adopted prefix blocks and earlier chunks) and
+        feed their attention rows to the policy; returns the logits.
 
-    def _prefill_dense(self, state):
-        """The seed path: one-shot prefill, one observe_block per layer."""
+        The model's row-count-invariant continuation plus every policy's
+        chunk-invariant ``observe_continuation`` make the logits and the
+        policy state bitwise equal to a one-shot prefill at any split.
+        Observation is one call per layer over the whole range, except
+        while the sequence registers its prompt blocks in the prefix
+        trie (``state.prefix_node`` set by :meth:`_attach_prefix`): then
+        it is split at block boundaries, so the policy state at each
+        boundary is a pure function of the tokens before it, and every
+        freshly written full block is registered — before eviction can
+        mutate it — with that snapshot.  A tainted sequence
+        (partial/unsnapshotted adoption) registers its blocks without
+        snapshots: their KV is still pure, its vote state is not.
+        Registration covers *prompt* rows only, so provisional
+        speculative tokens never enter the trie.
+        """
         prompt = state.prompt_tokens
-        prefill = self.model.prefill(prompt, state.cache)
-        positions = np.arange(prompt.shape[0])
-        for layer, attn in enumerate(prefill.attention):
-            state.policy.observe_block(layer, attn, positions, PREFILL)
-        return prefill.logits
-
-    def _prefill_dense_range(self, state, start, end):
-        """Dense chunked prefill: rows ``[start, end)`` over the cache
-        populated by earlier chunks.  The model's row-count-invariant
-        continuation plus the policy's chunk-invariant
-        ``observe_continuation`` make the resulting logits and policy
-        state bitwise equal to the one-shot path at any chunking."""
-        prompt = state.prompt_tokens
+        policy = state.policy
         prefill = self.model.prefill(
             prompt[start:end], state.cache, start_position=start
         )
         positions = np.arange(end)
-        for layer, attn in enumerate(prefill.attention):
-            state.policy.observe_continuation(layer, attn, positions, PREFILL)
+        registering = state.prefix_node is not None
+        bounds = [start, end]
+        if registering:
+            block = self.manager.prefix_cache.block_size
+            bounds[1:1] = range((start // block + 1) * block, end, block)
+        for lo, hi in zip(bounds, bounds[1:]):
+            for layer, attn in enumerate(prefill.attention):
+                rows = attn[:, lo - start : hi - start, :hi]
+                policy.observe_continuation(layer, rows, positions[:hi], PREFILL)
+            if registering and hi % block == 0:
+                snapshot = None
+                if not state.prefix_tainted:
+                    snapshot = [
+                        policy.export_prefill_state(layer, hi)
+                        for layer in range(self.model.config.n_layers)
+                    ]
+                state.prefix_node = self.manager.register_prefix_block(
+                    state.prefix_node,
+                    prompt[hi - block : hi],
+                    state.cache,
+                    hi // block - 1,
+                    snapshot,
+                )
         return prefill.logits
 
     def _attach_prefix(self, state):
-        """Adopt the longest cached prefix of the prompt (paged
-        admission, before the first prefill chunk): a radix-trie lookup
+        """Adopt the longest cached prefix of the prompt (admission,
+        before the first prefill chunk; a no-op without a prefix trie or
+        for a non-shareable policy): a radix-trie lookup
         returns full-block coverage plus — for unbudgeted sequences — a
         partial mid-block tail.  The matched blocks attach copy-on-write,
         the deepest pure policy snapshot within the coverage is imported,
-        and the trie node is remembered so later chunks keep registering
+        and the trie node is remembered so the prefill keeps registering
         blocks from it.
 
         Budgeted sequences stop at the deepest snapshot-bearing node
@@ -1557,14 +1541,15 @@ class Scheduler:
         consulted without a budget) but makes its later boundary exports
         impure, so they are registered without snapshots."""
         policy = state.policy
-        if self.prefix_cache is None or not policy.prefix_shareable:
+        prefix_cache = self.manager.prefix_cache
+        if prefix_cache is None or not policy.prefix_shareable:
             return
-        request = state.request
-        budget = request.budget if request.budget is not None else self.budget
-        prompt = state.prompt_tokens
+        budget = self._budget_of(state.request)
         n_layers = self.model.config.n_layers
-        hit = self.prefix_cache.match(
-            prompt, policy.prefix_state_key(), budgeted=budget is not None
+        hit = prefix_cache.match(
+            state.prompt_tokens,
+            policy.prefix_state_key(),
+            budgeted=budget is not None,
         )
         state.prefix_node = hit.parent
         if not hit.shared_length:
@@ -1590,68 +1575,6 @@ class Scheduler:
         state.prefilled = hit.shared_length
         self._prefill_tokens_saved += hit.shared_length
 
-    def _prefill_paged_range(self, state, start, end):
-        """Paged prefill of prompt rows ``[start, end)`` with prefix
-        registration (the prefix-cache *match* happened at admission in
-        :meth:`_attach_prefix`; ``start`` already covers adopted blocks
-        and earlier chunks).
-
-        1. Run the model over the range only — the continuation attends
-           to the resident keys/values, and prefill's row-count-invariant
-           matmuls make the result bitwise equal to a cold prefill.
-        2. Feed the new attention rows to the policy in block-sized
-           chunks, snapshotting state at every block boundary and
-           registering the freshly written full blocks in the prefix
-           trie (before eviction can mutate them); the parent node is
-           carried in ``state.prefix_node`` across chunks.  A tainted
-           sequence (partial/unsnapshotted adoption) registers its
-           blocks without snapshots — their KV is still pure, its vote
-           state is not.  Registration covers *prompt* rows only, so
-           provisional speculative tokens never enter the trie.
-        """
-        prompt = state.prompt_tokens
-        policy = state.policy
-        cache = state.cache
-        n_layers = self.model.config.n_layers
-        block_size = self.block_pool.block_size
-        shareable = self.prefix_cache is not None and policy.prefix_shareable
-
-        prefill = self.model.prefill(
-            prompt[start:end], cache, start_position=start
-        )
-
-        # Chunked observation: rows [row_start, chunk_end) at a time, so
-        # the policy's slot state at every block boundary is a pure
-        # function of the tokens before it and can be snapshotted.
-        positions = np.arange(prompt.shape[0])
-        row_start = start
-        while row_start < end:
-            chunk_end = min((row_start // block_size + 1) * block_size, end)
-            for layer, attn in enumerate(prefill.attention):
-                rows = attn[:, row_start - start : chunk_end - start, :chunk_end]
-                policy.observe_continuation(
-                    layer, rows, positions[:chunk_end], PREFILL
-                )
-            if shareable and chunk_end % block_size == 0:
-                block_index = chunk_end // block_size - 1
-                state.prefix_node = self.prefix_cache.insert(
-                    state.prefix_node,
-                    prompt[chunk_end - block_size : chunk_end],
-                    [
-                        cache[layer].block_ids[block_index]
-                        for layer in range(n_layers)
-                    ],
-                    None
-                    if state.prefix_tainted
-                    else [
-                        policy.export_prefill_state(layer, chunk_end)
-                        for layer in range(n_layers)
-                    ],
-                    self.block_pool,
-                )
-            row_start = chunk_end
-        return prefill.logits
-
     def _sample(self, record):
         """Sample one token per running sequence; retire EOS/full ones.
 
@@ -1666,38 +1589,38 @@ class Scheduler:
                 continue  # chunked prefill still in flight: no logits yet
             if self._is_beam(state):
                 continue  # beam branches take tokens from the joint advance
-            request = state.request
             token = self.sampler(state.logits, state.rng)
             state.tokens.append(token)
             if state.first_token_round is None:
                 state.first_token_round = self.round_index
             sampled += 1
-            if request.eos is not None and token == request.eos:
-                self._finish(state, "eos")
-            elif state.num_generated >= request.max_new_tokens:
-                budget = (
-                    request.budget if request.budget is not None else self.budget
-                )
-                record.dead_steps.append(
-                    DecodeEvent(
-                        request_id=request.request_id,
-                        attention_length=int(state.cache[0].length + 1),
-                        budgeted=budget is not None,
-                        dead=True,
-                    )
-                )
-                self._finish(state, "length")
+            self._finish_if_done(state, token, record)
         return sampled
+
+    def _finish_if_done(self, state, token, record):
+        """Retire ``state`` after appending ``token`` if it was EOS or
+        reached ``max_new_tokens`` — the latter recording the engine's
+        dead step in the trace (never executed)."""
+        request = state.request
+        if request.eos is not None and token == request.eos:
+            self._finish(state, "eos")
+        elif state.num_generated >= request.max_new_tokens:
+            record.dead_steps.append(
+                DecodeEvent(
+                    request_id=request.request_id,
+                    attention_length=int(state.cache[0].length + 1),
+                    budgeted=self._budget_of(request) is not None,
+                    dead=True,
+                )
+            )
+            self._finish(state, "length")
 
     def _decode(self, active, record):
         """One batched decode step for every still-active sequence."""
         tokens = [s.tokens[-1] for s in active]
         positions = [s.position for s in active]
         caches = [s.cache for s in active]
-        budgets = [
-            s.request.budget if s.request.budget is not None else self.budget
-            for s in active
-        ]
+        budgets = [self._budget_of(s.request) for s in active]
         for state, budget in zip(active, budgets):
             # The step appends then attends, so attention runs against
             # the pre-step length plus the new token (append-then-evict).
@@ -1738,6 +1661,13 @@ class Scheduler:
         """The family's unfinished branches, creation order."""
         return [s for s in family.branches if s.status != FINISHED]
 
+    def _family_resident(self, family):
+        """Whether any branch of ``family`` holds device residency (and
+        with it the family's standing reservation)."""
+        return any(
+            s.status in (PREFILLING, RUNNING) for s in self._family_live(family)
+        )
+
     def _family_unspawned(self, family):
         """Branches the family may still fork (the reservation target).
 
@@ -1754,38 +1684,27 @@ class Scheduler:
         family's state: while any branch is resident the family holds
         its unspawned branches' slots (and, one-way, their worst-case
         blocks); with no resident branch the claim drops — the next
-        re-admission re-secures the whole family via
-        :meth:`_family_admission_worst` / :meth:`_family_slots_needed`.
+        re-admission re-secures the whole family via :meth:`_family_claim`.
         """
-        live = self._family_live(family)
-        resident = any(s.status in (PREFILLING, RUNNING) for s in live)
+        resident = self._family_resident(family)
         extra = self._family_unspawned(family) if resident else 0
         family_id = family.request.request_id
         self.manager.reserve_slots(family_id, extra)
         blocks = extra * (family.branch_worst or 0)
         self.manager.reserve_blocks(family_id, blocks)
 
-    def _family_slots_needed(self, state):
-        """Batch slots ``state``'s admission must find free: one for
-        itself, plus — when no family branch is resident, so nothing
-        holds the family's reservation — one per branch the family may
-        still fork."""
+    def _family_claim(self, state, worst):
+        """``(one-way worst-case blocks, batch slots)`` admitting branch
+        ``state`` (own worst case ``worst``) must find: its own share,
+        plus — when no family branch is resident, so nothing holds the
+        family's reservation — that of every branch the family may still
+        fork."""
         family = self._families[state.family]
-        live = self._family_live(family)
-        if any(s.status in (PREFILLING, RUNNING) for s in live):
-            return 1
-        return 1 + self._family_unspawned(family)
-
-    def _family_admission_worst(self, state, worst):
-        """One-way block demand for admitting ``state``: its own worst
-        case, plus the unspawned branches' share when this admission
-        (re-)arms the family reservation."""
-        family = self._families[state.family]
-        live = self._family_live(family)
-        if any(s.status in (PREFILLING, RUNNING) for s in live):
-            return worst
+        if self._family_resident(family):
+            return worst, 1
+        unspawned = self._family_unspawned(family)
         per_branch = family.branch_worst if family.branch_worst is not None else worst
-        return worst + self._family_unspawned(family) * per_branch
+        return worst + unspawned * per_branch, 1 + unspawned
 
     def _fork_family(self, state, record):
         """Spawn a parallel-sampling family's ``n - 1`` sibling branches
@@ -1853,13 +1772,14 @@ class Scheduler:
         family.branches.append(child)
         self._running.append(child)
         kv_slots = max((layer.length for layer in child.cache), default=0)
+        blocks, copied_slots = self.manager.fork_footprint(child.cache)
         record.forks.append(
             ForkEvent(
                 request_id=parent.request_id,
                 child_id=child_id,
                 kv_slots=int(kv_slots),
-                blocks=child.cache.num_blocks if self.paged else 0,
-                copied_slots=0 if self.paged else int(kv_slots),
+                blocks=blocks,
+                copied_slots=int(copied_slots),
             )
         )
         return child
@@ -1956,26 +1876,11 @@ class Scheduler:
         the branch; the length cap records the engine-compat dead step).
         Returns 1 (the token appended)."""
         score, token = successor
-        request = state.request
         state.tokens.append(int(token))
         state.cum_logprob = score
         if state.first_token_round is None:
             state.first_token_round = self.round_index
-        if request.eos is not None and token == request.eos:
-            self._finish(state, "eos")
-        elif state.num_generated >= request.max_new_tokens:
-            budget = (
-                request.budget if request.budget is not None else self.budget
-            )
-            record.dead_steps.append(
-                DecodeEvent(
-                    request_id=request.request_id,
-                    attention_length=int(state.cache[0].length + 1),
-                    budgeted=budget is not None,
-                    dead=True,
-                )
-            )
-            self._finish(state, "length")
+        self._finish_if_done(state, token, record)
         return 1
 
     # ------------------------------------------------------------------
@@ -1997,7 +1902,7 @@ class Scheduler:
         k_eff = min(self.spec_k, request.max_new_tokens - state.num_generated)
         if k_eff < 1:
             return 0
-        budget = request.budget if request.budget is not None else self.budget
+        budget = self._budget_of(request)
         prior = state.cache[0].length
         if budget is not None and prior + k_eff + 1 > budget:
             return 0
@@ -2071,7 +1976,7 @@ class Scheduler:
         (accepted) tokens appended this round.
         """
         request = state.request
-        budget = request.budget if request.budget is not None else self.budget
+        budget = self._budget_of(request)
         proposals, draft_rows, draft_prior, draft_lengths = self._draft_propose(
             state, k_eff
         )
@@ -2162,30 +2067,6 @@ class Scheduler:
         self._spec_accepted += accepted
         self._spec_tokens += tokens_credit
         return accepted
-
-    def _sample_kv_usage(self):
-        """Track peak KV memory (and, paged, block utilization).
-
-        Dense slabs pin ``capacity`` slots per layer for a sequence's
-        whole lifetime; paged mode pins only the blocks in use, so the
-        pool's own high-water mark (updated at every allocation, i.e.
-        including the transient prefill peak before eviction shrinks a
-        sequence to budget) is the honest comparison point.
-        """
-        if self.paged:
-            pool = self.block_pool
-            self._peak_kv_slots = pool.peak_in_use * pool.block_size
-            if pool.num_used:
-                self._utilization_sum += self.cache_bank.total_entries / (
-                    pool.num_used * pool.block_size
-                )
-                self._utilization_rounds += 1
-        else:
-            allocated = sum(
-                state.cache[0].capacity * self.model.config.n_layers
-                for state in self._running
-            )
-            self._peak_kv_slots = max(self._peak_kv_slots, allocated)
 
     def _finish(self, state, reason):
         self.manager.retire(state.request_id)
@@ -2305,7 +2186,7 @@ class Scheduler:
                 if self._is_beam(s):
                     row["cum_logprob"] = s.cum_logprob
         manager = self.manager
-        report = ServingReport(
+        return ServingReport(
             requests=rows,
             rejections=[r.as_row() for r in self._rejected],
             total_rounds=self.round_index,
@@ -2313,7 +2194,7 @@ class Scheduler:
             total_tokens=self._total_tokens,
             peak_concurrency=self._peak_concurrency,
             wall_seconds=wall_seconds,
-            peak_kv_slots=self._peak_kv_slots,
+            prefill_tokens_saved=self._prefill_tokens_saved,
             preempt=self.preempt,
             preemptions=self._preemption_count,
             model_swaps=self._model_swaps,
@@ -2333,20 +2214,5 @@ class Scheduler:
             joins=manager.joins,
             fork_shared_blocks=manager.fork_shared_blocks,
             fork_copied_slots=manager.fork_copied_slots,
+            **manager.usage_report(),
         )
-        if self.paged:
-            report.paged = True
-            report.block_size = self.block_pool.block_size
-            report.peak_blocks = self.block_pool.peak_in_use
-            report.cow_copies = self.block_pool.cow_copies
-            if self._utilization_rounds:
-                report.mean_block_utilization = (
-                    self._utilization_sum / self._utilization_rounds
-                )
-            if self.prefix_cache is not None:
-                report.prefix_lookups = self.prefix_cache.lookups
-                report.prefix_hits = self.prefix_cache.hits
-                report.prompt_tokens_seen = self.prefix_cache.tokens_seen
-                report.prefix_tokens_hit = self.prefix_cache.tokens_hit
-            report.prefill_tokens_saved = self._prefill_tokens_saved
-        return report

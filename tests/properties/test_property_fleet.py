@@ -103,9 +103,9 @@ class TestReplicaConservation:
         for engine in fleet.engines:
             scheduler = engine.scheduler
             assert scheduler.manager.slots_used == 0
-            pool = scheduler.block_pool
+            pool = scheduler.manager.block_pool
             assert (
-                pool.num_used == scheduler.prefix_cache.num_blocks_held
+                pool.num_used == scheduler.manager.prefix_cache.num_blocks_held
             )
             scheduler.release_prefix_cache()
             assert pool.num_free == pool.num_blocks

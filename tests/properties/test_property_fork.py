@@ -250,8 +250,8 @@ class TestForkComposesWithPrefixTrie:
             assert paged.samples_for(request.request_id) == dense.samples_for(
                 request.request_id
             )
-        pool = paged.block_pool
-        assert pool.num_used == paged.prefix_cache.num_blocks_held
+        pool = paged.manager.block_pool
+        assert pool.num_used == paged.manager.prefix_cache.num_blocks_held
         paged.release_prefix_cache()
         assert pool.num_free == pool.num_blocks
 

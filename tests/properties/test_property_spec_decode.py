@@ -188,7 +188,7 @@ class TestBlockConservation:
             prefix_caching=False,
         )
         assert len(scheduler.results()) == len(requests)
-        assert scheduler.block_pool.num_used == 0
+        assert scheduler.manager.block_pool.num_used == 0
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -217,7 +217,7 @@ class TestBlockConservation:
             **kw,
         )
         assume(base_report.preemptions > 0)
-        assert spec_sched.block_pool.num_used == 0
+        assert spec_sched.manager.block_pool.num_used == 0
         # Provisional verify blocks change pool pressure, so preemption
         # *timing* (and with it the cache-length trace) may differ from
         # the plain run — but greedy verification still pins the tokens.

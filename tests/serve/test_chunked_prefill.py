@@ -54,7 +54,19 @@ def make_requests(model, count=4, seed=11, long_tail=False):
     return requests
 
 
-def serve(model, requests, policy_name="voting", chunk=None, paged=False):
+#: Storage configurations: dense slabs, paged with the prefix trie (block-
+#: sized observation for snapshots), and paged without it (one
+#: observation per layer over each chunk).
+STORAGE = {
+    "dense": dict(paged=False),
+    "paged": dict(paged=True),
+    "paged_notrie": dict(paged=True, prefix_caching=False),
+}
+
+
+def serve(
+    model, requests, policy_name="voting", chunk=None, paged=False, **kwargs
+):
     scheduler = Scheduler(
         model,
         policy_factory=POLICY_FACTORIES[policy_name](model.config.n_layers),
@@ -62,6 +74,7 @@ def serve(model, requests, policy_name="voting", chunk=None, paged=False):
         prefill_chunk=chunk,
         paged=paged,
         block_size=4,
+        **kwargs,
     )
     for request in requests:
         scheduler.submit(request)
@@ -71,16 +84,24 @@ def serve(model, requests, policy_name="voting", chunk=None, paged=False):
 
 class TestChunkedEquivalence:
     @pytest.mark.parametrize("policy_name", ["voting", "h2o"])
-    @pytest.mark.parametrize("paged", [False, True], ids=["dense", "paged"])
+    @pytest.mark.parametrize("storage", list(STORAGE))
     @pytest.mark.parametrize("chunk", [1, 16, None], ids=["c1", "c16", "whole"])
-    def test_tokens_bit_identical(self, model, policy_name, paged, chunk):
-        """The full matrix of the issue's equivalence claim: chunk
-        budgets 1/16/whole × dense/paged × voting/H2O."""
+    def test_tokens_bit_identical(self, model, policy_name, storage, chunk):
+        """The full equivalence matrix: chunk budgets 1/16/whole ×
+        dense/paged/paged-without-trie × voting/H2O — tokens *and*
+        eviction logs equal the dense whole-prompt baseline."""
         requests = make_requests(model)
         baseline, _ = serve(model, requests, policy_name=policy_name)
         scheduler, report = serve(
-            model, requests, policy_name=policy_name, chunk=chunk, paged=paged
+            model,
+            requests,
+            policy_name=policy_name,
+            chunk=chunk,
+            **STORAGE[storage],
         )
+        base_logs = {s.request_id: s.evictions for s in baseline.results()}
+        for state in scheduler.results():
+            assert state.evictions == base_logs[state.request_id]
         for request in requests:
             assert scheduler.tokens_for(request.request_id) == baseline.tokens_for(
                 request.request_id

@@ -199,7 +199,7 @@ class TestDifferentialForkJoin:
                 assert outcome(forked, branch_id(request, i)) == outcome(
                     singles, f"{request.request_id}~{i}"
                 )
-        pool = forked.block_pool
+        pool = forked.manager.block_pool
         assert pool.num_free == pool.num_blocks
 
 
@@ -334,7 +334,7 @@ class TestBeamSearch:
             for s in scheduler.results()
             if s.finish_reason == "beam_pruned"
         )
-        pool = scheduler.block_pool
+        pool = scheduler.manager.block_pool
         scheduler.release_prefix_cache()
         assert pool.num_free == pool.num_blocks
 
@@ -382,6 +382,37 @@ class TestSubmitValidation:
             )
         report = scheduler.report()
         assert [r["request_id"] for r in report.rejections] == ["fam"]
+
+    @pytest.mark.parametrize("paged", [False, True], ids=["dense", "paged"])
+    @pytest.mark.parametrize("family_first", [True, False])
+    @pytest.mark.parametrize(
+        "mode,plain_id",
+        # Beam families mint branch ids past their width, so the whole
+        # ``<family id>#<int>`` namespace is reserved, not just 1..w-1.
+        [("sample", "a#1"), ("beam", "a#7")],
+    )
+    def test_branch_namespace_ids_rejected(
+        self, model, paged, family_first, mode, plain_id
+    ):
+        """A plain id in a family's branch namespace collides with the
+        ids its forks mint, whichever is submitted first; it is refused
+        at submit instead of raising inside the first round."""
+        width = {"n": 2} if mode == "sample" else {"beam_width": 2}
+        family = Request("a", np.arange(6), max_new_tokens=4, **width)
+        plain = Request(plain_id, np.arange(6), max_new_tokens=4)
+        first, second = (family, plain) if family_first else (plain, family)
+        scheduler = Scheduler(model, max_batch_size=4, paged=paged, block_size=4)
+        scheduler.submit(first)
+        with pytest.raises(KeyError, match="duplicate"):
+            scheduler.submit(second)
+        scheduler.run()
+        assert scheduler.done
+        if first is plain:
+            assert len(scheduler.tokens_for(plain_id)) == 4
+        elif mode == "sample":
+            assert len(scheduler.samples_for("a")) == 2
+        else:
+            assert len(scheduler.beam_result_for("a")[0]) == 4
 
 
 class TestLengthPenalty:

@@ -28,6 +28,7 @@ from repro.serve import (
     ServingCoSimulator,
     ServingEngine,
 )
+from repro.serve.engine import EDFAdmission
 
 
 def make_requests(n=4, prompt_len=20, max_new=8, budget=None, seed=0):
@@ -397,6 +398,42 @@ class TestDeadlinePressure:
         )
         engine.play(workload)
         assert engine.report().preemptions == 0
+
+
+class TestRouterLoadSignal:
+    @pytest.mark.parametrize("paged", [False, True], ids=["dense", "paged"])
+    def test_recompute_victim_owes_its_generated_tokens(self, model, paged):
+        """A recompute victim re-prefills its prompt *plus* the tokens it
+        generated, so the fleet router's ``outstanding_tokens`` must
+        count them: a 10-token prompt preempted after 5 of 8 tokens owes
+        15 prefill rows and 3 decode tokens."""
+        scheduler = Scheduler(
+            model,
+            max_batch_size=1,
+            paged=paged,
+            block_size=4,
+            preempt="recompute",
+            admission_policy=EDFAdmission(),
+        )
+        scheduler.submit(
+            Request("bg", np.arange(10), max_new_tokens=8, seed=0, deadline=200)
+        )
+        # Arrives once bg holds 5 tokens; outranks it under EDF, takes
+        # the only slot, and retires within its admission round.
+        scheduler.submit(
+            Request(
+                "urgent", np.arange(6), max_new_tokens=1, arrival_time=5,
+                seed=1, deadline=6,
+            )
+        )
+        for _ in range(6):
+            scheduler.run_round()
+        assert scheduler.tokens_for("urgent")
+        assert scheduler.num_running == 0 and scheduler.num_waiting == 1
+        assert scheduler.outstanding_tokens == (10 + 5) + (8 - 5)
+        scheduler.run()
+        assert scheduler.report().preemptions == 1
+        assert len(scheduler.tokens_for("bg")) == 8
 
 
 class TestRunMaxRounds:

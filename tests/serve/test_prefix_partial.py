@@ -79,7 +79,7 @@ class TestPartialTailEndToEnd:
         assert events[0].prefix_length == 7
         # The warm request CoWs nothing (it allocated its own blocks);
         # the twin CoWs the one partially adopted block, per layer.
-        assert scheduler.block_pool.cow_copies == model.config.n_layers
+        assert scheduler.manager.block_pool.cow_copies == model.config.n_layers
         assert report.prefill_tokens_saved == 7
 
     @pytest.mark.parametrize("factory", [voting_factory, h2o_factory])
@@ -90,7 +90,7 @@ class TestPartialTailEndToEnd:
         requests = almost_twin_requests(model)
         dense, _ = serve(model, requests, paged=False, factory=factory(model))
         paged, _ = serve(model, requests, paged=True, factory=factory(model))
-        assert paged.prefix_cache.tokens_hit > 0
+        assert paged.manager.prefix_cache.tokens_hit > 0
         for state_d, state_p in zip(dense.results(), paged.results()):
             assert state_d.request_id == state_p.request_id
             assert state_d.tokens == state_p.tokens
@@ -153,7 +153,7 @@ class TestBudgetedSemanticsUnchanged:
         )
         events = prefill_events_for(scheduler, "twin")
         assert events[0].prefix_length == BLOCK_SIZE
-        assert scheduler.block_pool.cow_copies == 0
+        assert scheduler.manager.block_pool.cow_copies == 0
 
 
 class TestTrieBeatsBlockGranularity:
@@ -247,7 +247,7 @@ class TestSpecDecodeGating:
                     yield label
                     yield from paths(child, label)
 
-        cache = scheduler.prefix_cache
+        cache = scheduler.manager.prefix_cache
         registered = [
             path
             for key in list(cache._roots)

@@ -88,8 +88,8 @@ def test_fuzzed_traces_leak_free_and_output_stable(model, seed, block_size):
 
     # Only the prefix cache may still hold blocks; its accounting must
     # agree with the pool's.
-    pool = paged.block_pool
-    assert pool.num_used == paged.prefix_cache.num_blocks_held
+    pool = paged.manager.block_pool
+    assert pool.num_used == paged.manager.prefix_cache.num_blocks_held
     paged.release_prefix_cache()
     assert pool.num_free == pool.num_blocks
 
@@ -125,7 +125,7 @@ def test_fixed_pool_completes_with_admission_gating(model, seed):
             request.request_id
         )
     paged.release_prefix_cache()
-    assert paged.block_pool.num_free == paged.block_pool.num_blocks
+    assert paged.manager.block_pool.num_free == paged.manager.block_pool.num_blocks
 
 
 def test_tight_fixed_pool_never_overflows(model):
@@ -246,8 +246,8 @@ def test_forked_branch_churn_drains_pool(model, seed, preempt):
             assert tokens
         else:
             assert scheduler.tokens_for(request.request_id) is not None
-    pool = scheduler.block_pool
-    assert pool.num_used == scheduler.prefix_cache.num_blocks_held
+    pool = scheduler.manager.block_pool
+    assert pool.num_used == scheduler.manager.prefix_cache.num_blocks_held
     scheduler.release_prefix_cache()
     assert pool.num_free == pool.num_blocks
     assert scheduler.manager.slots_used == 0

@@ -197,7 +197,7 @@ class TestScheduling:
         (state,) = scheduler.results()
         assert state.status == FINISHED
         assert state.cache is None and state.policy is None
-        assert len(scheduler.cache_bank) == 0
+        assert len(scheduler.manager.cache_bank) == 0
 
     def test_finished_request_id_stays_reserved(self, model):
         scheduler = Scheduler(

@@ -257,7 +257,7 @@ class TestResourceConservation:
             prefix_caching=False,
         )
         assert report.verify_passes > 0
-        assert scheduler.block_pool.num_used == 0
+        assert scheduler.manager.block_pool.num_used == 0
 
     def test_finish_inside_window_frees_provisional_blocks(
         self, tiny_inference, rng
@@ -275,7 +275,7 @@ class TestResourceConservation:
         )
         (state,) = scheduler.results()
         assert state.finish_reason == "length"
-        assert scheduler.block_pool.num_used == 0
+        assert scheduler.manager.block_pool.num_used == 0
 
 
 class TestReportMetrics:
