@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LayerKVCache", "KVCache", "BatchedKVCache"]
+__all__ = ["LayerKVCache", "KVCache"]
 
 
 class LayerKVCache:
@@ -197,116 +197,3 @@ class KVCache:
     def __repr__(self):
         return f"KVCache(layers={self.n_layers}, lengths={self.lengths})"
 
-
-class BatchedKVCache:
-    """A bank of per-sequence :class:`KVCache` objects for batched serving.
-
-    Multi-sequence decoding (vLLM-style continuous batching) shares model
-    weights across the batch but *not* KV state: every sequence carries its
-    own cache with an independent length, capacity, and eviction budget.
-    This container owns that mapping from sequence id to cache so the
-    scheduler and :meth:`CachedTransformer.step_batch` can address the
-    bank uniformly.
-
-    Sequence ids are caller-chosen hashables (request ids); insertion
-    order is preserved, which the scheduler relies on for deterministic
-    batch composition.
-
-    ``cache_factory`` swaps the per-sequence storage layout: it is called
-    as ``cache_factory(capacity)`` and must return a :class:`KVCache`
-    drop-in (the paged serving path passes a
-    :class:`repro.serve.paging.PagedKVCache` builder here).  A cache
-    exposing ``release()`` has it called on removal, so block-backed
-    layouts return their storage to the pool when a sequence retires.
-    """
-
-    def __init__(self, n_layers, n_heads, head_dim, cache_factory=None):
-        if n_layers <= 0:
-            raise ValueError(f"n_layers must be positive, got {n_layers}")
-        self.n_layers = int(n_layers)
-        self.n_heads = int(n_heads)
-        self.head_dim = int(head_dim)
-        self._cache_factory = cache_factory
-        self._caches = {}
-
-    @classmethod
-    def for_model(cls, config, cache_factory=None):
-        """Build an empty bank sized to a :class:`ModelConfig`."""
-        return cls(
-            config.n_layers,
-            config.n_heads,
-            config.head_dim,
-            cache_factory=cache_factory,
-        )
-
-    @property
-    def sequence_ids(self):
-        """Live sequence ids in insertion order."""
-        return list(self._caches)
-
-    def __len__(self):
-        return len(self._caches)
-
-    def __contains__(self, seq_id):
-        return seq_id in self._caches
-
-    def add_sequence(self, seq_id, capacity):
-        """Allocate a fresh per-sequence cache; returns its :class:`KVCache`."""
-        if seq_id in self._caches:
-            raise KeyError(f"sequence {seq_id!r} already allocated")
-        if self._cache_factory is not None:
-            cache = self._cache_factory(capacity)
-        else:
-            cache = KVCache(self.n_layers, self.n_heads, self.head_dim, capacity)
-        self._caches[seq_id] = cache
-        return cache
-
-    def adopt_sequence(self, seq_id, cache):
-        """Register a pre-built cache under ``seq_id`` (fork adoption).
-
-        :meth:`add_sequence` always builds an *empty* cache through the
-        factory; a forked branch arrives with its state already populated
-        (CoW block table or copied slab), so the resource manager
-        registers it here instead.  Removal semantics are identical.
-        """
-        if seq_id in self._caches:
-            raise KeyError(f"sequence {seq_id!r} already allocated")
-        self._caches[seq_id] = cache
-        return cache
-
-    def get(self, seq_id):
-        """The :class:`KVCache` of sequence ``seq_id``."""
-        if seq_id not in self._caches:
-            raise KeyError(f"unknown sequence {seq_id!r}")
-        return self._caches[seq_id]
-
-    def remove_sequence(self, seq_id):
-        """Release a retired sequence's cache (returns it for inspection).
-
-        Caches with a ``release`` method (paged layouts) get it called so
-        their blocks return to the pool immediately.
-        """
-        if seq_id not in self._caches:
-            raise KeyError(f"unknown sequence {seq_id!r}")
-        cache = self._caches.pop(seq_id)
-        release = getattr(cache, "release", None)
-        if callable(release):
-            release()
-        return cache
-
-    def select(self, seq_ids):
-        """The caches of ``seq_ids``, in that order (for ``step_batch``)."""
-        return [self.get(seq_id) for seq_id in seq_ids]
-
-    @property
-    def total_entries(self):
-        """Total occupied slots across all sequences and layers."""
-        return sum(
-            sum(cache.lengths) for cache in self._caches.values()
-        )
-
-    def __repr__(self):
-        return (
-            f"BatchedKVCache(sequences={len(self._caches)}, "
-            f"layers={self.n_layers}, entries={self.total_entries})"
-        )

@@ -31,7 +31,21 @@ class ExperimentResult:
 
 
 def format_table(rows, title=None):
-    """Format a list of dicts as an aligned text table."""
+    """Format a list of dicts as an aligned text table.
+
+    Floats print with two or three decimals (thousands grouped from
+    1000 up); a nonzero value below 0.001 keeps three significant
+    digits instead of collapsing to ``0.000``, and zero prints as ``0``:
+
+    >>> print(format_table([
+    ...     {"dataflow": "auto", "cycles": 123456.0, "joules/token": 0.000234},
+    ...     {"dataflow": "decode", "cycles": 12.5, "joules/token": 0.0},
+    ... ]))  # doctest: +NORMALIZE_WHITESPACE
+    dataflow  cycles   joules/token
+    -------------------------------
+    auto      123,456  0.000234
+    decode    12.50    0
+    """
     if not rows:
         return "(empty table)"
     columns = list(rows[0].keys())
@@ -60,5 +74,7 @@ def _fmt(value):
             return f"{value:,.0f}"
         if abs(value) >= 10:
             return f"{value:.2f}"
+        if abs(value) < 0.001:
+            return f"{value:.3g}"
         return f"{value:.3f}"
     return str(value)

@@ -357,9 +357,10 @@ class CachedTransformer:
             ``(B,)`` absolute positions, one per sequence (sequences are
             at independent points in their generations).
         caches:
-            ``B`` per-sequence :class:`KVCache` objects (e.g. from
-            :meth:`BatchedKVCache.select`); each sequence's kv pair is
-            appended to its own cache before attention.
+            ``B`` per-sequence :class:`KVCache` objects (dense, or the
+            paged drop-in the serving resource manager builds); each
+            sequence's kv pair is appended to its own cache before
+            attention.
 
         All linear layers run as one stacked ``(B, D) @ (D, F)`` matmul —
         the weight matrix is read once for the whole batch, which is the

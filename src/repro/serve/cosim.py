@@ -52,13 +52,14 @@ Rejected rows are priced in full but yield no tokens, so
 ``tokens_per_second`` reflects the *modeled* speedup as a function of
 the measured accept rate.
 
-Equivalence anchor: at batch size 1 (and ``count_dead_steps=True``) the
-replay is cycle-identical to the solo co-simulator — same per-step
-attention cycles, same total decode cycles —
-``tests/serve/test_serving_cosim.py`` locks this in.  Dead steps are
-validated by their explicit ``dead`` flag (a misfiled event raises) and
-are priced as compute only: the replay asserts they contribute zero
-tokens.
+Equivalence anchor: at batch size 1 the replay is cycle-identical to
+the solo co-simulator — same per-step attention cycles, same total
+decode cycles — ``tests/serve/test_serving_cosim.py`` locks this in.
+That requires pricing the dead decode step the solo engine spends on
+the final token of a length-capped request (the scheduler's loop skips
+it, recording it as a dead step).  Dead steps are validated by their
+explicit ``dead`` flag (a misfiled event raises) and are priced as
+compute only: the replay asserts they contribute zero tokens.
 
 Worked example — price a hand-written two-round trace on Llama-2 7B
 shapes and show flexibility beating both fixed mappings::
@@ -128,7 +129,7 @@ class ServingCoSimReport:
     prefill_tokens: int = 0
     #: Real decode steps priced (dead steps excluded).
     decode_steps: int = 0
-    #: Engine-compatibility dead steps priced (0 when disabled).
+    #: Engine-compatibility dead steps priced.
     dead_steps: int = 0
     #: Speculative verify passes priced (0 when not speculating).
     verify_passes: int = 0
@@ -168,7 +169,7 @@ class ServingCoSimReport:
     interconnect_cycles: float = 0.0
     interconnect_bytes: float = 0.0
     #: request_id -> all-layer attention cycles per priced decode step,
-    #: in step order (includes the dead step when priced) — directly
+    #: in step order (includes the dead step) — directly
     #: comparable to ``CoSimResult.attention_cycles_per_step``.
     per_request_attention: dict = field(default_factory=dict)
     #: All priced decode steps' attention cycles, in replay order.
@@ -321,12 +322,6 @@ class ServingCoSimulator:
         Round-level PE-array mapping: ``"auto"`` (reconfigure per
         phase — the paper's flexibility), ``"prefill"`` or ``"decode"``
         (pinned).  See :mod:`repro.accel.scheduler`.
-    count_dead_steps:
-        Price the dead decode step the solo engine spends on the final
-        token of a length-capped request (the scheduler's loop skips
-        it).  Leave on for cycle-exact comparison against
-        :class:`repro.cosim.CoSimulator`; turn off to price only work
-        the serving loop actually performs.
     hw_draft_model:
         Model config whose shapes price the *draft* model's work when
         the trace contains speculative verify events; defaults to the
@@ -352,7 +347,6 @@ class ServingCoSimulator:
         hw: HardwareConfig = None,
         hw_model=None,
         dataflow="auto",
-        count_dead_steps=True,
         hw_draft_model=None,
         tp=1,
     ):
@@ -366,7 +360,6 @@ class ServingCoSimulator:
         self.hw = hw or veda_config()
         self.hw_model = hw_model or scheduler.model.config
         self.dataflow = dataflow
-        self.count_dead_steps = bool(count_dead_steps)
         self.tp = int(tp)
         self.simulator = AcceleratorSimulator(self.hw, self.hw_model, tp=self.tp)
         self.power_model = AreaPowerModel(self.hw)
@@ -459,9 +452,7 @@ class ServingCoSimulator:
                         f"{event.request_id!r} misfiled under "
                         "RoundTrace.dead_steps"
                     )
-            decode_events = list(record.decodes)
-            if self.count_dead_steps:
-                decode_events.extend(record.dead_steps)
+            decode_events = [*record.decodes, *record.dead_steps]
             if (
                 not record.prefills
                 and not decode_events
@@ -655,7 +646,6 @@ def compare_dataflows(
     trace=None,
     hw: HardwareConfig = None,
     hw_model=None,
-    count_dead_steps=True,
     hw_draft_model=None,
 ):
     """Replay one trace under every dataflow selection.
@@ -679,7 +669,6 @@ def compare_dataflows(
         scheduler=scheduler,
         hw=hw,
         hw_model=hw_model,
-        count_dead_steps=count_dead_steps,
         hw_draft_model=hw_draft_model,
     )
     selections = (

@@ -10,8 +10,9 @@ wraps the scheduler in an event-driven :class:`ServingEngine`:
   ``run_forever`` consumer — and returns a :class:`RequestHandle` with
   incremental token retrieval (:meth:`RequestHandle.new_tokens`), live
   status, and per-request latency metrics.  The engine owns the round
-  clock (the scheduler's idle fast-forward is disabled), so a request
-  can always still arrive "now".
+  clock (it steps :meth:`Scheduler.run_round` itself, never the idle
+  gap-skipping :meth:`Scheduler.run`), so a request can always still
+  arrive "now".
 - **Chunked prefill.**  ``prefill_chunk=N`` bounds the prompt rows any
   round computes (Sarathi-style): long prompts are prefilled in N-token
   chunks interleaved with the running batch's decode rounds instead of
@@ -356,6 +357,35 @@ class EngineTick:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
+def _play_arrivals(server, requests, drain=True):
+    """Feed a pre-timed workload into ``server`` (a
+    :class:`ServingEngine` or a :class:`~repro.serve.fleet.ServingFleet`)
+    on its simulated clock.
+
+    Each request is submitted when ``server.now`` reaches its
+    ``arrival_time``; while the server is drained the clock skips ahead
+    to the next arrival.  Returns the handles in workload order
+    (``requests`` may be any iterable); with ``drain=True`` the backlog
+    is then served to completion.
+    """
+    requests = list(requests)
+    pending = sorted(requests, key=lambda r: r.arrival_time)
+    handles = {}
+    index = 0
+    while index < len(pending):
+        if server.drained and pending[index].arrival_time > server.now:
+            server.skip_to(pending[index].arrival_time)
+        while index < len(pending) and pending[index].arrival_time <= server.now:
+            request = pending[index]
+            handles[request.request_id] = server.submit(request)
+            index += 1
+        if index < len(pending):
+            server.step()
+    if drain:
+        server.run_until_drained()
+    return [handles[r.request_id] for r in requests]
+
+
 class ServingEngine:
     """Event-driven serving loop over a :class:`Scheduler`.
 
@@ -380,8 +410,8 @@ class ServingEngine:
         blocks are free — deadline pressure becomes two-way scheduling.
 
     The engine owns the simulated clock: one :meth:`step` = one
-    scheduler round, and the scheduler's idle fast-forward is disabled
-    so submissions can keep arriving during gaps.  Use :meth:`play` to
+    scheduler round, with no idle fast-forward, so submissions can keep
+    arriving during gaps.  Use :meth:`play` to
     feed a pre-timed workload (an arrival process) through the
     streaming path, or drive :meth:`run_forever` yourself.
     """
@@ -394,7 +424,6 @@ class ServingEngine:
             model,
             admission_policy=admission,
             prefill_chunk=prefill_chunk,
-            auto_fast_forward=False,
             **scheduler_kwargs,
         )
         self._handles = {}
@@ -418,8 +447,8 @@ class ServingEngine:
 
     def skip_to(self, round_index):
         """Jump the idle clock forward (never backward) to
-        ``round_index`` — the engine-side replacement for the
-        scheduler's disabled idle fast-forward."""
+        ``round_index`` — the engine-side counterpart of
+        :meth:`Scheduler.run`'s idle fast-forward."""
         if round_index > self.scheduler.round_index:
             self.scheduler.round_index = int(round_index)
 
@@ -547,25 +576,7 @@ class ServingEngine:
         generator).  With ``drain=True`` the backlog is served to
         completion; otherwise the caller keeps stepping.
         """
-        requests = list(requests)
-        pending = sorted(requests, key=lambda r: r.arrival_time)
-        handles = {}
-        index = 0
-        while index < len(pending):
-            if self.scheduler.done and pending[index].arrival_time > self.now:
-                self.skip_to(pending[index].arrival_time)
-            while (
-                index < len(pending)
-                and pending[index].arrival_time <= self.now
-            ):
-                request = pending[index]
-                handles[request.request_id] = self.submit(request)
-                index += 1
-            if index < len(pending):
-                self.step()
-        if drain:
-            self.run_until_drained()
-        return [handles[r.request_id] for r in requests]
+        return _play_arrivals(self, requests, drain)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -584,7 +595,6 @@ class ServingEngine:
         hw=None,
         hw_model=None,
         dataflow="auto",
-        count_dead_steps=True,
     ):
         """Price the run's recorded trace on the accelerator cycle
         model; the returned report includes per-request TTFT in cycles
@@ -594,5 +604,4 @@ class ServingEngine:
             hw=hw,
             hw_model=hw_model,
             dataflow=dataflow,
-            count_dead_steps=count_dead_steps,
         ).replay()

@@ -64,10 +64,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.serve.cosim import ServingCoSimulator
-from repro.serve.engine import ServingEngine
+from repro.serve.engine import ServingEngine, _play_arrivals
+from repro.serve.scheduler import ServingReport
 
 __all__ = [
     "PlacementPolicy",
@@ -245,31 +244,25 @@ class FleetReport:
         return max((r.total_rounds for r in self.replicas), default=0)
 
     @property
+    def _pooled(self):
+        """Every replica's request rows as one
+        :class:`~repro.serve.scheduler.ServingReport`, so fleet-wide
+        latency aggregates use the single-engine formulas."""
+        return ServingReport(requests=self.requests)
+
+    @property
     def mean_ttft(self):
         """Mean TTFT in rounds over every request in the fleet."""
-        ttfts = [
-            row["ttft_rounds"]
-            for row in self.requests
-            if row.get("ttft_rounds") is not None
-        ]
-        return float(np.mean(ttfts)) if ttfts else 0.0
+        return self._pooled.mean_ttft
 
     @property
     def p95_ttft(self):
-        ttfts = [
-            row["ttft_rounds"]
-            for row in self.requests
-            if row.get("ttft_rounds") is not None
-        ]
-        return float(np.percentile(ttfts, 95)) if ttfts else 0.0
+        return self._pooled.p95_ttft
 
     @property
     def deadline_miss_rate(self):
         """Fleet-wide misses over requests carrying a deadline."""
-        rows = self.requests
-        with_deadline = sum(1 for row in rows if row.get("deadline") is not None)
-        misses = sum(1 for row in rows if row.get("deadline_miss"))
-        return misses / with_deadline if with_deadline else 0.0
+        return self._pooled.deadline_miss_rate
 
     @property
     def load_imbalance(self):
@@ -486,25 +479,7 @@ class ServingFleet:
         so placement decisions see exactly the replica state a live
         router would.  Returns the handles in workload order.
         """
-        requests = list(requests)
-        pending = sorted(requests, key=lambda r: r.arrival_time)
-        handles = {}
-        index = 0
-        while index < len(pending):
-            if self.drained and pending[index].arrival_time > self.now:
-                self.skip_to(pending[index].arrival_time)
-            while (
-                index < len(pending)
-                and pending[index].arrival_time <= self.now
-            ):
-                request = pending[index]
-                handles[request.request_id] = self.submit(request)
-                index += 1
-            if index < len(pending):
-                self.step()
-        if drain:
-            self.run_until_drained()
-        return [handles[r.request_id] for r in requests]
+        return _play_arrivals(self, requests, drain)
 
     # ------------------------------------------------------------------
     # Results and reporting
@@ -530,7 +505,6 @@ class ServingFleet:
         hw=None,
         hw_model=None,
         dataflow="auto",
-        count_dead_steps=True,
         tp=1,
     ):
         """Price every replica's recorded trace on the accelerator cycle
@@ -545,7 +519,6 @@ class ServingFleet:
                     hw=hw,
                     hw_model=hw_model,
                     dataflow=dataflow,
-                    count_dead_steps=count_dead_steps,
                     tp=tp,
                 ).replay()
                 for engine in self.engines

@@ -42,13 +42,15 @@ The cache is a radix trie keyed by token content:
   flagging itself *tainted* — its own later exports are impure and are
   registered as ``policy_state=None``, and a later pure registrant
   upgrades such missing snapshots in place.
-- **LRU + TTL dual eviction.**  A lazy min-heap orders nodes by last
-  use.  Under pool pressure :meth:`reclaim` pops the heap once —
-  evictable leaves drop in LRU order, and a parent that loses its last
-  child is re-queued so a single scan can drain a whole idle chain (the
-  predecessor re-sorted the entire entry table per freed leaf).
-  Independently, entries idle longer than ``ttl`` clock ticks are
-  expired during registration housekeeping, even without pressure.
+- **LRU eviction.**  A lazy min-heap orders nodes by last use.  Under
+  pool pressure (or past the ``max_blocks`` bound) :meth:`reclaim` pops
+  the heap once — evictable leaves drop in LRU order, and a parent that
+  loses its last child is re-queued so a single scan can drain a whole
+  idle chain (the predecessor re-sorted the entire entry table per freed
+  leaf).
+- **One walk, two modes.**  :meth:`match` (an admission: counts the
+  lookup, refreshes recency) and :meth:`probe` (a router's read-only
+  question) run the same longest-prefix walk; only ``match`` records.
 
 Worked example — full-block hit, then a partial mid-block tail::
 
@@ -176,12 +178,6 @@ class PrefixCache:
         LRU capacity bound, in pool blocks held by the trie; ``None``
         keeps every registered block resident.  Best-effort: blocks
         pinned by live adopters cannot be shed.
-    ttl:
-        Idle lifetime in lookup-clock ticks (each :meth:`match` /
-        :meth:`insert` advances the clock by one).  Entries idle longer
-        are expired during registration housekeeping and under reclaim
-        pressure, even when ``max_blocks`` is not exceeded.  ``None``
-        (default) disables expiry.
     match_mode:
         ``"token"`` (default) enables partial-tail hits for unbudgeted
         adopters; ``"block"`` restricts every match to full-block
@@ -189,20 +185,17 @@ class PrefixCache:
         ablation baseline for the hit-rate comparison.
     """
 
-    def __init__(self, block_size, max_blocks=None, ttl=None, match_mode="token"):
+    def __init__(self, block_size, max_blocks=None, match_mode="token"):
         if block_size <= 0:
             raise ValueError(f"block_size must be positive, got {block_size}")
         if max_blocks is not None and max_blocks <= 0:
             raise ValueError(f"max_blocks must be positive, got {max_blocks}")
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"ttl must be positive, got {ttl}")
         if match_mode not in ("token", "block"):
             raise ValueError(
                 f"match_mode must be 'token' or 'block', got {match_mode!r}"
             )
         self.block_size = int(block_size)
         self.max_blocks = max_blocks
-        self.ttl = ttl
         self.match_mode = match_mode
         self._roots = {}  # policy_key -> PrefixNode
         self._heap = []  # (last_used, tiebreak, node), lazy entries
@@ -266,14 +259,40 @@ class PrefixCache:
         must be bit-exact).  Returns a :class:`PrefixMatch`; counters
         update whether or not anything matched.
         """
+        return self._walk(prompt, policy_key, budgeted, record=True)
+
+    def probe(self, prompt, policy_key, budgeted=False):
+        """Read-only longest-prefix lookup: the token coverage
+        :meth:`match` *would* report for ``prompt``, without touching
+        the lookup clock, the hit counters, or LRU recency.
+
+        A fleet router probes every replica's trie before placing a
+        request; only the chosen replica's eventual :meth:`match` may
+        count as a lookup or refresh recency, otherwise the probes
+        themselves would perturb eviction order and metrics.  Returns
+        the would-be ``shared_length`` in tokens (0 on a miss).
+        """
+        return self._walk(prompt, policy_key, budgeted, record=False).shared_length
+
+    def _walk(self, prompt, policy_key, budgeted, record):
+        """The longest-prefix walk behind :meth:`match` and :meth:`probe`.
+        With ``record`` the lookup ticks the clock, counts in the hit
+        metrics and refreshes the recency of every node it adopts;
+        without it the trie is left exactly as found."""
         tokens = tuple(int(t) for t in prompt)
-        self._clock += 1
-        self.lookups += 1
-        self.tokens_seen += len(tokens)
+        if record:
+            self._clock += 1
+            self.lookups += 1
+            self.tokens_seen += len(tokens)
+            root = self.root(policy_key)
+        else:
+            root = self._roots.get(policy_key)
+            if root is None:
+                return PrefixMatch()
         limit = len(tokens) - 1
         block = self.block_size
 
-        node = self.root(policy_key)
+        node = root
         nodes = []
         pos = 0
         tail_node = None
@@ -290,7 +309,6 @@ class PrefixCache:
                         full = child
                         break
             if full is not None:
-                self._touch(full)
                 nodes.append(full)
                 node = full
                 pos += block
@@ -299,22 +317,22 @@ class PrefixCache:
                 # Divergence (or the one-live-row cap) lands mid-block:
                 # adopt the resident block with the longest common run.
                 window = tokens[pos : min(pos + block, limit)]
-                best, best_length = None, 0
                 for child in bucket:
                     common = _common_prefix(child.tokens, window)
-                    if common > best_length:
-                        best, best_length = child, common
-                if best is not None:
-                    self._touch(best)
-                    tail_node, tail_length = best, best_length
+                    if common > tail_length:
+                        tail_node, tail_length = child, common
             break
 
+        if record:
+            for walked in nodes:
+                self._touch(walked)
+            if tail_node is not None:
+                self._touch(tail_node)
         if budgeted:
             # Coverage must end at a pure snapshot: intermediate nodes
             # without one are fine (a deeper snapshot is cumulative over
             # all earlier rows), but the chain is cut after the deepest
-            # snapshot-bearing node.
-            tail_node, tail_length = None, 0
+            # snapshot-bearing node.  (Budgeted walks never take a tail.)
             while nodes and nodes[-1].policy_state is None:
                 nodes.pop()
 
@@ -326,74 +344,18 @@ class PrefixCache:
                 break
 
         shared = (nodes[-1].depth if nodes else 0) + tail_length
-        if shared:
+        if record and shared:
             self.hits += 1
             self.tokens_hit += shared
         return PrefixMatch(
             nodes=nodes,
             tail_node=tail_node,
             tail_length=tail_length,
-            parent=nodes[-1] if nodes else self.root(policy_key),
+            parent=nodes[-1] if nodes else root,
             shared_length=shared,
             policy_state=snapshot,
             policy_length=snapshot_depth,
         )
-
-    def probe(self, prompt, policy_key, budgeted=False):
-        """Read-only longest-prefix lookup: the token coverage
-        :meth:`match` *would* report for ``prompt``, without touching
-        the lookup clock, the hit counters, or LRU recency.
-
-        A fleet router probes every replica's trie before placing a
-        request; only the chosen replica's eventual :meth:`match` may
-        count as a lookup or refresh recency, otherwise the probes
-        themselves would perturb eviction order and metrics.  Returns
-        the would-be ``shared_length`` in tokens (0 on a miss).
-        """
-        tokens = tuple(int(t) for t in prompt)
-        limit = len(tokens) - 1
-        block = self.block_size
-
-        node = self._roots.get(policy_key)
-        if node is None:
-            return 0
-        depth = 0
-        pos = 0
-        tail_length = 0
-        trail = []  # snapshot-bearing flags for the budgeted cut
-        while pos < limit:
-            bucket = node.children.get(tokens[pos])
-            if not bucket:
-                break
-            label = tokens[pos : pos + block]
-            full = None
-            if pos + block <= limit:
-                for child in bucket:
-                    if child.tokens == label:
-                        full = child
-                        break
-            if full is not None:
-                trail.append(full)
-                node = full
-                depth = full.depth
-                pos += block
-                continue
-            if self.match_mode == "token" and not budgeted:
-                window = tokens[pos : min(pos + block, limit)]
-                for child in bucket:
-                    common = _common_prefix(child.tokens, window)
-                    if common > tail_length:
-                        tail_length = common
-            break
-
-        if budgeted:
-            # Mirror match(): budgeted coverage ends at the deepest
-            # pure-snapshot node, at full-block granularity.
-            tail_length = 0
-            while trail and trail[-1].policy_state is None:
-                trail.pop()
-            depth = trail[-1].depth if trail else 0
-        return depth + tail_length
 
     # ------------------------------------------------------------------
     # Registration
@@ -442,14 +404,10 @@ class PrefixCache:
         self._num_blocks_held += len(node.layer_block_ids)
         self._touch(node)
 
-        # Registration housekeeping: expire idle entries, then hold the
-        # LRU capacity bound (best-effort — pinned blocks cannot shed).
-        if self.ttl is not None:
-            self.expire(pool)
-        if self.max_blocks is not None and self._num_blocks_held > self.max_blocks:
-            self._sweep(
-                pool, blocks_needed=self._num_blocks_held - self.max_blocks
-            )
+        # Registration housekeeping: hold the LRU capacity bound
+        # (best-effort — pinned blocks cannot shed).
+        if self.max_blocks is not None:
+            self.reclaim(pool, self._num_blocks_held - self.max_blocks)
         return node
 
     # ------------------------------------------------------------------
@@ -459,34 +417,14 @@ class PrefixCache:
         """Release at least ``blocks_needed`` idle blocks if possible
         (the pool's pressure callback).  One heap scan: evictable leaves
         drop in LRU order, a parent orphaned by its last child's drop is
-        re-queued into the same scan, pinned entries are deferred.
-        Returns the number of pool blocks actually freed."""
-        if blocks_needed <= 0:
-            return 0
-        return self._sweep(pool, blocks_needed=blocks_needed)
-
-    def expire(self, pool):
-        """Drop every evictable entry idle for more than ``ttl`` clock
-        ticks (no-op when ``ttl`` is None).  Returns blocks freed."""
-        if self.ttl is None:
-            return 0
-        return self._sweep(pool, older_than=self._clock - self.ttl)
-
-    def _sweep(self, pool, blocks_needed=None, older_than=None):
-        """One pass over the LRU heap.  Stops once ``blocks_needed``
-        blocks are freed (when given) and/or when the heap top is newer
-        than ``older_than`` (when given); entries whose blocks live
-        adopters still pin are deferred and re-queued afterwards."""
+        re-queued into the same scan, pinned entries are deferred and
+        re-queued afterwards.  Returns the number of pool blocks
+        actually freed."""
         freed = 0
         deferred = []
         heap = self._heap
-        while heap:
-            if blocks_needed is not None and freed >= blocks_needed:
-                break
-            timestamp, tiebreak, node = heap[0]
-            if older_than is not None and timestamp > older_than:
-                break
-            heapq.heappop(heap)
+        while heap and freed < blocks_needed:
+            timestamp, tiebreak, node = heapq.heappop(heap)
             if node.detached or timestamp != node.last_used:
                 continue  # stale: a fresher entry is (or was) in the heap
             if node.children:

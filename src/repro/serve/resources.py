@@ -5,12 +5,15 @@ their own slot/block bookkeeping inline in the admit/release paths.
 :class:`KVResourceManager` centralizes every device resource a sequence
 can hold — its batch slot, its :class:`~repro.serve.paging.BlockPool`
 blocks, and the prefix-cache reservations that pin pool blocks across
-requests — behind one ``can_admit / admit / preempt-side (release /
-swap_out) / resume (swap_in) / retire`` surface, for all four serving
-modes (dense/paged x scheduler/engine).  It is also the only place that
-knows which storage layout is in use: every block-demand, pool-capacity,
-fork-footprint and KV-usage question the scheduler asks is answered
-here, with dense storage answering "no blocks, unbounded pool".
+requests — behind one ``can_admit / admit / swap_out / swap_in /
+retire`` surface (``retire`` also serves recompute-preemption), for all
+four serving modes (dense/paged x scheduler/engine).  Its request-to-cache map is the
+one registry of device-resident KV: it builds each sequence's dense or
+paged cache and returns paged blocks to the pool at retire and
+swap-out.  It is also the only place that knows which storage layout is
+in use: every block-demand, pool-capacity, fork-footprint and KV-usage
+question the scheduler asks is answered here, with dense storage
+answering "no blocks, unbounded pool".
 
 Two admission regimes live here:
 
@@ -29,7 +32,7 @@ Two admission regimes live here:
 Preemption itself has two flavors, priced very differently by the
 co-simulator:
 
-- **recompute** (:meth:`KVResourceManager.release`): drop all device
+- **recompute** (:meth:`KVResourceManager.retire`): drop all device
   state.  Re-admission re-prefills the prompt *plus the tokens generated
   so far* — pure compute, no transfer traffic.  Bit-exact for sequences
   without a KV budget (prefill and decode produce bitwise-identical KV
@@ -93,7 +96,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.engine import sequence_capacity
-from repro.core.kv_cache import BatchedKVCache
+from repro.core.kv_cache import KVCache
 from repro.serve.paging import BlockPool, PagedKVCache
 from repro.serve.prefix_cache import PrefixCache
 
@@ -167,7 +170,7 @@ class KVResourceManager:
         Batch slots — the admission cap on concurrently resident
         sequences.
     paged, block_size, num_blocks, prefix_caching, prefix_cache_blocks, \
-prefix_ttl, prefix_match_mode:
+prefix_match_mode:
         The paged-memory knobs, exactly as on
         :class:`~repro.serve.scheduler.Scheduler` (which forwards them
         here).
@@ -190,7 +193,6 @@ prefix_ttl, prefix_match_mode:
         num_blocks=None,
         prefix_caching=True,
         prefix_cache_blocks=None,
-        prefix_ttl=None,
         prefix_match_mode="token",
         preempt="off",
         policy_factory=None,
@@ -215,7 +217,6 @@ prefix_ttl, prefix_match_mode:
                 PrefixCache(
                     block_size,
                     max_blocks=prefix_cache_blocks,
-                    ttl=prefix_ttl,
                     match_mode=prefix_match_mode,
                 )
                 if prefix_caching
@@ -226,16 +227,9 @@ prefix_ttl, prefix_match_mode:
                 self.block_pool.reclaimer = (
                     lambda needed: self.prefix_cache.reclaim(pool, needed)
                 )
-            self.cache_bank = BatchedKVCache.for_model(
-                config,
-                cache_factory=lambda capacity: PagedKVCache(
-                    self.block_pool, config.n_layers, capacity
-                ),
-            )
         else:
             self.block_pool = None
             self.prefix_cache = None
-            self.cache_bank = BatchedKVCache.for_model(config)
 
         self._admitted = {}  # request_id -> cache (device-resident)
         self._reservations = {}  # request_id -> worst-case pool blocks
@@ -554,13 +548,23 @@ prefix_ttl, prefix_match_mode:
         prefix-registration CoW term)."""
         if self.slots_free <= 0:
             raise RuntimeError("admit with no free batch slot")
-        cache = self.cache_bank.add_sequence(request_id, capacity)
-        self._admitted[request_id] = cache
+        cache = self._new_cache(request_id, capacity)
         self._reservations[request_id] = (
             self.worst_case_blocks(capacity)
             if reserved_blocks is None
             else reserved_blocks
         )
+        return cache
+
+    def _new_cache(self, request_id, capacity):
+        """Build and register an empty cache for ``request_id``: blocks
+        from the pool when paged, a dense slab otherwise."""
+        config = self.config
+        if self.paged:
+            cache = PagedKVCache(self.block_pool, config.n_layers, capacity)
+        else:
+            cache = KVCache(config.n_layers, config.n_heads, config.head_dim, capacity)
+        self._admitted[request_id] = cache
         return cache
 
     def fork(self, parent_id, child_id, reserved_blocks=None, family=None):
@@ -580,9 +584,7 @@ prefix_ttl, prefix_match_mode:
             self.reserve_slots(family, remaining)
         elif self.slots_free <= 0:
             raise RuntimeError("fork with no free batch slot")
-        parent = self._admitted[parent_id]
-        child = parent.fork()
-        self.cache_bank.adopt_sequence(child_id, child)
+        child = self._admitted[parent_id].fork()
         self._admitted[child_id] = child
         self._reservations[child_id] = (
             self._reservations.get(parent_id, 0)
@@ -615,17 +617,14 @@ prefix_ttl, prefix_match_mode:
         self.retire(request_id)
 
     def retire(self, request_id):
-        """Free a retired sequence's slot and cache (blocks return to the
-        pool in paged mode)."""
-        self.cache_bank.remove_sequence(request_id)
-        del self._admitted[request_id]
+        """Free a sequence's slot, reservation and cache — at retirement,
+        and at recompute-preemption, whose victim re-admits later and
+        re-prefills.  Paged blocks return to the pool (blocks still
+        shared elsewhere just drop a refcount)."""
+        cache = self._admitted.pop(request_id)
         self._reservations.pop(request_id, None)
-
-    def release(self, request_id):
-        """Recompute-preemption: drop all device state.  Identical
-        resource effect to :meth:`retire`; spelled separately because the
-        sequence is *not* done — it re-admits later and re-prefills."""
-        self.retire(request_id)
+        if self.paged:
+            cache.release()
 
     def swap_out(self, state):
         """Page ``state``'s KV cache (and eviction state) to the host
@@ -663,9 +662,7 @@ prefix_ttl, prefix_match_mode:
         state.policy = None
         state.cache = None
 
-        self.cache_bank.remove_sequence(request_id)
-        del self._admitted[request_id]
-        self._reservations.pop(request_id, None)
+        self.retire(request_id)
         self._swapped[request_id] = image
 
         self.swap_outs += 1
@@ -684,7 +681,7 @@ prefix_ttl, prefix_match_mode:
         if self.slots_free <= 0:
             self._swapped[request_id] = image
             raise RuntimeError("swap_in with no free batch slot")
-        cache = self.cache_bank.add_sequence(request_id, image.capacity)
+        cache = self._new_cache(request_id, image.capacity)
         for layer, length in enumerate(image.lengths):
             if length:
                 cache[layer].append_block(
@@ -706,7 +703,6 @@ prefix_ttl, prefix_match_mode:
 
         state.cache = cache
         state.status = image.status
-        self._admitted[request_id] = cache
         self._reservations[request_id] = self.worst_case_blocks(image.capacity)
         if self.paged:
             image.blocks_in = cache.num_blocks
@@ -733,7 +729,10 @@ prefix_ttl, prefix_match_mode:
             pool = self.block_pool
             self.peak_kv_slots = pool.peak_in_use * pool.block_size
             if pool.num_used:
-                self._utilization_sum += self.cache_bank.total_entries / (
+                entries = sum(
+                    sum(cache.lengths) for cache in self._admitted.values()
+                )
+                self._utilization_sum += entries / (
                     pool.num_used * pool.block_size
                 )
                 self._utilization_rounds += 1

@@ -466,8 +466,6 @@ class Scheduler:
     budget:
         Default per-sequence KV budget (``None`` = no eviction); a
         request's own ``budget`` field overrides it.
-    evictions_per_step:
-        Per-layer per-step eviction cap, as in the engine.
     sampler:
         ``sampler(logits, rng) -> token`` (default greedy).
     paged:
@@ -496,10 +494,6 @@ class Scheduler:
         ``None`` keeps every registered block resident.  Bounding it is
         what keeps never-rehit unique-suffix blocks from pinning pool
         memory across the whole trace.
-    prefix_ttl:
-        Idle lifetime for prefix-trie entries, in lookup-clock ticks
-        (the trie's second eviction axis next to the LRU bound);
-        ``None`` (default) disables expiry.
     prefix_match_mode:
         ``"token"`` (default) allows partial mid-block tail hits for
         unbudgeted sequences; ``"block"`` restricts matching to full
@@ -555,11 +549,6 @@ class Scheduler:
         swap: only swap resumes a reshaped cache bit-exactly.  Whenever
         capacity suffices, no preemption fires and all settings produce
         bit-identical tokens, eviction logs, and traces.
-    auto_fast_forward:
-        Jump the round clock over idle gaps to the next queued arrival
-        (default, right for a pre-submitted trace).  The serving engine
-        disables this to own the clock: with streaming submission a
-        request may still arrive *during* the gap.
     draft_model:
         Optional cheap :class:`~repro.models.inference.CachedTransformer`
         (same vocabulary as ``model``) enabling speculative decoding:
@@ -580,20 +569,17 @@ class Scheduler:
         policy_factory=None,
         max_batch_size=8,
         budget=None,
-        evictions_per_step=None,
         sampler=greedy,
         paged=False,
         block_size=16,
         num_blocks=None,
         prefix_caching=True,
         prefix_cache_blocks=None,
-        prefix_ttl=None,
         prefix_match_mode="token",
         prefill_chunk=None,
         adaptive_chunk=False,
         cost_model=None,
         admission_policy=None,
-        auto_fast_forward=True,
         preempt="off",
         draft_model=None,
         spec_k=4,
@@ -621,8 +607,6 @@ class Scheduler:
                 )
         if budget is not None and budget <= 0:
             raise ValueError(f"budget must be positive, got {budget}")
-        if evictions_per_step is not None and evictions_per_step <= 0:
-            raise ValueError("evictions_per_step must be positive")
         if prefill_chunk is not None and prefill_chunk <= 0:
             raise ValueError(
                 f"prefill_chunk must be positive, got {prefill_chunk}"
@@ -654,14 +638,12 @@ class Scheduler:
         #: ``prefill_chunk`` unless adaptive chunking re-sized it).
         self._round_chunk = self.prefill_chunk
         self.admission_policy = admission_policy
-        self.auto_fast_forward = bool(auto_fast_forward)
         self.model = model
         self.policy_factory = policy_factory or (
             lambda: VotingPolicy(model.config.n_layers)
         )
         self.max_batch_size = int(max_batch_size)
         self.budget = budget
-        self.evictions_per_step = evictions_per_step
         self.sampler = sampler
         self.preempt = preempt
         self.draft_model = draft_model
@@ -678,7 +660,6 @@ class Scheduler:
             num_blocks=num_blocks,
             prefix_caching=prefix_caching,
             prefix_cache_blocks=prefix_cache_blocks,
-            prefix_ttl=prefix_ttl,
             prefix_match_mode=prefix_match_mode,
             preempt=preempt,
             policy_factory=self.policy_factory,
@@ -928,6 +909,12 @@ class Scheduler:
         scheduler iterations executed by *this call* (``None`` = drain
         completely) — the horizon valve overload experiments use to show
         one-way scheduling stalling where two-way scheduling retires.
+
+        Idle gaps are skipped: with nothing running and the next queued
+        arrival still in the future, the clock jumps to that arrival
+        before the round runs (right for a pre-submitted trace; the
+        serving engine steps :meth:`run_round` itself and owns the clock,
+        since a streamed request may still arrive during the gap).
         """
         if max_rounds is not None and max_rounds <= 0:
             raise ValueError(f"max_rounds must be positive, got {max_rounds}")
@@ -936,6 +923,10 @@ class Scheduler:
         while not self.done:
             if max_rounds is not None and executed >= max_rounds:
                 break
+            if not self._running and self._waiting:
+                next_arrival = self._waiting[0].request.arrival_time
+                if next_arrival > self.round_index:
+                    self.round_index = next_arrival
             self.run_round()
             executed += 1
         wall = time.perf_counter() - start
@@ -950,15 +941,10 @@ class Scheduler:
         counts, per-sequence decode attention lengths), which the
         serving co-simulator prices after the fact.  With
         ``prefill_chunk`` set, in-flight chunked prefills consume the
-        round's prompt-token budget before new admissions do.
+        round's prompt-token budget before new admissions do.  The
+        clock advances by exactly one round (idle-gap skipping is
+        :meth:`run`'s job).
         """
-        # Fast-forward through idle time: nothing running and the next
-        # arrival is still in the future.
-        if self.auto_fast_forward and not self._running and self._waiting:
-            next_arrival = self._waiting[0].request.arrival_time
-            if next_arrival > self.round_index:
-                self.round_index = next_arrival
-
         # The round's chunk budget must be fixed before headroom is
         # secured: _round_block_demand sizes this round's prefill claims
         # from it.
@@ -1333,7 +1319,7 @@ class Scheduler:
                 )
             )
         else:
-            self.manager.release(state.request_id)
+            self.manager.retire(state.request_id)
             state.status = PREEMPTED
             state.cache = None
             state.policy = None
@@ -1458,7 +1444,6 @@ class Scheduler:
                 budget,
                 step=0,
                 log=state.evictions,
-                evictions_per_step=self.evictions_per_step,
             )
             state.cache_lengths.append(state.cache[0].length)
             state.logits = logits
@@ -1641,7 +1626,6 @@ class Scheduler:
                 budget,
                 step=state.num_generated,
                 log=state.evictions,
-                evictions_per_step=self.evictions_per_step,
             )
             state.cache_lengths.append(state.cache[0].length)
             state.logits = result.logits[b]
@@ -2001,7 +1985,6 @@ class Scheduler:
                 budget,
                 step=state.num_generated,
                 log=state.evictions,
-                evictions_per_step=self.evictions_per_step,
                 width=width,
             )
             state.cache_lengths.append(width)
@@ -2075,12 +2058,6 @@ class Scheduler:
             # A finished beam branch frees a width slot the next advance
             # re-forks into; a fully finished family drops every claim.
             self._sync_family(self._families[state.family])
-
-    def release_prefix_cache(self):
-        """Drop every prefix-cache entry, returning its blocks to the
-        pool (end-of-trace teardown; afterwards an idle fixed pool is
-        fully free again)."""
-        self.manager.clear_prefix_cache()
 
     def _retire(self):
         finished = [s for s in self._running if s.status == FINISHED]

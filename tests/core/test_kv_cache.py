@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.kv_cache import BatchedKVCache, KVCache, LayerKVCache
+from repro.core.kv_cache import KVCache, LayerKVCache
 
 
 @pytest.fixture()
@@ -109,49 +109,3 @@ class TestKVCache:
         with pytest.raises(ValueError):
             LayerKVCache(2, 4, capacity=0)
 
-
-class TestBatchedKVCache:
-    def test_add_get_remove_lifecycle(self):
-        bank = BatchedKVCache(n_layers=2, n_heads=2, head_dim=4)
-        cache = bank.add_sequence("a", capacity=4)
-        assert bank.get("a") is cache
-        assert "a" in bank and len(bank) == 1
-        removed = bank.remove_sequence("a")
-        assert removed is cache
-        assert "a" not in bank and len(bank) == 0
-
-    def test_duplicate_and_unknown_ids_raise(self):
-        bank = BatchedKVCache(n_layers=1, n_heads=2, head_dim=4)
-        bank.add_sequence("a", capacity=4)
-        with pytest.raises(KeyError):
-            bank.add_sequence("a", capacity=4)
-        with pytest.raises(KeyError):
-            bank.get("b")
-        with pytest.raises(KeyError):
-            bank.remove_sequence("b")
-
-    def test_sequences_are_independent(self):
-        bank = BatchedKVCache(n_layers=1, n_heads=2, head_dim=4)
-        first = bank.add_sequence("a", capacity=4)
-        second = bank.add_sequence("b", capacity=8)
-        first[0].append(*kv(1), position=0)
-        assert first[0].length == 1
-        assert second[0].length == 0
-        assert bank.total_entries == 1
-
-    def test_select_preserves_order(self):
-        bank = BatchedKVCache(n_layers=1, n_heads=2, head_dim=4)
-        a = bank.add_sequence("a", capacity=4)
-        b = bank.add_sequence("b", capacity=4)
-        assert bank.select(["b", "a"]) == [b, a]
-        assert bank.sequence_ids == ["a", "b"]
-
-    def test_capacity_is_per_sequence(self):
-        bank = BatchedKVCache(n_layers=1, n_heads=2, head_dim=4)
-        small = bank.add_sequence("small", capacity=1)
-        small[0].append(*kv(0), position=0)
-        with pytest.raises(RuntimeError):
-            small[0].append(*kv(1), position=1)
-        large = bank.add_sequence("large", capacity=2)
-        large[0].append(*kv(0), position=0)
-        large[0].append(*kv(1), position=1)

@@ -13,6 +13,23 @@ class TestCommon:
         text = format_table(rows, title="t")
         assert "t" in text and "a" in text and "2.500" in text and "-" in text
 
+    def test_small_values_keep_significant_digits(self):
+        """A nonzero float below 0.001 (e.g. joules/token) must not
+        render as ``0.000``; zero and larger values format as before."""
+        rows = [
+            {"v": 2.341e-4},
+            {"v": -6.78e-6},
+            {"v": 0.0},
+            {"v": 0.001},
+            {"v": 0.5},
+            {"v": 12.5},
+            {"v": 1234.0},
+        ]
+        cells = format_table(rows).split("\n")[2:]
+        assert [cell.strip() for cell in cells] == [
+            "0.000234", "-6.78e-06", "0", "0.001", "0.500", "12.50", "1,234",
+        ]
+
     def test_empty(self):
         assert format_table([]) == "(empty table)"
 

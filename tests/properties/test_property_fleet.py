@@ -107,7 +107,7 @@ class TestReplicaConservation:
             assert (
                 pool.num_used == scheduler.manager.prefix_cache.num_blocks_held
             )
-            scheduler.release_prefix_cache()
+            scheduler.manager.clear_prefix_cache()
             assert pool.num_free == pool.num_blocks
 
 

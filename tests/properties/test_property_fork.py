@@ -36,10 +36,10 @@ def pattern(tag, layer, start, length):
     )
 
 
-def append_rows(manager, expected, tag, rows):
+def append_rows(caches, expected, tag, rows):
     """Append ``rows`` patterned slots to every layer of ``tag``'s cache,
     extending the tracked expectation."""
-    cache = manager.cache_bank.get(tag)
+    cache = caches[tag]
     for layer_index, layer in enumerate(cache):
         start = layer.length
         block = pattern(tag, layer_index, start, rows)
@@ -49,10 +49,10 @@ def append_rows(manager, expected, tag, rows):
         )
 
 
-def assert_no_cross_branch_writes(manager, expected):
+def assert_no_cross_branch_writes(caches, expected):
     """Every live cache reads back exactly what its own lineage wrote."""
     for tag, per_layer in expected.items():
-        cache = manager.cache_bank.get(tag)
+        cache = caches[tag]
         for layer_index, layer in enumerate(cache):
             np.testing.assert_array_equal(layer.keys, per_layer[layer_index])
             np.testing.assert_array_equal(
@@ -60,12 +60,12 @@ def assert_no_cross_branch_writes(manager, expected):
             )
 
 
-def assert_refcounts_exact(manager, expected):
+def assert_refcounts_exact(manager, caches, expected):
     """Pool refcounts == live table references, num_used == distinct."""
     pool = manager.block_pool
     references = {}
     for tag in expected:
-        for layer in manager.cache_bank.get(tag):
+        for layer in caches[tag]:
             for block_id in layer.block_ids:
                 references[block_id] = references.get(block_id, 0) + 1
     assert pool.num_used == len(references)
@@ -105,6 +105,7 @@ class TestForkConservation:
         )
         pool = manager.block_pool
         expected = {}  # tag -> per-layer expected (H, n, d) keys
+        caches = {}  # tag -> the cache admit/fork returned
         next_root = 0
         next_child = 0
 
@@ -117,17 +118,17 @@ class TestForkConservation:
                     continue
                 tag = f"root{next_root}"
                 next_root += 1
-                manager.admit(tag, length + 16)
+                caches[tag] = manager.admit(tag, length + 16)
                 expected[tag] = [
                     np.zeros((CONFIG.n_heads, 0, CONFIG.head_dim))
                     for _ in range(CONFIG.n_layers)
                 ]
-                append_rows(manager, expected, tag, length)
+                append_rows(caches, expected, tag, length)
             elif op == "fork" and live and manager.slots_free > 0:
                 parent = live[pick % len(live)]
                 child = f"{parent}#c{next_child}"
                 next_child += 1
-                manager.fork(parent, child)
+                caches[child] = manager.fork(parent, child)
                 # The child's lineage so far is exactly the parent's.
                 expected[child] = [
                     arr.copy() for arr in expected[parent]
@@ -140,7 +141,7 @@ class TestForkConservation:
                 worst = CONFIG.n_layers * (2 + rows // BLOCK_SIZE)
                 if not manager.has_blocks(worst):
                     continue
-                append_rows(manager, expected, tag, rows)
+                append_rows(caches, expected, tag, rows)
             elif op == "prune" and live:
                 tag = live[pick % len(live)]
                 manager.join(tag)
@@ -150,8 +151,8 @@ class TestForkConservation:
                 manager.retire(tag)
                 del expected[tag]
 
-            assert_refcounts_exact(manager, expected)
-            assert_no_cross_branch_writes(manager, expected)
+            assert_refcounts_exact(manager, caches, expected)
+            assert_no_cross_branch_writes(caches, expected)
             assert manager.slots_used == len(expected)
 
         assert manager.joins + manager.forks >= 0  # counters monotone
@@ -181,29 +182,29 @@ class TestForkConservation:
             np.zeros((CONFIG.n_heads, 0, CONFIG.head_dim))
             for _ in range(CONFIG.n_layers)
         ]}
-        manager.admit("root", length + 16)
-        append_rows(manager, expected, "root", length)
+        caches = {"root": manager.admit("root", length + 16)}
+        append_rows(caches, expected, "root", length)
         used_before = pool.num_used
 
         children = []
         for i in range(width - 1):
             child = f"root#{i + 1}"
-            manager.fork("root", child)
+            caches[child] = manager.fork("root", child)
             expected[child] = [arr.copy() for arr in expected["root"]]
             children.append(child)
         assert pool.num_used == used_before  # CoW: zero new blocks
 
         if extra_rows:
             for tag in ["root"] + children:
-                append_rows(manager, expected, tag, extra_rows)
-            assert_no_cross_branch_writes(manager, expected)
-        assert_refcounts_exact(manager, expected)
+                append_rows(caches, expected, tag, extra_rows)
+            assert_no_cross_branch_writes(caches, expected)
+        assert_refcounts_exact(manager, caches, expected)
 
         # Prune every child: the pool returns to the root-only footprint.
         for child in children:
             manager.join(child)
             del expected[child]
-        assert_refcounts_exact(manager, expected)
+        assert_refcounts_exact(manager, caches, expected)
         manager.retire("root")
         assert pool.num_free == pool.num_blocks
 
@@ -252,7 +253,7 @@ class TestForkComposesWithPrefixTrie:
             )
         pool = paged.manager.block_pool
         assert pool.num_used == paged.manager.prefix_cache.num_blocks_held
-        paged.release_prefix_cache()
+        paged.manager.clear_prefix_cache()
         assert pool.num_free == pool.num_blocks
 
 

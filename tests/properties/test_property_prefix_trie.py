@@ -1,11 +1,15 @@
 """Property-based tests: the radix-trie prefix cache.
 
-Four invariants drawn over random block sequences:
+Five invariants drawn over random block sequences:
 
 - **Roundtrip / oracle** — ``match`` returns exactly the longest common
   prefix between the prompt and any registered chain (capped at
   ``len(prompt) - 1``); budgeted matches are the block-granular floor of
   the same quantity.
+- **Probe is a read-only match** — ``probe`` returns the
+  ``shared_length`` the following ``match`` adopts, in both match modes,
+  budgeted or not, and leaves the hit counters, the lookup clock and the
+  LRU heap untouched.
 - **Partial-tail CoW never aliases** — adopting a divergent block at a
   mid-block shared length and then appending must copy, never clobber,
   the resident prefix.
@@ -106,6 +110,69 @@ class TestMatchOracle:
             hit = cache.match(tokens + (0,), ("test",))
             assert hit.shared_length == len(tokens)
             assert hit.parent.depth == len(tokens)
+
+
+def trie_bookkeeping(cache):
+    """Everything a lookup may touch: counters, clock, and LRU heap."""
+    return (
+        cache.lookups,
+        cache.hits,
+        cache.tokens_seen,
+        cache.tokens_hit,
+        cache._clock,
+        list(cache._heap),
+    )
+
+
+class TestProbeIsReadOnlyMatch:
+    @given(
+        chains=st.lists(
+            st.tuples(chain, st.lists(st.booleans(), min_size=4, max_size=4)),
+            min_size=1,
+            max_size=5,
+        ),
+        lookups=st.lists(
+            st.tuples(
+                st.integers(0, 4),  # which chain the prompt extends
+                st.integers(0, 4 * BLOCK),  # how much of it
+                st.lists(token, min_size=1, max_size=6),  # fresh suffix
+                st.booleans(),
+                st.sampled_from([("test",), ("other",)]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        match_mode=st.sampled_from(["token", "block"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_probe_equals_match_without_side_effects(
+        self, chains, lookups, match_mode
+    ):
+        """``probe`` reports the coverage ``match`` then adopts, budgeted
+        or not, in either match mode — and moves no counter, clock tick
+        or LRU heap entry doing so."""
+        pool = BlockPool(n_heads=1, head_dim=2, block_size=BLOCK)
+        cache = PrefixCache(block_size=BLOCK, match_mode=match_mode)
+        for tokens, snapshots in chains:
+            parent = cache.root(("test",))
+            for b, start in enumerate(range(0, len(tokens), BLOCK)):
+                block_id = pool.allocate()
+                parent = cache.insert(
+                    parent,
+                    tokens[start : start + BLOCK],
+                    [block_id],
+                    [("snap", start + BLOCK)] if snapshots[b] else None,
+                    pool,
+                )
+                pool.release(block_id)
+        for pick, cut, suffix, budgeted, key in lookups:
+            # Prompts extend registered chains, so full-block, mid-block
+            # and snapshot-cut coverage all actually occur.
+            prompt = chains[pick % len(chains)][0][:cut] + tuple(suffix)
+            before = trie_bookkeeping(cache)
+            probed = cache.probe(prompt, key, budgeted)
+            assert trie_bookkeeping(cache) == before
+            assert probed == cache.match(prompt, key, budgeted).shared_length
 
 
 class TestPartialTailNeverAliases:

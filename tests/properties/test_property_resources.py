@@ -112,7 +112,7 @@ class TestManagerConservation:
                     state.status = SWAPPED
                     swapped.add(request_id)
                 else:
-                    manager.release(request_id)
+                    manager.retire(request_id)
                     del states[request_id]
             elif op == "resume" and swapped:
                 request_id = sorted(swapped)[pick % len(swapped)]

@@ -335,7 +335,7 @@ class TestBeamSearch:
             if s.finish_reason == "beam_pruned"
         )
         pool = scheduler.manager.block_pool
-        scheduler.release_prefix_cache()
+        scheduler.manager.clear_prefix_cache()
         assert pool.num_free == pool.num_blocks
 
     def test_beam_matches_across_dense_and_paged(self, model, serve_requests):

@@ -133,34 +133,6 @@ class TestEviction:
         retire(pool, blocks)
         assert cache.reclaim(pool, 10) == 2  # still on the heap
 
-    def test_ttl_expires_idle_entries(self):
-        pool = BlockPool(2, 3, 4, num_blocks=32)
-        cache = PrefixCache(block_size=4, ttl=3)
-        old = make_blocks(pool)
-        cache.insert(cache.root("p"), (1, 2, 3, 4), old, None, pool)
-        retire(pool, old)
-        for _ in range(5):  # idle clock ticks
-            cache.match([9, 9], "p")
-        assert cache.expire(pool) == 2
-        assert cache.num_entries == 0
-        # A fresh entry survives housekeeping.
-        fresh = make_blocks(pool)
-        cache.insert(cache.root("p"), (5, 6, 7, 8), fresh, None, pool)
-        assert cache.expire(pool) == 0
-        assert cache.num_entries == 1
-
-    def test_ttl_housekeeping_runs_on_insert(self):
-        pool = BlockPool(2, 3, 4, num_blocks=32)
-        cache = PrefixCache(block_size=4, ttl=2)
-        old = make_blocks(pool)
-        cache.insert(cache.root("p"), (1, 2, 3, 4), old, None, pool)
-        retire(pool, old)
-        for _ in range(4):
-            cache.match([9, 9], "p")
-        fresh = make_blocks(pool)
-        cache.insert(cache.root("p"), (5, 6, 7, 8), fresh, None, pool)
-        assert cache.num_entries == 1  # the idle entry expired in passing
-
     def test_insert_under_evicted_node_raises(self):
         pool = BlockPool(2, 3, 4, num_blocks=32)
         cache = PrefixCache(block_size=4)

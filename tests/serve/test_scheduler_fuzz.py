@@ -90,7 +90,7 @@ def test_fuzzed_traces_leak_free_and_output_stable(model, seed, block_size):
     # agree with the pool's.
     pool = paged.manager.block_pool
     assert pool.num_used == paged.manager.prefix_cache.num_blocks_held
-    paged.release_prefix_cache()
+    paged.manager.clear_prefix_cache()
     assert pool.num_free == pool.num_blocks
 
 
@@ -124,7 +124,7 @@ def test_fixed_pool_completes_with_admission_gating(model, seed):
         assert paged.tokens_for(request.request_id) == dense.tokens_for(
             request.request_id
         )
-    paged.release_prefix_cache()
+    paged.manager.clear_prefix_cache()
     assert paged.manager.block_pool.num_free == paged.manager.block_pool.num_blocks
 
 
@@ -248,6 +248,6 @@ def test_forked_branch_churn_drains_pool(model, seed, preempt):
             assert scheduler.tokens_for(request.request_id) is not None
     pool = scheduler.manager.block_pool
     assert pool.num_used == scheduler.manager.prefix_cache.num_blocks_held
-    scheduler.release_prefix_cache()
+    scheduler.manager.clear_prefix_cache()
     assert pool.num_free == pool.num_blocks
     assert scheduler.manager.slots_used == 0

@@ -143,16 +143,32 @@ class TestScheduling:
         assert late["admitted"] <= finish_rounds[0] + 1
 
     def test_idle_gap_fast_forwards(self, model):
-        """A lone far-future arrival doesn't burn empty rounds."""
-        scheduler = Scheduler(
-            model, policy_factory=policy_factory_for(model), max_batch_size=2
-        )
-        request = make_requests(model, 1, arrival=lambda i: 50)[0]
-        scheduler.submit(request)
+        """A lone far-future arrival doesn't burn empty rounds under
+        ``run``; a bare ``run_round`` (the engine's step, which owns its
+        clock) never skips and advances exactly one round."""
+        def scheduler_with_late_arrival():
+            scheduler = Scheduler(
+                model, policy_factory=policy_factory_for(model), max_batch_size=2
+            )
+            scheduler.submit(make_requests(model, 1, arrival=lambda i: 50)[0])
+            return scheduler
+
+        scheduler = scheduler_with_late_arrival()
         report = scheduler.run()
         row = report.requests[0]
         assert row["admitted"] == 50
         assert row["wait_rounds"] == 0
+
+        stepped = scheduler_with_late_arrival()
+        stepped.run_round()
+        assert stepped.round_index == 1
+        assert stepped.num_waiting == 1 and not stepped.trace
+
+        bounded = scheduler_with_late_arrival()
+        bounded.run(max_rounds=1)
+        assert bounded.round_index == 51
+        assert bounded.num_running == 1
+        assert [record.round_index for record in bounded.trace] == [50]
 
     def test_duplicate_request_id_rejected(self, model):
         scheduler = Scheduler(model, max_batch_size=2)
@@ -197,7 +213,7 @@ class TestScheduling:
         (state,) = scheduler.results()
         assert state.status == FINISHED
         assert state.cache is None and state.policy is None
-        assert len(scheduler.manager.cache_bank) == 0
+        assert scheduler.manager.slots_used == 0
 
     def test_finished_request_id_stays_reserved(self, model):
         scheduler = Scheduler(
@@ -214,7 +230,3 @@ class TestScheduling:
                     max_new_tokens=2,
                 )
             )
-
-    def test_invalid_evictions_per_step_rejected(self, model):
-        with pytest.raises(ValueError):
-            Scheduler(model, evictions_per_step=0)
