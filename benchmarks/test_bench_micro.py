@@ -19,16 +19,22 @@ from repro.models.inference import CachedTransformer, stable_softmax
 from repro.models.transformer import TransformerLM
 
 
-def best_of(fn, repeats=3, calls=1):
-    """Fastest of ``repeats`` timings of ``calls`` back-to-back calls,
-    per call — the floor assertions compare these."""
-    best = float("inf")
+def best_of(fns, repeats=3, calls=1):
+    """Per function, the fastest of ``repeats`` timings of ``calls``
+    back-to-back calls, per call — the floor assertions compare these.
+
+    The functions are timed in turn within each repeat, so a stretch of
+    CPU contention on a shared host slows samples of every side instead
+    of every sample of one side; the minimum then finds each side's
+    uncontended time."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / calls
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return [b / calls for b in best]
 
 
 def causal_attention_block(rng, heads, length, scale=3.0):
@@ -126,8 +132,7 @@ def test_prefill_observe_vectorized_speedup(rng):
         vectorized.reset()
         vectorized.observe_block(0, attn, positions, PREFILL)
 
-    t_scalar = best_of(scalar_run)
-    t_vectorized = best_of(vectorized_run)
+    t_scalar, t_vectorized = best_of([scalar_run, vectorized_run], repeats=10)
 
     np.testing.assert_array_equal(
         scalar.vote_counts(0), vectorized.vote_counts(0)
@@ -174,12 +179,12 @@ def test_decode_observe_stacked_speedup(rng):
     scalar = VotingPolicy(n_layers=4, reserved_length=4)
     stacked = VotingPolicy(n_layers=4, reserved_length=4)
 
-    t_scalar = best_of(
-        lambda: EvictionPolicy.observe_step(scalar, attention, positions),
-        repeats=5, calls=200,
-    )
-    t_stacked = best_of(
-        lambda: stacked.observe_step(attention, positions), repeats=5, calls=200
+    t_scalar, t_stacked = best_of(
+        [
+            lambda: EvictionPolicy.observe_step(scalar, attention, positions),
+            lambda: stacked.observe_step(attention, positions),
+        ],
+        repeats=50, calls=20,
     )
 
     for layer in range(4):

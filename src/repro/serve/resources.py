@@ -559,6 +559,7 @@ prefix_match_mode:
     def _new_cache(self, request_id, capacity):
         """Build and register an empty cache for ``request_id``: blocks
         from the pool when paged, a dense slab otherwise."""
+        self._check_unadmitted(request_id)
         config = self.config
         if self.paged:
             cache = PagedKVCache(self.block_pool, config.n_layers, capacity)
@@ -566,6 +567,12 @@ prefix_match_mode:
             cache = KVCache(config.n_layers, config.n_heads, config.head_dim, capacity)
         self._admitted[request_id] = cache
         return cache
+
+    def _check_unadmitted(self, request_id):
+        """A request id names at most one resident cache: registering a
+        second would orphan the first (and, paged, leak its blocks)."""
+        if request_id in self._admitted:
+            raise KeyError(f"sequence {request_id!r} already admitted")
 
     def fork(self, parent_id, child_id, reserved_blocks=None, family=None):
         """Fork ``parent_id``'s cache into a new branch ``child_id``.
@@ -579,6 +586,7 @@ prefix_match_mode:
         (:meth:`~repro.serve.paging.PagedLayerKVCache.fork`); the manager
         only does the bookkeeping.  Returns the child cache.
         """
+        self._check_unadmitted(child_id)
         if family is not None and family in self._slot_reservations:
             remaining = self._slot_reservations[family] - 1
             self.reserve_slots(family, remaining)
