@@ -13,11 +13,7 @@ def save_table():
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
 
     def _save(result, extra=""):
-        text = result.to_table()
-        if result.notes:
-            text += f"\n\nNotes: {result.notes}"
-        if extra:
-            text += f"\n{extra}"
+        text = result.render(extra)
         path = RESULTS_DIR / f"{result.experiment_id}.txt"
         path.write_text(text + "\n")
         print(f"\n{text}\n[saved to {path}]")

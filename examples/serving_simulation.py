@@ -6,7 +6,8 @@ cache via the voting policy), then replays every request alone through
 ``GenerationEngine.generate`` to show two things:
 
 1. the batched path returns *exactly* the same tokens per request
-   (batch-invariant decode — see ``repro.models.inference.batch_matmul``),
+   (row-count-invariant linear layers, one BLAS gemv per row — see
+   ``repro.models.inference.batch_matmul``),
 2. batching amortizes per-step work: fewer scheduler rounds and higher
    wall-clock tokens/s than the sequential replay.
 

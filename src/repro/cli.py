@@ -42,7 +42,8 @@ Usage::
 Each command and mode accepts only the flags it reads (``--help`` lists
 them); every ``serve-bench`` mode and ``serve-fleet`` write their rows
 as JSON with ``--json PATH``.  Results are also written to
-``.artifacts/results/`` as text tables.
+``.artifacts/results/`` as text tables with their notes, the same text
+the benchmark suite saves (``ExperimentResult.render``).
 """
 
 from __future__ import annotations
@@ -72,16 +73,19 @@ __all__ = ["main"]
 _RESULTS_DIR = Path(__file__).resolve().parents[2] / ".artifacts" / "results"
 
 
+# Each runner returns ``(result, extra)``: what ``_emit`` prints and saves.
 def _run_fig8_left(fast):
-    result = fig8_left.run(n_windows=2 if fast else 4)
-    chart = ascii_line_chart(
+    return fig8_left.run(n_windows=2 if fast else 4), None
+
+
+def _fig8_left_chart(result):
+    return ascii_line_chart(
         {
             name: [(row["cache_size"], row[name]) for row in result.rows]
             for name in ("streaming", "h2o", "voting")
         },
         title="perplexity vs cache size (log-x not applied)",
     )
-    return result, chart
 
 
 def _run_fig8_center(fast):
@@ -89,15 +93,17 @@ def _run_fig8_center(fast):
 
 
 def _run_fig8_right(fast):
-    result = fig8_right.run()
-    chart = ascii_line_chart(
+    return fig8_right.run(), None
+
+
+def _fig8_right_chart(result):
+    return ascii_line_chart(
         {
             f"{r}KV": [(row["gen_length"], row[f"VEDA+{r}KV"]) for row in result.rows]
             for r in (0.5, 0.2)
         },
         title="speedup vs generation length",
     )
-    return result, chart
 
 
 def _run_table1(fast):
@@ -123,8 +129,7 @@ def _run_ablations(fast):
         ablations.strided_derate_sensitivity(),
     ]
     for piece in pieces[:-1]:
-        print(piece.to_table())
-        print()
+        _emit(piece, None)
     return pieces[-1], None
 
 
@@ -142,6 +147,9 @@ _EXPERIMENTS = {
     "ablations": _run_ablations,
     "serving": _run_serving,
 }
+# Printed after an experiment's table, never saved: the artifact holds
+# the same text the benchmark suite writes.
+_CHARTS = {"fig8_left": _fig8_left_chart, "fig8_right": _fig8_right_chart}
 
 
 # ----------------------------------------------------------------------
@@ -751,7 +759,10 @@ def _add_serve_commands(commands):
 
 def _run_experiments(names, args):
     for name in names:
-        _emit(*_EXPERIMENTS[name](args.fast))
+        result, extra = _EXPERIMENTS[name](args.fast)
+        _emit(result, extra)
+        if name in _CHARTS:
+            print(_CHARTS[name](result))
 
 
 def _json_default(value):
@@ -763,16 +774,13 @@ def _json_default(value):
 
 
 def _emit(result, extra, json_path=None):
-    """Print a result table and persist it under the results dir."""
-    print(result.to_table())
-    if result.notes:
-        print(f"\nNotes: {result.notes}")
-    if extra:
-        print()
-        print(extra)
+    """Print a result (table, notes, ``extra``) and persist the same text
+    under the results dir."""
+    text = result.render(extra)
+    print(text)
     _RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     out = _RESULTS_DIR / f"{result.experiment_id}.txt"
-    out.write_text(result.to_table() + "\n")
+    out.write_text(text + "\n")
     print(f"[saved to {out}]\n")
     if json_path:
         payload = {

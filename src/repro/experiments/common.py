@@ -29,6 +29,18 @@ class ExperimentResult:
         """Render rows as a fixed-width text table."""
         return format_table(self.rows, title=f"{self.experiment_id}: {self.title}")
 
+    def render(self, extra=""):
+        """The saved artifact text: the table, a ``Notes:`` paragraph when
+        there are notes, then ``extra`` (a companion table, say).  Both
+        writers of ``.artifacts/results`` — the CLI and the benchmark
+        suite — call this, so they write the same file."""
+        text = self.to_table()
+        if self.notes:
+            text += f"\n\nNotes: {self.notes}"
+        if extra:
+            text += f"\n{extra}"
+        return text
+
 
 def format_table(rows, title=None):
     """Format a list of dicts as an aligned text table.

@@ -13,10 +13,10 @@ layer (the Orca observation modeled in ``experiments/batching.py`` —
 weights are fetched once per batch) while attending to each sequence's
 own :class:`~repro.core.kv_cache.KVCache`.  ``step`` is the batch-of-one
 special case.  Batched linear algebra goes through :func:`batch_matmul`,
-whose per-row accumulation order is independent of the batch size, so a
-sequence decodes to bitwise-identical logits whether it runs alone or
-inside any batch — the property the serving scheduler's equivalence
-guarantee rests on.
+which runs one BLAS gemv per row, so a row's result does not depend on
+how many rows share the call: a sequence decodes to bitwise-identical
+logits whether it runs alone or inside any batch — the property the
+serving scheduler's equivalence guarantee rests on.
 
 The weights come from a trained :class:`repro.models.transformer.TransformerLM`
 via ``state_dict``; ``tests/models/test_inference.py`` property-tests that
@@ -45,17 +45,23 @@ __all__ = [
 
 
 def batch_matmul(x, w):
-    """``x @ w`` for ``x`` (B, D), ``w`` (D, F) — batch-size invariant.
+    """``x @ w`` for ``x`` (B, D), ``w`` (D, F) — row-count invariant.
 
     BLAS gemm kernels change their micro-kernel (and thus the summation
     order of each output element) with the number of rows, so ``(X @ W)[i]``
-    is *not* bitwise equal across batch sizes.  ``np.einsum`` reduces each
-    output element with a fixed sequential order over ``D`` regardless of
-    ``B``, which makes batched decode bitwise identical to solo decode at
-    a modest constant-factor cost — the right trade for a reproduction
-    whose eviction decisions hinge on strict float comparisons.
+    is *not* bitwise equal across batch sizes.  Stacking the rows as
+    ``(B, 1, D)`` makes ``np.matmul`` issue one BLAS gemv per row instead:
+    row ``i``'s result is the same vector-matrix product whatever the
+    batch size, its position in the batch or its neighbours, so batched
+    decode is bitwise identical to solo decode — the property a
+    reproduction whose eviction decisions hinge on strict float
+    comparisons needs.  Row-count invariance is the whole contract: the
+    summation order inside a gemv is BLAS's, not a documented one, and
+    ``tests/properties/test_property_model.py`` pins the invariance.  A
+    fixed-order ``np.einsum("bd,df->bf")`` is invariant too but about
+    twice as slow.
     """
-    return np.einsum("bd,df->bf", x, w)
+    return np.matmul(x[:, None, :], w)[:, 0]
 
 
 class StepResult:
@@ -239,8 +245,8 @@ class CachedTransformer:
         from the serving prefix cache, or an earlier chunk — the new
         tokens attend to the cached keys/values as well as to each other,
         so a chunked prefill reproduces the one-shot prefill exactly.
-        All linear layers go through :func:`batch_matmul`, whose per-row
-        accumulation order is independent of the number of rows; combined
+        All linear layers go through :func:`batch_matmul`, one gemv per
+        row, so a row's result is independent of the number of rows; combined
         with the per-element (width-outer) einsum attention reductions,
         a token's hidden state — and the final logits — is bitwise
         identical whether its prompt was prefilled whole or continued
@@ -335,7 +341,7 @@ class CachedTransformer:
         the KV cache with the current key-value vector.
 
         A batch-of-one :meth:`step_batch`; because the batched path's
-        accumulation order is batch-size invariant, the returned logits
+        linear layers are row-count invariant, the returned logits
         are bitwise identical to the same step taken inside any batch.
 
         Returns a :class:`StepResult` whose ``attention`` entries are
@@ -362,10 +368,11 @@ class CachedTransformer:
             sequence's kv pair is appended to its own cache before
             attention.
 
-        All linear layers run as one stacked ``(B, D) @ (D, F)`` matmul —
-        the weight matrix is read once for the whole batch, which is the
-        batching win (attention remains per-sequence: every sequence owns
-        a distinct, differently-sized cache).
+        All linear layers run as one stacked ``(B, D) @ (D, F)``
+        :func:`batch_matmul` call — on the modeled hardware the weight
+        matrix is read once for the whole batch, which is the batching
+        win (attention remains per-sequence: every sequence owns a
+        distinct, differently-sized cache).
 
         Returns a :class:`BatchStepResult`.
         """

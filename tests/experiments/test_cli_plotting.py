@@ -1,9 +1,13 @@
 """CLI and ASCII plotting."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.experiments.plotting import ascii_bar_chart, ascii_line_chart
+
+COMMITTED_RESULTS = Path(__file__).resolve().parents[2] / ".artifacts" / "results"
 
 
 class TestPlotting:
@@ -58,3 +62,15 @@ class TestCLI:
         monkeypatch.setattr(cli, "_RESULTS_DIR", tmp_path)
         assert main(["fig8_center"]) == 0
         assert "Baseline+F+E" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["table1", "fig8_center"])
+    def test_written_artifact_matches_committed(self, name, tmp_path, monkeypatch):
+        """The CLI and the benchmark suite write one rendering: a
+        cycle-model artifact regenerated from the CLI equals the
+        committed file byte for byte, ``Notes:`` line included."""
+        import repro.cli as cli
+
+        monkeypatch.setattr(cli, "_RESULTS_DIR", tmp_path)
+        assert main([name]) == 0
+        written = (tmp_path / f"{name}.txt").read_bytes()
+        assert written == (COMMITTED_RESULTS / f"{name}.txt").read_bytes()

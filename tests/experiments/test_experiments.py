@@ -38,6 +38,14 @@ class TestCommon:
         assert res.column_names() == ["a"]
         assert "x" in res.to_table()
 
+    def test_render_appends_notes_then_extra(self):
+        res = ExperimentResult("x", "t", rows=[{"a": 1}], notes="n")
+        table = res.to_table()
+        assert res.render() == f"{table}\n\nNotes: n"
+        assert res.render("more") == f"{table}\n\nNotes: n\nmore"
+        res.notes = ""
+        assert res.render() == table
+
 
 class TestFig8Center:
     @pytest.fixture(scope="class")

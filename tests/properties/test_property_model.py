@@ -1,12 +1,130 @@
 """Property-based tests: model substrate invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import small_lm_config
 from repro.core.kv_cache import LayerKVCache
+from repro.models.inference import CachedTransformer, batch_matmul
+from repro.models.transformer import TransformerLM
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+
+# Every (D, F) a linear layer or LM head is served at: the tiny config
+# (d_model 32, d_ff 64, vocab 64) and the small one (128, 256, 512).
+SERVED_SHAPES = [
+    (32, 32), (32, 64), (64, 32),
+    (128, 128), (128, 256), (256, 128), (128, 512),
+]
+SEEDS = st.integers(0, 2**31 - 1)
+# Decode batches run 1..64 rows; prefill chunks and verify windows up to 128.
+ROWS = st.one_of(st.integers(1, 64), st.integers(65, 128))
+
+
+def assert_rows_match_solo(x, w):
+    """``batch_matmul(x, w)[i]`` is bitwise the product of row ``i``
+    alone, passed as a fresh contiguous ``(1, D)`` array."""
+    batched = batch_matmul(x, w)
+    for i in range(x.shape[0]):
+        solo = batch_matmul(np.ascontiguousarray(x[i : i + 1]), w)[0]
+        np.testing.assert_array_equal(batched[i], solo)
+
+
+@pytest.fixture(scope="module")
+def small_inference():
+    return CachedTransformer.from_module(TransformerLM(small_lm_config(), seed=3))
+
+
+class TestBatchMatmulRowInvariance:
+    """A row's linear-layer output does not depend on how many rows share
+    the call, their order, or the memory layout of either operand — the
+    property batched == solo decoding rests on.  Plain ``x @ w`` (one
+    gemm) fails this at every row count >= 2."""
+
+    @given(SEEDS, ROWS, st.sampled_from(SERVED_SHAPES))
+    @settings(max_examples=60, deadline=None)
+    def test_row_equals_solo_row(self, seed, rows, shape):
+        rng = np.random.default_rng(seed)
+        depth, width = shape
+        x = rng.normal(size=(rows, depth))
+        w = rng.normal(size=(depth, width))
+        assert_rows_match_solo(x, w)
+        # Against the fixed-order einsum it replaced: within the
+        # float64 dot-product error bound depth * eps * (|x| @ |w|).
+        error = np.abs(batch_matmul(x, w) - np.einsum("bd,df->bf", x, w))
+        assert np.all(error <= depth * np.finfo(float).eps * (np.abs(x) @ np.abs(w)))
+
+    @given(SEEDS, ROWS, st.sampled_from(SERVED_SHAPES))
+    @settings(max_examples=30, deadline=None)
+    def test_permuting_rows_permutes_results(self, seed, rows, shape):
+        rng = np.random.default_rng(seed)
+        depth, width = shape
+        x = rng.normal(size=(rows, depth))
+        w = rng.normal(size=(depth, width))
+        order = rng.permutation(rows)
+        np.testing.assert_array_equal(
+            batch_matmul(x[order], w), batch_matmul(x, w)[order]
+        )
+
+    @given(
+        SEEDS,
+        st.integers(1, 64),
+        st.sampled_from(SERVED_SHAPES),
+        st.sampled_from(["row_stride", "column_stride", "fortran"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_non_contiguous_rows(self, seed, rows, shape, layout):
+        rng = np.random.default_rng(seed)
+        depth, width = shape
+        base = rng.normal(size=(2 * rows, 2 * depth))
+        x = {
+            "row_stride": base[::2, :depth],
+            "column_stride": base[:rows, ::2],
+            "fortran": np.asfortranarray(base[:rows, :depth]),
+        }[layout]
+        assert not x.flags.c_contiguous or rows == 1
+        assert_rows_match_solo(x, rng.normal(size=(depth, width)))
+
+    @given(SEEDS, ROWS)
+    @settings(max_examples=20, deadline=None)
+    def test_tied_lm_head(self, small_inference, seed, rows):
+        """The tied head is ``embed.T``: a Fortran-order ``(D, V)`` view."""
+        lm_head = small_inference.lm_head
+        assert lm_head.flags.f_contiguous and not lm_head.flags.c_contiguous
+        rng = np.random.default_rng(seed)
+        assert_rows_match_solo(
+            rng.normal(size=(rows, lm_head.shape[0])), lm_head
+        )
+
+    @given(SEEDS, st.integers(1, 8))
+    @settings(max_examples=10, deadline=None)
+    def test_step_batch_matches_solo_steps(self, small_inference, seed, batch):
+        model = small_inference
+        rng = np.random.default_rng(seed)
+        vocab = model.config.vocab_size
+        prompts = [
+            rng.integers(0, vocab, size=int(rng.integers(1, 25)))
+            for _ in range(batch)
+        ]
+        tokens = rng.integers(0, vocab, size=batch)
+        positions = [len(prompt) for prompt in prompts]
+
+        def prefilled():
+            caches = [model.new_cache(capacity=32) for _ in prompts]
+            for prompt, cache in zip(prompts, caches):
+                model.prefill(prompt, cache)
+            return caches
+
+        batched = model.step_batch(tokens, positions, prefilled())
+        for b, (token, position, cache) in enumerate(
+            zip(tokens, positions, prefilled())
+        ):
+            solo = model.step(token, position, cache)
+            np.testing.assert_array_equal(batched.logits[b], solo.logits)
+            for layer, rows in enumerate(batched.attention):
+                np.testing.assert_array_equal(rows[b], solo.attention[layer])
 
 
 class TestSoftmaxGraphProperties:
