@@ -2,8 +2,8 @@
 
 These are throughput measurements of the reproduction's own code paths
 (not paper artifacts): the functional PE array, the streaming SFU units,
-policy bookkeeping, the linear-layer kernel, and a decode step of the
-cached transformer.
+policy bookkeeping, the linear-layer kernel, a decode step of the
+cached transformer, and the cycle model's per-round pricing.
 """
 
 import time
@@ -11,9 +11,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.accel.config import veda_config
 from repro.accel.pe_array import PEArray
 from repro.accel.sfu import SoftmaxUnit
-from repro.config import tiny_config
+from repro.accel.simulator import AcceleratorSimulator
+from repro.config import llama2_7b_shapes, tiny_config
 from repro.core.policies import H2OPolicy, VotingPolicy
 from repro.core.policies.base import GENERATION, PREFILL, EvictionPolicy
 from repro.models.inference import CachedTransformer, batch_matmul, stable_softmax
@@ -283,6 +285,23 @@ def test_decode_step_batched(benchmark, inference, rng):
         return result
 
     benchmark(step_batch_once)
+
+
+@pytest.mark.benchmark(group="micro")
+def test_decode_round_batch8(benchmark):
+    """One batched decode round of 8 sequences on the 7B shapes from a
+    warm pricing cache: what is left is the per-layer accumulation."""
+    sim = AcceleratorSimulator(veda_config(), llama2_7b_shapes())
+    lengths = [128, 192, 256, 320, 384, 448, 512, 576]
+    sim.decode_round(lengths)
+    benchmark(sim.decode_round, lengths)
+
+
+@pytest.mark.benchmark(group="micro")
+def test_prefill_price_miss(benchmark):
+    """One uncached 7B prefill pass (a pricing-cache miss)."""
+    sim = AcceleratorSimulator(veda_config(), llama2_7b_shapes())
+    benchmark(sim._price_prefill, 256, 64, "prefill")
 
 
 @pytest.fixture()

@@ -28,6 +28,10 @@ mapping)``.  Cached fragments are re-assembled in the one accumulation
 order the model defines, so a warm instance returns exactly what a cold
 one does — identical floating-point partial sums, not merely close —
 and every call hands back a fresh stats object the caller may mutate.
+The loops sum each field in a local float, keeping every per-layer
+addition in order (no repeated add becomes a multiply; only integer
+products are hoisted), and record no HBM traffic: pricing has no side
+effects (``docs/ARCHITECTURE.md``, "Accumulation contract").
 ``tests/properties/test_property_predictor.py`` pins both against a
 test-local transcription of the uncached loops.
 
@@ -232,6 +236,22 @@ class MixedRoundStats:
         )
 
 
+def _phase(cls, attention, linear, nonlinear, macs, hbm, ic_cycles, ic_bytes, **extra):
+    """A ``cls`` (:class:`PhaseStats` or a subclass) from finished
+    accumulators, its ``cycles`` summed in the model's one order."""
+    return cls(
+        cycles=linear + attention.total + nonlinear + ic_cycles,
+        attention=attention,
+        linear_cycles=linear,
+        nonlinear_cycles=nonlinear,
+        macs=macs,
+        hbm_bytes=hbm,
+        interconnect_cycles=ic_cycles,
+        interconnect_bytes=ic_bytes,
+        **extra,
+    )
+
+
 class AcceleratorSimulator:
     """Cycle/energy model of one accelerator configuration.
 
@@ -271,14 +291,16 @@ class AcceleratorSimulator:
         self._prefill_cache = {}
         #: batch -> weight-side decode accumulators (dataflow-free).
         self._decode_base = {}
-        #: (length, mapping) -> one layer's decode AttentionBreakdown.
+        #: (length, mapping) -> one layer's decode attention as
+        #: (qk, softmax, sv, all-layer total).
         self._decode_attn = {}
 
-    def _allreduce_charge(self, stats, rows):
-        """Charge one layer's two ring all-reduces for ``rows`` activation
-        vectors (attention output + FFN output, each d_model wide)."""
+    def _allreduce(self, rows):
+        """``(bytes, cycles)`` of one layer's two ring all-reduces for
+        ``rows`` activation vectors (attention output + FFN output, each
+        d_model wide), or ``None`` at ``tp=1``, where there are none."""
         if self.tp == 1:
-            return
+            return None
         per_reduce = (
             2.0
             * (self.tp - 1)
@@ -287,25 +309,38 @@ class AcceleratorSimulator:
             * self.model.d_model
             * self.hw.bytes_per_element
         )
-        stats.interconnect_bytes += 2 * per_reduce
-        stats.interconnect_cycles += (
-            2 * per_reduce / self.hw.interconnect_bytes_per_cycle
-        )
+        return 2 * per_reduce, 2 * per_reduce / self.hw.interconnect_bytes_per_cycle
+
+    def _allreduce_charge(self, stats, rows):
+        """Add one layer's :meth:`_allreduce` terms to ``stats``.  The
+        pricing loops accumulate the terms directly; this per-stats form
+        is what the property suite's uncached reference loops call."""
+        terms = self._allreduce(rows)
+        if terms is not None:
+            stats.interconnect_bytes += terms[0]
+            stats.interconnect_cycles += terms[1]
 
     # ------------------------------------------------------------------
     # Linear layers
     # ------------------------------------------------------------------
-    def _charge_linear(self, stats, ops, batch=1):
-        """Charge linear ``ops`` to ``stats``: each op fetches its
-        weights once per pass and reuses them for every row (``batch``
-        decode rows share one fetch), so it costs
-        ``max(batch * compute, memory)``."""
-        for op in ops:
-            compute = batch * op.compute_cycles(self.hw.tree_width)
-            memory = self.hbm.stream_cycles(op.weight_bytes)
-            stats.linear_cycles += max(compute, memory)
-            stats.macs += batch * op.macs
-            stats.hbm_bytes += op.weight_bytes
+    def _linear_charges(self, ops, batch=1):
+        """Per linear op, the ``(cycles, macs, hbm_bytes)`` one pass adds:
+        each op fetches its weights once per pass and reuses them for
+        every row (``batch`` decode rows share one fetch), so it costs
+        ``max(batch * compute, memory)``.  Pricing records no HBM traffic:
+        the returned bytes are what callers accumulate."""
+        width = self.hw.tree_width
+        return [
+            (
+                max(
+                    batch * op.compute_cycles(width),
+                    self.hbm.stream_cycles(op.weight_bytes, record=False),
+                ),
+                batch * op.macs,
+                op.weight_bytes,
+            )
+            for op in ops
+        ]
 
     # ------------------------------------------------------------------
     # Phases
@@ -341,7 +376,7 @@ class AcceleratorSimulator:
     def _price_prefill(self, prompt_length, prefix_length, mapping):
         """One uncached prefill pass under a resolved ``mapping``."""
         model, hw = self.model, self.hw
-        stats = PhaseStats()
+        head_dim = model.head_dim
         local_heads = model.n_heads // self.tp
         kv_width = model.d_model // self.tp
 
@@ -350,7 +385,7 @@ class AcceleratorSimulator:
         )
         attn = prefill_attention(
             prompt_length,
-            model.head_dim,
+            head_dim,
             local_heads,
             hw,
             dataflow=mapping,
@@ -362,7 +397,7 @@ class AcceleratorSimulator:
             prefix_length * prompt_length
             + prompt_length * (prompt_length + 1) / 2
         )
-        attn_macs = 2 * local_heads * model.head_dim * attended
+        attn_macs = 2 * local_heads * head_dim * attended
         # Streaming (GEMV-pinned) prefill re-reads the growing K and V
         # from HBM for every computed row instead of reusing tiles.
         streamed_kv_bytes = 0.0
@@ -370,32 +405,45 @@ class AcceleratorSimulator:
             streamed_kv_bytes = (
                 2 * attended * kv_width * hw.bytes_per_element
             )
+        # KV cache write-back per layer (computed rows only, this
+        # cluster's heads only under TP).
+        kv_bytes = 2 * prompt_length * kv_width * hw.bytes_per_element
         norm_stall = layernorm_stall_cycles(model.d_model, hw, hw.element_serial)
-
-        for _ in range(model.n_layers):
-            self._charge_linear(stats, per_layer_ops)
-            stats.attention = stats.attention + attn
-            stats.macs += attn_macs
-            # KV cache write-back for this layer (computed rows only,
-            # this cluster's heads only under TP).
-            kv_bytes = 2 * prompt_length * kv_width * hw.bytes_per_element
-            stats.hbm_bytes += kv_bytes
-            stats.hbm_bytes += streamed_kv_bytes
-            stats.nonlinear_cycles += (
-                layer_norm_count(model) * prompt_length * norm_stall
-                if not hw.element_serial
-                else layer_norm_count(model) * prompt_length * hw.element_serial_drain
-            )
-            self._allreduce_charge(stats, prompt_length)
-        self._charge_linear(stats, head_ops)
-
-        stats.cycles = (
-            stats.linear_cycles
-            + stats.attention.total
-            + stats.nonlinear_cycles
-            + stats.interconnect_cycles
+        norm = (
+            layer_norm_count(model) * prompt_length * norm_stall
+            if not hw.element_serial
+            else layer_norm_count(model) * prompt_length * hw.element_serial_drain
         )
-        return stats
+        layer_linear = self._linear_charges(per_layer_ops)
+        allreduce = self._allreduce(prompt_length)
+        a_qk, a_softmax, a_sv = attn.qk, attn.softmax, attn.sv
+
+        linear = nonlinear = macs = hbm = 0.0
+        qk = softmax = sv = ic_cycles = ic_bytes = 0.0
+        for _ in range(model.n_layers):
+            for op_cycles, op_macs, op_bytes in layer_linear:
+                linear += op_cycles
+                macs += op_macs
+                hbm += op_bytes
+            qk += a_qk
+            softmax += a_softmax
+            sv += a_sv
+            macs += attn_macs
+            hbm += kv_bytes
+            hbm += streamed_kv_bytes
+            nonlinear += norm
+            if allreduce is not None:
+                ic_bytes += allreduce[0]
+                ic_cycles += allreduce[1]
+        for op_cycles, op_macs, op_bytes in self._linear_charges(head_ops):
+            linear += op_cycles
+            macs += op_macs
+            hbm += op_bytes
+        return _phase(
+            PhaseStats,
+            AttentionBreakdown(qk, softmax, sv),
+            linear, nonlinear, macs, hbm, ic_cycles, ic_bytes,
+        )
 
     # ------------------------------------------------------------------
     # Decode rounds (batched decode, mixed prefill/decode)
@@ -409,39 +457,51 @@ class AcceleratorSimulator:
         if base is not None:
             return base
         model, hw = self.model, self.hw
-        stats = PhaseStats()
         per_layer_ops, head_ops = decode_linear_ops(model, tp=self.tp)
         norm_stall = layernorm_stall_cycles(model.d_model, hw, hw.element_serial)
+        norm = batch * (layer_norm_count(model) * norm_stall)
+        layer_linear = self._linear_charges(per_layer_ops, batch)
+        allreduce = self._allreduce(batch)
+        linear = nonlinear = macs = hbm = ic_cycles = ic_bytes = 0.0
         for _ in range(model.n_layers):
-            self._charge_linear(stats, per_layer_ops, batch)
-            stats.nonlinear_cycles += batch * (layer_norm_count(model) * norm_stall)
-            self._allreduce_charge(stats, batch)
-        self._charge_linear(stats, head_ops, batch)
+            for op_cycles, op_macs, op_bytes in layer_linear:
+                linear += op_cycles
+                macs += op_macs
+                hbm += op_bytes
+            nonlinear += norm
+            if allreduce is not None:
+                ic_bytes += allreduce[0]
+                ic_cycles += allreduce[1]
+        for op_cycles, op_macs, op_bytes in self._linear_charges(head_ops, batch):
+            linear += op_cycles
+            macs += op_macs
+            hbm += op_bytes
         base = self._decode_base[batch] = (
-            stats.linear_cycles,
-            stats.nonlinear_cycles,
-            stats.macs,
-            stats.hbm_bytes,
-            stats.interconnect_cycles,
-            stats.interconnect_bytes,
+            linear, nonlinear, macs, hbm, ic_cycles, ic_bytes,
         )
         return base
 
-    def _decode_attention(self, length, dataflow):
-        """One layer's decode attention at ``length``, cached per
-        ``(length, resolved mapping)``.  Callers only rebind sums of it,
-        so the shared breakdown is never mutated."""
-        key = (int(length), resolve_dataflow(dataflow, self.hw, "decode"))
-        attn = self._decode_attn.get(key)
-        if attn is None:
-            attn = self._decode_attn[key] = decode_attention(
-                key[0],
+    def _decode_attention(self, length, mapping):
+        """One layer's decode attention at ``length`` under a resolved
+        ``mapping`` as ``(qk, softmax, sv, all-layer total)``, cached per
+        ``(length, mapping)``."""
+        key = (length, mapping)
+        entry = self._decode_attn.get(key)
+        if entry is None:
+            attn = decode_attention(
+                length,
                 self.model.head_dim,
                 self.model.n_heads // self.tp,
                 self.hw,
-                dataflow=key[1],
+                dataflow=mapping,
             )
-        return attn
+            entry = self._decode_attn[key] = (
+                attn.qk,
+                attn.softmax,
+                attn.sv,
+                attn.total * self.model.n_layers,
+            )
+        return entry
 
     def decode_round(self, cache_lengths, dataflow="auto"):
         """Simulate one batched decode round (serving).
@@ -459,38 +519,40 @@ class AcceleratorSimulator:
         Returns a fresh :class:`RoundStats`; ``per_sequence_attention``
         holds each sequence's all-layer attention cycles in input order.
         """
-        cache_lengths = list(cache_lengths)
+        cache_lengths = [int(length) for length in cache_lengths]
         if not cache_lengths:
             raise ValueError("decode round needs at least one sequence")
-        model, hw = self.model, self.hw
-        stats = RoundStats()
-        (
-            stats.linear_cycles,
-            stats.nonlinear_cycles,
-            stats.macs,
-            stats.hbm_bytes,
-            stats.interconnect_cycles,
-            stats.interconnect_bytes,
-        ) = self._decode_weight_base(len(cache_lengths))
-        local_heads = model.n_heads // self.tp
-        kv_width = model.d_model // self.tp
-        for length in cache_lengths:
-            attn = self._decode_attention(length, dataflow)
-            for _ in range(model.n_layers):
-                stats.attention = stats.attention + attn
-                stats.macs += 2 * local_heads * model.head_dim * length
-                # KV cache read (K and V) + current token write-back.
-                stats.hbm_bytes += 2 * length * kv_width * hw.bytes_per_element
-                stats.hbm_bytes += 2 * kv_width * hw.bytes_per_element
-            stats.per_sequence_attention.append(attn.total * model.n_layers)
-
-        stats.cycles = (
-            stats.linear_cycles
-            + stats.attention.total
-            + stats.nonlinear_cycles
-            + stats.interconnect_cycles
+        model = self.model
+        mapping = resolve_dataflow(dataflow, self.hw, "decode")
+        linear, nonlinear, macs, hbm, ic_cycles, ic_bytes = self._decode_weight_base(
+            len(cache_lengths)
         )
-        return stats
+        # Per key, per layer: the q.K^T and s'.V MACs of this cluster's
+        # heads, and the K + V bytes read (also the one token written).
+        macs_per_key = 2 * (model.n_heads // self.tp) * model.head_dim
+        kv_bytes_per_key = 2 * (model.d_model // self.tp) * self.hw.bytes_per_element
+        layers = range(model.n_layers)
+        qk = softmax = sv = 0.0
+        per_sequence = []
+        for length in cache_lengths:
+            a_qk, a_softmax, a_sv, total = self._decode_attention(length, mapping)
+            seq_macs = macs_per_key * length
+            kv_read = kv_bytes_per_key * length
+            for _ in layers:
+                qk += a_qk
+                softmax += a_softmax
+                sv += a_sv
+                macs += seq_macs
+                # KV cache read (K and V) + current token write-back.
+                hbm += kv_read
+                hbm += kv_bytes_per_key
+            per_sequence.append(total)
+        return _phase(
+            RoundStats,
+            AttentionBreakdown(qk, softmax, sv),
+            linear, nonlinear, macs, hbm, ic_cycles, ic_bytes,
+            per_sequence_attention=per_sequence,
+        )
 
     def mixed_round(
         self,
@@ -601,20 +663,33 @@ class AcceleratorSimulator:
         charged to HBM when a budget is active.
         """
         stats = RunStats(prefill=self.prefill(prompt_length))
+        cycles = linear = nonlinear = macs = hbm = 0.0
+        qk = softmax = sv = 0.0
         for step in range(1, gen_length + 1):
             length = self.cache_length_at(prompt_length, step, kv_budget)
             step_stats = self.decode_round([length])
+            attention = step_stats.attention
+            step_hbm = step_stats.hbm_bytes
             if kv_budget is not None:
-                vote_bytes = 2 * 2 * length * self.model.n_layers
-                step_stats.hbm_bytes += vote_bytes
-            stats.decode_attention_per_token.append(step_stats.attention.total)
+                step_hbm += 2 * 2 * length * self.model.n_layers
+            stats.decode_attention_per_token.append(attention.total)
             stats.decode_total_per_token.append(step_stats.cycles)
-            stats.decode.cycles += step_stats.cycles
-            stats.decode.attention = stats.decode.attention + step_stats.attention
-            stats.decode.linear_cycles += step_stats.linear_cycles
-            stats.decode.nonlinear_cycles += step_stats.nonlinear_cycles
-            stats.decode.macs += step_stats.macs
-            stats.decode.hbm_bytes += step_stats.hbm_bytes
+            cycles += step_stats.cycles
+            qk += attention.qk
+            softmax += attention.softmax
+            sv += attention.sv
+            linear += step_stats.linear_cycles
+            nonlinear += step_stats.nonlinear_cycles
+            macs += step_stats.macs
+            hbm += step_hbm
+        stats.decode = PhaseStats(
+            cycles=cycles,
+            attention=AttentionBreakdown(qk, softmax, sv),
+            linear_cycles=linear,
+            nonlinear_cycles=nonlinear,
+            macs=macs,
+            hbm_bytes=hbm,
+        )
         return stats
 
     # ------------------------------------------------------------------

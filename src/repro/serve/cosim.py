@@ -436,6 +436,7 @@ class ServingCoSimulator:
                 request_id = pending_arrivals[next_arrival][0]
                 arrival_cycles[request_id] = report.total_cycles
                 next_arrival += 1
+            prefills, verifies = record.prefills, record.verifies
             # Dead steps are recognized by their explicit flag, never by
             # which list they sit in; a misfiled event is a trace bug.
             for event in record.decodes:
@@ -454,35 +455,14 @@ class ServingCoSimulator:
                     )
             decode_events = [*record.decodes, *record.dead_steps]
             if (
-                not record.prefills
+                not prefills
                 and not decode_events
-                and not record.verifies
+                and not verifies
                 and not record.swaps
                 and not record.forks
             ):
                 continue
-            if record.prefills or decode_events or record.verifies:
-                # Verify rows join the round's batched decode pass at
-                # their exact causal widths: the round's one linear
-                # weight fetch is amortized over every decode step and
-                # every verify row (the speculative win), while
-                # attention is per-row — exactly how
-                # `CachedTransformer.verify` computes.  Verify entries
-                # ride along after the real decode events so the
-                # per-sequence attention zip below stays aligned.
-                stats = self.simulator.mixed_round(
-                    prefill_lengths=[e.computed_tokens for e in record.prefills],
-                    decode_lengths=[e.attention_length for e in decode_events]
-                    + [
-                        v.prior + i + 1
-                        for v in record.verifies
-                        for i in range(v.rows)
-                    ],
-                    dataflow=self.dataflow,
-                    prefix_lengths=[e.prefix_length for e in record.prefills],
-                )
-            else:
-                stats = None  # swap-only round: host-link traffic alone
+            decode_lengths = [e.attention_length for e in decode_events]
             # Voting-engine vote counts live off-chip (paper Sec. V):
             # UINT16 per position, read + write per step per layer, for
             # every budget-managed sequence.  Each verify row of a
@@ -491,31 +471,48 @@ class ServingCoSimulator:
                 2 * 2 * event.attention_length * n_layers
                 for event in decode_events
                 if event.budgeted
-            ) + sum(
-                2 * 2 * (v.prior + i + 1) * n_layers
-                for v in record.verifies
-                if v.budgeted
-                for i in range(v.rows)
             )
+            if verifies:
+                # Verify rows join the round's batched decode pass at
+                # their exact causal widths: the round's one linear
+                # weight fetch is amortized over every decode step and
+                # every verify row (the speculative win), while
+                # attention is per-row — exactly how
+                # `CachedTransformer.verify` computes.  Verify entries
+                # ride along after the real decode events so the
+                # per-sequence attention zip below stays aligned.
+                decode_lengths += [
+                    v.prior + i + 1 for v in verifies for i in range(v.rows)
+                ]
+                vote_bytes += sum(
+                    2 * 2 * (v.prior + i + 1) * n_layers
+                    for v in verifies
+                    if v.budgeted
+                    for i in range(v.rows)
+                )
+            if prefills or decode_events or verifies:
+                stats = self.simulator.mixed_round(
+                    prefill_lengths=[e.computed_tokens for e in prefills],
+                    decode_lengths=decode_lengths,
+                    dataflow=self.dataflow,
+                    prefix_lengths=[e.prefix_length for e in prefills],
+                )
+            else:
+                stats = None  # swap-only round: host-link traffic alone
             # Draft-model work (catch-up prefill + propose steps) is
             # priced at the draft's shapes and serialized into the
             # round: propose must finish before verify can start.
             round_draft_cycles = 0.0
-            if record.verifies:
+            verify_rows = 0
+            if verifies:
                 draft_prefills = [
-                    v.draft_prefill_rows
-                    for v in record.verifies
-                    if v.draft_prefill_rows
+                    v.draft_prefill_rows for v in verifies if v.draft_prefill_rows
                 ]
                 draft_prefix = [
-                    v.draft_prefill_prior
-                    for v in record.verifies
-                    if v.draft_prefill_rows
+                    v.draft_prefill_prior for v in verifies if v.draft_prefill_rows
                 ]
                 draft_decodes = [
-                    length
-                    for v in record.verifies
-                    for length in v.draft_decode_lengths
+                    length for v in verifies for length in v.draft_decode_lengths
                 ]
                 if draft_prefills or draft_decodes:
                     draft_stats = self.draft_simulator.mixed_round(
@@ -525,16 +522,17 @@ class ServingCoSimulator:
                         prefix_lengths=draft_prefix,
                     )
                     round_draft_cycles = draft_stats.cycles
-                    report.draft_cycles += draft_stats.cycles
+                    report.draft_cycles += round_draft_cycles
                     report.macs += draft_stats.macs
                     report.hbm_bytes += draft_stats.hbm_bytes
                     report.interconnect_cycles += draft_stats.interconnect_cycles
                     report.interconnect_bytes += draft_stats.interconnect_bytes
-                report.verify_passes += record.num_verifies
-                report.verify_rows += sum(v.rows for v in record.verifies)
-                report.spec_proposed += sum(v.proposed for v in record.verifies)
-                report.spec_accepted += sum(v.accepted for v in record.verifies)
-                report.spec_tokens += sum(v.tokens for v in record.verifies)
+                verify_rows = sum(v.rows for v in verifies)
+                report.verify_passes += len(verifies)
+                report.verify_rows += verify_rows
+                report.spec_proposed += sum(v.proposed for v in verifies)
+                report.spec_accepted += sum(v.accepted for v in verifies)
+                report.spec_tokens += sum(v.tokens for v in verifies)
             # Fork traffic: a dense fork duplicates every copied slot's
             # keys and values within HBM (one read + one write pass over
             # the same bytes a swap would move once over the host link);
@@ -560,44 +558,36 @@ class ServingCoSimulator:
                 report.swap_events += record.num_swaps
                 report.swap_bytes += round_swap_bytes
                 report.swap_cycles += round_swap_cycles
+            # Each aggregate of the priced round is read once: every
+            # MixedRoundStats aggregate re-sums its prefills.
             if stats is not None:
-                report.total_cycles += stats.cycles
+                cycles = stats.cycles
+                attn_cycles = stats.attention_cycles
+                linear_cycles = stats.linear_cycles
+                report.total_cycles += cycles
                 report.prefill_cycles += stats.prefill_cycles
                 report.decode_cycles += stats.decode_cycles
                 report.macs += stats.macs
                 report.hbm_bytes += stats.hbm_bytes + vote_bytes
                 report.interconnect_cycles += stats.interconnect_cycles
                 report.interconnect_bytes += stats.interconnect_bytes
+                if stats.decode is not None:
+                    for event, attention in zip(
+                        decode_events, stats.decode.per_sequence_attention
+                    ):
+                        report.per_request_attention.setdefault(
+                            event.request_id, []
+                        ).append(attention)
+                        report.decode_attention_per_step.append(attention)
+            else:
+                cycles = attn_cycles = linear_cycles = 0.0
             report.total_cycles += (
                 round_swap_cycles + round_draft_cycles + round_fork_cycles
             )
-            # Tokens are recomputed here from the per-event flags so the
-            # pricing loop itself guarantees dead rows yield zero tokens
-            # (a `record.tokens` regression would trip this, not pass
-            # through silently).
-            live_tokens = (
-                sum(1 for e in record.prefills if e.final)
-                + sum(1 for e in record.decodes if not e.dead)
-                + sum(v.tokens for v in record.verifies)
-            )
-            assert live_tokens == record.tokens, (
-                f"round {record.round_index}: dead steps priced as tokens "
-                f"({record.tokens} recorded vs {live_tokens} live)"
-            )
-            report.total_tokens += live_tokens
-            report.prefill_tokens += record.computed_prefill_tokens
-            report.decode_steps += sum(1 for e in decode_events if not e.dead)
-            report.dead_steps += sum(1 for e in decode_events if e.dead)
-            if stats is not None:
-                for event, attention in zip(
-                    decode_events, stats.per_sequence_attention
-                ):
-                    report.per_request_attention.setdefault(
-                        event.request_id, []
-                    ).append(attention)
-                    report.decode_attention_per_step.append(attention)
-            for event in record.prefills:
+            final_prefills = 0
+            for event in prefills:
                 if event.final:
+                    final_prefills += 1
                     # First token sampled from this round's logits: TTFT
                     # spans arrival to the end of this round.  A
                     # recompute resume replays a final prefill for the
@@ -607,18 +597,35 @@ class ServingCoSimulator:
                         report.total_cycles
                         - arrival_cycles.get(event.request_id, 0.0),
                     )
+            # Tokens are recomputed here from the per-event flags so the
+            # pricing loop itself guarantees dead rows yield zero tokens
+            # (a `record.tokens` regression would trip this, not pass
+            # through silently): `decodes` holds live steps only, as
+            # checked above.
+            live_tokens = final_prefills + len(record.decodes)
+            if verifies:
+                live_tokens += sum(v.tokens for v in verifies)
+            assert live_tokens == record.tokens, (
+                f"round {record.round_index}: dead steps priced as tokens "
+                f"({record.tokens} recorded vs {live_tokens} live)"
+            )
+            report.total_tokens += live_tokens
+            prefill_rows = record.computed_prefill_tokens
+            report.prefill_tokens += prefill_rows
+            report.decode_steps += len(record.decodes)
+            report.dead_steps += len(record.dead_steps)
             row = {
                 "round": record.round_index,
-                "prefills": record.num_prefills,
-                "prefill_rows": record.computed_prefill_tokens,
+                "prefills": len(prefills),
+                "prefill_rows": prefill_rows,
                 "decodes": len(decode_events),
-                "cycles": (stats.cycles if stats is not None else 0.0)
+                "cycles": cycles
                 + round_swap_cycles
                 + round_draft_cycles
                 + round_fork_cycles,
-                "attn_cycles": stats.attention_cycles if stats is not None else 0.0,
-                "linear_cycles": stats.linear_cycles if stats is not None else 0.0,
-                "tokens": record.tokens,
+                "attn_cycles": attn_cycles,
+                "linear_cycles": linear_cycles,
+                "tokens": live_tokens,
             }
             if has_swaps:
                 row["swaps"] = record.num_swaps
@@ -627,8 +634,8 @@ class ServingCoSimulator:
                 row["forks"] = record.num_forks
                 row["fork_cycles"] = round_fork_cycles
             if has_verifies:
-                row["verifies"] = record.num_verifies
-                row["verify_rows"] = sum(v.rows for v in record.verifies)
+                row["verifies"] = len(verifies)
+                row["verify_rows"] = verify_rows
                 row["draft_cycles"] = round_draft_cycles
             report.rounds.append(row)
         # Energy over the whole trace: PE dynamic scales with the MACs

@@ -511,17 +511,21 @@ class ServingFleet:
         model (optionally sharded over ``tp`` PE clusters); returns a
         :class:`FleetCoSimReport`.  With one replica and ``tp=1`` the
         per-replica report is exactly the single-device
-        :class:`~repro.serve.cosim.ServingCoSimulator` outcome."""
-        return FleetCoSimReport(
-            replicas=[
-                ServingCoSimulator(
-                    scheduler=engine.scheduler,
-                    hw=hw,
-                    hw_model=hw_model,
-                    dataflow=dataflow,
-                    tp=tp,
-                ).replay()
-                for engine in self.engines
-            ],
-            tp=int(tp),
+        :class:`~repro.serve.cosim.ServingCoSimulator` outcome.
+
+        Replicas are identical devices, so every trace replays through
+        one co-simulator rebound to each replica's scheduler in turn: the
+        pricing cache warmed by one replica serves the next, and each
+        report still equals a cold replay of that replica alone."""
+        cosim = ServingCoSimulator(
+            scheduler=self.engines[0].scheduler,
+            hw=hw,
+            hw_model=hw_model,
+            dataflow=dataflow,
+            tp=tp,
         )
+        reports = []
+        for engine in self.engines:
+            cosim.scheduler = engine.scheduler
+            reports.append(cosim.replay())
+        return FleetCoSimReport(replicas=reports, tp=int(tp))

@@ -6,9 +6,11 @@ a decode round and per-length decode attention.  The contract is
 model bit-for-bit, warm or cold.  The uncached model is transcribed
 below (:class:`ReferenceModel`, the pre-cache ``prefill`` /
 ``decode_round`` / ``decode_step`` loops) and is the reference every
-cached result is compared against with ``==`` on every field.  The
-scalar helpers the scheduler leans on must also be monotone in the work
-they price (a bigger chunk or a wider decode batch never prices cheaper).
+cached result is compared against with ``==`` on every field, on the
+Llama-2 7B shapes and on the tiny / small model shapes serving traces
+are priced at, at every ``tp`` that divides the heads.  The scalar
+helpers the scheduler leans on must also be monotone in the work they
+price (a bigger chunk or a wider decode batch never prices cheaper).
 """
 
 from dataclasses import fields
@@ -25,8 +27,8 @@ from repro.accel.llm_mapping import (
 )
 from repro.accel.scheduler import decode_attention, prefill_attention, resolve_dataflow
 from repro.accel.sfu import layernorm_stall_cycles
-from repro.accel.simulator import AcceleratorSimulator, PhaseStats, RoundStats
-from repro.config import llama2_7b_shapes
+from repro.accel.simulator import AcceleratorSimulator, PhaseStats, RoundStats, RunStats
+from repro.config import llama2_7b_shapes, small_lm_config, tiny_config
 
 
 class ReferenceModel:
@@ -143,23 +145,53 @@ class ReferenceModel:
         return self._finish(stats)
 
 
-MODEL = llama2_7b_shapes()
-#: (hw name, tp) -> (warm simulator shared across examples, reference).
-#: Later examples re-hit earlier examples' entries, so comparing the warm
-#: instance covers cache hits; a fresh instance per example covers misses.
-CONFIGS = {
-    (name, tp): (AcceleratorSimulator(hw, MODEL, tp=tp), ReferenceModel(hw, MODEL, tp))
-    for name, hw in (("veda", veda_config()), ("baseline", baseline_config()))
-    for tp in (1, 2)
-}
+def reference_run(reference, prompt_length, gen_length, kv_budget=None):
+    """The uncached ``run()`` loop: prefill, then one single-sequence
+    decode round per step, vote traffic added per step, every decode
+    field rebound step by step."""
+    stats = RunStats(prefill=reference.prefill(prompt_length))
+    for step in range(1, gen_length + 1):
+        length = prompt_length + step
+        if kv_budget is not None:
+            length = min(length, kv_budget + 1)
+        step_stats = reference.decode_round([length])
+        if kv_budget is not None:
+            step_stats.hbm_bytes += 2 * 2 * length * reference.model.n_layers
+        stats.decode_attention_per_token.append(step_stats.attention.total)
+        stats.decode_total_per_token.append(step_stats.cycles)
+        stats.decode.cycles += step_stats.cycles
+        stats.decode.attention = stats.decode.attention + step_stats.attention
+        stats.decode.linear_cycles += step_stats.linear_cycles
+        stats.decode.nonlinear_cycles += step_stats.nonlinear_cycles
+        stats.decode.macs += step_stats.macs
+        stats.decode.hbm_bytes += step_stats.hbm_bytes
+    return stats
+
+
 HW = {"veda": veda_config(), "baseline": baseline_config()}
-WARM = CONFIGS[("veda", 1)][0]
+MODELS = {"7b": llama2_7b_shapes(), "tiny": tiny_config(), "small": small_lm_config()}
+#: (hw name, model name, tp) -> (warm simulator shared across examples,
+#: reference).  Later examples re-hit earlier examples' entries, so
+#: comparing the warm instance covers cache hits; a fresh instance per
+#: example covers misses.
+CONFIGS = {
+    (hw_name, model_name, tp): (
+        AcceleratorSimulator(hw, model, tp=tp),
+        ReferenceModel(hw, model, tp),
+    )
+    for hw_name, hw in HW.items()
+    for model_name, model in MODELS.items()
+    for tp in (1, 2, 4)
+    if model.n_heads % tp == 0 and model.d_ff % tp == 0
+}
+WARM = CONFIGS[("veda", "7b", 1)][0]
 
 configs = st.sampled_from(sorted(CONFIGS))
 rows = st.integers(1, 384)
 prefixes = st.integers(0, 128)
 lengths = st.integers(1, 512)
-batches = st.lists(st.integers(1, 512), min_size=1, max_size=6)
+#: Up to the batch caps served rounds reach.
+batches = st.lists(st.integers(1, 512), min_size=1, max_size=32)
 dataflows = st.sampled_from(["auto", "prefill", "decode"])
 
 
@@ -175,7 +207,8 @@ def _fields(stats):
 
 def _simulators(config):
     warm, reference = CONFIGS[config]
-    fresh = AcceleratorSimulator(HW[config[0]], MODEL, tp=config[1])
+    hw_name, model_name, tp = config
+    fresh = AcceleratorSimulator(HW[hw_name], MODELS[model_name], tp=tp)
     return warm, fresh, reference
 
 
@@ -211,25 +244,57 @@ class TestCacheMatchesReference:
         for sim in (warm, fresh):
             assert _fields(sim.decode_round([length], dataflow)) == expected
 
-    @given(configs, st.lists(rows, min_size=0, max_size=3), batches)
+    @given(
+        configs,
+        st.lists(st.tuples(rows, prefixes), min_size=0, max_size=3),
+        batches,
+        dataflows,
+    )
     @settings(max_examples=40, deadline=None)
-    def test_mixed_round_warm_equals_cold(self, config, prefill_lengths, decode_lengths):
+    def test_mixed_round_warm_equals_cold(self, config, prefills, decode_lengths, dataflow):
+        """Warm equals cold, and both halves of the round equal the
+        reference: each prefill pass and the batched decode round."""
+        dataflow = _legal(config, dataflow)
         warm, fresh, reference = _simulators(config)
         got = [
-            sim.mixed_round(prefill_lengths=prefill_lengths, decode_lengths=decode_lengths)
+            sim.mixed_round(
+                prefill_lengths=[length for length, _ in prefills],
+                decode_lengths=decode_lengths,
+                dataflow=dataflow,
+                prefix_lengths=[prefix for _, prefix in prefills],
+            )
             for sim in (warm, fresh)
         ]
         assert got[0] == got[1]
         assert [_fields(p) for p in got[0].prefills] == [
-            _fields(reference.prefill(length)) for length in prefill_lengths
+            _fields(reference.prefill(length, dataflow, prefix))
+            for length, prefix in prefills
         ]
+        expected = reference.decode_round(decode_lengths, dataflow)
+        assert _fields(got[0].decode) == _fields(expected)
+        assert got[0].decode.per_sequence_attention == expected.per_sequence_attention
+
+    @given(
+        configs,
+        st.integers(1, 256),
+        st.integers(0, 48),
+        st.one_of(st.none(), st.integers(1, 128)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_run_matches_reference_loop(self, config, prompt, gen, budget):
+        """``run()`` equals the step-by-step reference loop in every
+        field, per-token traces included."""
+        warm, fresh, reference = _simulators(config)
+        expected = reference_run(reference, prompt, gen, budget)
+        for sim in (warm, fresh):
+            assert sim.run(prompt, gen, budget) == expected
 
 
 class TestReturnedStatsAreFresh:
     def test_mutating_a_result_leaves_the_cache_intact(self):
         """``run()`` adds vote traffic to each step's ``hbm_bytes`` in
         place, so a cached result must never be handed out shared."""
-        sim = AcceleratorSimulator(veda_config(), MODEL)
+        sim = AcceleratorSimulator(veda_config(), MODELS["7b"])
         round_stats = sim.decode_round([128, 256])
         expected_round = _fields(sim.decode_round([128, 256]))
         round_stats.hbm_bytes += 1.0

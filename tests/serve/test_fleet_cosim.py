@@ -19,7 +19,7 @@ from repro.accel.simulator import AcceleratorSimulator
 from repro.config import llama2_7b_shapes
 from repro.core.policies import VotingPolicy
 from repro.experiments.serving import make_workload
-from repro.serve import ServingCoSimulator, ServingFleet
+from repro.serve import FleetCoSimReport, ServingCoSimulator, ServingFleet
 
 
 def engine_kwargs(model):
@@ -133,6 +133,23 @@ class TestTPPricing:
 
 
 class TestFleetAggregation:
+    @pytest.mark.parametrize("tp", [1, 2])
+    def test_shared_cache_equals_cold_replays(self, played_fleet, tp):
+        """Every replica replays through one warm pricing cache; the
+        fleet report still equals per-replica cold replays in every
+        field."""
+        hw, shapes = veda_config(), llama2_7b_shapes()
+        cold = FleetCoSimReport(
+            replicas=[
+                ServingCoSimulator(
+                    scheduler=engine.scheduler, hw=hw, hw_model=shapes, tp=tp
+                ).replay()
+                for engine in played_fleet.engines
+            ],
+            tp=tp,
+        )
+        assert played_fleet.cosim(hw=hw, hw_model=shapes, tp=tp) == cold
+
     def test_makespan_is_max_over_replicas(self, played_fleet):
         hw, shapes = veda_config(), llama2_7b_shapes()
         priced = played_fleet.cosim(hw=hw, hw_model=shapes)
