@@ -119,8 +119,9 @@ def observe_and_evict(
     one ``policy.observe_step`` over the token's per-layer ``(H, l)``
     ``attention`` rows and the cache's slot positions, then
     :func:`enforce_budget`.  ``width`` is a speculative row's causal
-    width: the verify pass appended every row up front, so positions are
-    sliced back to what the row's sequential step would have seen.
+    width: the round's forward appended every window row up front, so
+    positions are sliced back to what the row's sequential step would
+    have seen.
     """
     policy.observe_step(
         attention, [layer.positions[:width] for layer in cache], GENERATION

@@ -121,7 +121,7 @@ class LayerKVCache:
     def truncate(self, length):
         """Roll the cache back to its first ``length`` slots.
 
-        The speculative-decoding rollback primitive: a verify pass
+        The speculative-decoding rollback primitive: a verify window
         appends provisional kv entries for every proposed token, and the
         rejected suffix is discarded wholesale.  Truncation only ever
         drops a *tail* (provisional entries are always the newest slots),

@@ -92,8 +92,8 @@ class EvictionPolicy(ABC):
     def observe_step(self, attention, positions, phase=GENERATION):
         """Consume one decoded token's attention rows for every layer.
 
-        ``attention[layer]`` is the ``(H, l)`` row ``step_batch``/``verify``
-        return for that layer, ``positions[layer]`` the ``(l,)`` slot
+        ``attention[layer]`` is the ``(H, l)`` row ``step_batch`` returns
+        for that layer, ``positions[layer]`` the ``(l,)`` slot
         positions of the layer's cache.  Semantically equivalent to one
         :meth:`observe` call per layer in layer order — which is exactly
         what this default does.  Subclasses may override with a kernel

@@ -12,7 +12,8 @@ independent sequences in lock-step, sharing one stacked matmul per linear
 layer (the Orca observation modeled in ``experiments/batching.py`` —
 weights are fetched once per batch) while attending to each sequence's
 own :class:`~repro.core.kv_cache.KVCache`.  ``step`` is the batch-of-one
-special case.  Batched linear algebra goes through :func:`batch_matmul`,
+special case, and a speculative verify window is a run of rows sharing
+one cache.  Batched linear algebra goes through :func:`batch_matmul`,
 which runs one BLAS gemv per row, so a row's result does not depend on
 how many rows share the call: a sequence decodes to bitwise-identical
 logits whether it runs alone or inside any batch — the property the
@@ -38,7 +39,6 @@ __all__ = [
     "CachedTransformer",
     "StepResult",
     "BatchStepResult",
-    "VerifyResult",
     "batch_matmul",
     "stable_softmax",
 ]
@@ -93,35 +93,11 @@ class BatchStepResult:
     logits:
         ``(B, V)`` next-token logits, row ``b`` for sequence ``b``.
     attention:
-        Per-layer, per-sequence attention rows: ``attention[layer][b]`` is
-        the ``(H, l_b)`` probability row of sequence ``b`` over its own
-        (post-append) cache.  Ragged across ``b`` because every sequence
-        has an independent cache length.
-    """
-
-    __slots__ = ("logits", "attention")
-
-    def __init__(self, logits, attention):
-        self.logits = logits
-        self.attention = attention
-
-
-class VerifyResult:
-    """Output of one speculative-decoding verify pass over ``L`` tokens.
-
-    Attributes
-    ----------
-    logits:
-        ``(L, V)`` next-token logits; row ``i`` is bitwise identical to
-        the logits a sequential :meth:`CachedTransformer.step` of token
-        ``i`` would have produced at that point.
-    attention:
-        Per-layer, per-row attention rows: ``attention[layer][i]`` is the
-        ``(H, prior + i + 1)`` probability row of token ``i`` over the
-        cache as it stood right after that token's kv append — exactly
-        the row the sequential decode path hands to eviction policies.
-        Ragged across ``i`` because each token sees one more slot than
-        its predecessor.
+        Per-layer, per-row attention rows: ``attention[layer][b]`` is
+        the ``(H, l_b)`` probability row of row ``b`` over its cache as
+        it stood right after that row's append.  Ragged across ``b``
+        because every sequence has an independent cache length (and
+        each row of a verify window sees one more slot than the last).
     """
 
     __slots__ = ("logits", "attention")
@@ -365,14 +341,19 @@ class CachedTransformer:
         caches:
             ``B`` per-sequence :class:`KVCache` objects (dense, or the
             paged drop-in the serving resource manager builds); each
-            sequence's kv pair is appended to its own cache before
-            attention.
+            row's kv pair is appended to its own cache before
+            attention.  One cache may back several rows — a speculative
+            verify window, its pending token and draft proposals at
+            consecutive positions: rows append and attend in row order,
+            so each row sees exactly the cache a sequential :meth:`step`
+            of its token would have, and its logits and attention are
+            bitwise that step's.
 
         All linear layers run as one stacked ``(B, D) @ (D, F)``
         :func:`batch_matmul` call — on the modeled hardware the weight
         matrix is read once for the whole batch, which is the batching
-        win (attention remains per-sequence: every sequence owns a
-        distinct, differently-sized cache).
+        win (attention remains per-row: each row attends over its own
+        cache at its own length, never a padded or masked width).
 
         Returns a :class:`BatchStepResult`.
         """
@@ -425,104 +406,6 @@ class CachedTransformer:
         x = self._norm(x, self.final_norm_w, self.final_norm_b)
         logits = batch_matmul(x, self.lm_head)
         return BatchStepResult(logits, attention_records)
-
-    # ------------------------------------------------------------------
-    # Speculative verification
-    # ------------------------------------------------------------------
-    def verify(self, tokens, cache, start_position):
-        """Score ``L`` provisional tokens against ``cache`` in one pass.
-
-        The speculative-decoding target pass: the caller feeds the last
-        committed token followed by the draft's proposals, and gets back
-        per-position next-token logits so acceptance can be decided for
-        every proposal (plus the bonus token) from a single weight fetch.
-
-        This is ``step_batch`` turned sideways: where ``step_batch``
-        advances ``B`` sequences by one token each, ``verify`` advances
-        one sequence by ``L`` tokens.  Every linear layer still runs as
-        one stacked ``(L, D) @ (D, F)`` :func:`batch_matmul` — the
-        multi-token amortization the co-sim prices — while attention
-        runs per row over exactly that row's causal width, with the same
-        kernels and therefore the same accumulation order as a
-        sequential decode of the same tokens.  Combined with
-        ``batch_matmul``'s row-count invariance, row ``i`` of the
-        returned logits is **bitwise identical** to the logits of the
-        ``i``-th sequential :meth:`step`; greedy acceptance is therefore
-        exact, not approximate.  (A masked full-width softmax — the
-        :meth:`prefill` formulation — is *not* used here: ``np.sum``'s
-        pairwise reduction is only conditionally invariant to trailing
-        masked zeros, and the acceptance rule needs equality
-        unconditionally.)
-
-        All ``L`` kv pairs are appended to ``cache`` provisionally; the
-        caller rolls back the rejected suffix with ``cache.truncate``.
-
-        Parameters
-        ----------
-        tokens:
-            ``(L,)`` token ids: the pending committed token first, then
-            the draft proposals.
-        cache:
-            The sequence's :class:`KVCache` (every layer at the same
-            length, with room for ``L`` more entries per layer).
-        start_position:
-            Absolute position of ``tokens[0]``.
-
-        Returns
-        -------
-        VerifyResult
-            ``(L, V)`` logits plus per-layer ragged attention rows (see
-            :class:`VerifyResult`).
-        """
-        config = self.config
-        heads, head_dim = config.n_heads, config.head_dim
-        scale = 1.0 / math.sqrt(head_dim)
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1 or tokens.shape[0] == 0:
-            raise ValueError(f"tokens must be non-empty 1-D, got shape {tokens.shape}")
-        length = tokens.shape[0]
-        prior_lengths = {cache[i].length for i in range(config.n_layers)}
-        if len(prior_lengths) != 1:
-            raise ValueError(
-                f"ragged cache lengths {sorted(prior_lengths)}: verify "
-                "needs every layer at the same length"
-            )
-        positions = np.arange(start_position, start_position + length)
-        cos, sin = self.rope.at(positions[:, None])  # once for all layers
-
-        x = self.embed[tokens]  # (L, D)
-        attention_records = []
-        for layer_index, lw in enumerate(self.layers):
-            normed = self._norm(x, lw.attn_norm_w, lw.attn_norm_b)
-
-            q = batch_matmul(normed, lw.wq).reshape(length, heads, head_dim)
-            k = batch_matmul(normed, lw.wk).reshape(length, heads, head_dim)
-            v = batch_matmul(normed, lw.wv).reshape(length, heads, head_dim)
-            q = rotate_half(q, cos, sin)
-            k = rotate_half(k, cos, sin)
-
-            layer_cache = cache[layer_index]
-            contexts = np.empty((length, config.d_model))
-            layer_attn = []
-            for i in range(length):
-                layer_cache.append(k[i], v[i], positions[i])
-                keys = layer_cache.keys  # (H, prior + i + 1, d)
-                values = layer_cache.values
-                scores = np.einsum("hd,hld->hl", q[i], keys) * scale
-                attn = stable_softmax(scores, axis=-1)  # (H, prior + i + 1)
-                layer_attn.append(attn)
-                contexts[i] = np.einsum("hl,hld->hd", attn, values).reshape(
-                    config.d_model
-                )
-            attention_records.append(layer_attn)
-            x = x + batch_matmul(contexts, lw.wo)
-
-            normed = self._norm(x, lw.ffn_norm_w, lw.ffn_norm_b)
-            x = x + self._ffn(lw, normed, mm=batch_matmul)
-
-        x = self._norm(x, self.final_norm_w, self.final_norm_b)
-        logits = batch_matmul(x, self.lm_head)
-        return VerifyResult(logits, attention_records)
 
 
 def _optional(state, key):

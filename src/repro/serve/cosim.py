@@ -37,14 +37,15 @@ recompute-vs-swap crossover as sequence length grows (transfer bytes
 scale linearly with resident KV, re-prefill compute superlinearly).
 
 Speculative-decoding accounting: a ``draft_model`` scheduler records
-:class:`~repro.serve.trace.VerifyEvent` rows.  The target's multi-token
-verify pass joins the round's ``mixed_round`` as extra *batched decode*
+:class:`~repro.serve.trace.VerifyEvent` rows.  The target's verify
+window joins the round's ``mixed_round`` as extra *batched decode*
 entries at each verify row's exact causal width — the round's one
 linear weight fetch is amortized over every decode step *and* every
-verify row, while attention stays per-row (exactly how
-``CachedTransformer.verify`` computes).  That amortization is the
-speculative win: a memory-bound target commits up to ``k + 1`` tokens
-per weight fetch instead of one per batch slot.  The draft model's
+verify row, while attention stays per-row — exactly how the scheduler's
+one ``CachedTransformer.step_batch`` per round computes them.  That
+amortization is the speculative win: a memory-bound target commits up
+to ``k + 1`` tokens per weight fetch instead of one per batch slot.
+The draft model's
 catch-up prefill and propose steps are priced on a second simulator
 built from the draft model's shapes (``hw_draft_model``) and serialized
 into ``total_cycles`` (propose must finish before verify can start).
@@ -477,10 +478,10 @@ class ServingCoSimulator:
                 # their exact causal widths: the round's one linear
                 # weight fetch is amortized over every decode step and
                 # every verify row (the speculative win), while
-                # attention is per-row — exactly how
-                # `CachedTransformer.verify` computes.  Verify entries
-                # ride along after the real decode events so the
-                # per-sequence attention zip below stays aligned.
+                # attention is per-row — exactly as they ride in the
+                # scheduler's one `step_batch` per round.  Verify
+                # entries ride along after the real decode events so
+                # the per-sequence attention zip below stays aligned.
                 decode_lengths += [
                     v.prior + i + 1 for v in verifies for i in range(v.rows)
                 ]

@@ -86,25 +86,25 @@ bit-exactly.  Swap traffic is recorded as
 as HBM<->host transfers by the serving co-simulator.  With capacity to
 spare, no preemption triggers and all three modes are bit-identical.
 
-Speculative decoding (``draft_model=...``) replaces a speculating
-sequence's one-token decode step with a propose/verify round: a cheap
-draft model proposes ``spec_k`` tokens, the target scores them (plus the
-pending token) in one multi-token :meth:`CachedTransformer.verify` pass,
-and the longest prefix whose greedy argmax matches the proposals is
-accepted — the verify pass's per-row logits are bitwise identical to
-sequential decode, so with the (required) greedy sampler acceptance is
-exact and the generated tokens, eviction logs, and cache-length traces
-are bit-identical to the non-speculative scheduler.  Rejected
-provisional KV entries are rolled back with ``cache.truncate`` (paged
-mode returns the freed tail blocks to the pool immediately, and
-provisional tokens never enter the prefix cache — registration only
-ever covers full *prompt* blocks).  A sequence whose eviction budget
-could fire inside the verify window (``cache length + k + 1 > budget``)
-transparently falls back to the plain decode step that round, keeping
-the eviction schedule exact; EOS/length caps landing mid-window clip
-the window.  The draft model's KV cache is modeled host-resident: it
-consumes no pool blocks, survives a swap, and is dropped with the rest
-of the device state on a recompute preemption.
+Speculative decoding (``draft_model=...``) changes how many rows a
+sequence adds to the round's one target forward: a cheap draft model
+proposes ``spec_k`` tokens, and the sequence adds a verify window — the
+pending token plus the proposals, its cache repeated once per row — to
+the round's :meth:`CachedTransformer.step_batch` beside the plain rows.
+The longest prefix whose greedy argmax matches the proposals is
+accepted — each window row's logits are bitwise identical to sequential
+decode, so with the (required) greedy sampler acceptance is exact and
+the generated tokens, eviction logs, and cache-length traces are
+bit-identical to the non-speculative scheduler.  Rejected provisional KV
+entries are rolled back with ``cache.truncate`` (paged mode returns the
+freed tail blocks to the pool immediately, and provisional tokens never
+enter the prefix cache — registration only ever covers full *prompt*
+blocks).  A sequence whose eviction budget could fire inside the verify
+window (``cache length + k + 1 > budget``) transparently adds one plain
+row that round instead, keeping the eviction schedule exact; EOS/length
+caps landing mid-window clip the window.  The draft model's KV cache is
+modeled host-resident: it consumes no pool blocks, survives a swap, and
+is dropped with the rest of the device state on a recompute preemption.
 
 Every round is also recorded in :attr:`Scheduler.trace` (prefill row
 counts, per-sequence decode attention lengths, speculative verify
@@ -934,7 +934,7 @@ class Scheduler:
 
     def run_round(self):
         """One scheduler iteration: continue prefills, admit, sample,
-        batched decode.
+        one batched target forward.
 
         Each round appends a :class:`~repro.serve.trace.RoundTrace` to
         :attr:`trace` recording the hardware work performed (prefill row
@@ -972,18 +972,8 @@ class Scheduler:
             if s.status == RUNNING
             and (beam_ready is None or not self._is_beam(s) or id(s) in beam_ready)
         ]
-        if active and self.draft_model is not None:
-            plain = []
-            for state in active:
-                k_eff = self._can_speculate(state)
-                if k_eff:
-                    sampled += self._spec_decode(state, k_eff, record)
-                else:
-                    plain.append(state)
-            if plain:
-                self._decode(plain, record)
-        elif active:
-            self._decode(active, record)
+        if active:
+            sampled += self._decode(active, record)
         self._total_tokens += sampled
         if (
             record.prefills
@@ -1601,35 +1591,72 @@ class Scheduler:
             self._finish(state, "length")
 
     def _decode(self, active, record):
-        """One batched decode step for every still-active sequence."""
-        tokens = [s.tokens[-1] for s in active]
-        positions = [s.position for s in active]
-        caches = [s.cache for s in active]
-        budgets = [self._budget_of(s.request) for s in active]
-        for state, budget in zip(active, budgets):
-            # The step appends then attends, so attention runs against
-            # the pre-step length plus the new token (append-then-evict).
-            record.decodes.append(
-                DecodeEvent(
-                    request_id=state.request_id,
-                    attention_length=int(state.cache[0].length + 1),
-                    budgeted=budget is not None,
+        """The round's one target forward: a single ``step_batch`` over
+        the rows every still-active sequence adds.
+
+        A plain sequence adds one row, its last token at its position.
+        A speculating sequence adds its whole verify window (see
+        :meth:`_spec_decode`): the pending token plus the draft's
+        proposals at consecutive positions, its cache repeated once per
+        row.  A window's rows append to that cache and attend over it in
+        row order, so each row sees exactly the cache its sequential
+        step would have, and ``batch_matmul``'s row-count invariance
+        makes its logits and attention bitwise the sequential step's —
+        one weight fetch for the whole round, as the co-simulator prices
+        it.  Returns the extra (accepted) tokens speculation appended.
+        """
+        windows = (
+            self._open_windows(active) if self.draft_model is not None else None
+        )
+        tokens, positions, caches = [], [], []
+        for state in active:
+            tokens.append(state.tokens[-1])
+            positions.append(state.position)
+            caches.append(state.cache)
+            window = windows.get(id(state)) if windows else None
+            if window is not None:
+                event, proposals = window
+                tokens.extend(proposals)
+                positions.extend(
+                    range(state.position + 1, state.position + event.rows)
                 )
-            )
+                caches.extend([state.cache] * event.proposed)
+            else:
+                # The step appends then attends, so attention runs against
+                # the pre-step length plus the new token (append-then-evict).
+                record.decodes.append(
+                    DecodeEvent(
+                        request_id=state.request_id,
+                        attention_length=int(state.cache[0].length + 1),
+                        budgeted=self._budget_of(state.request) is not None,
+                    )
+                )
         result = self.model.step_batch(tokens, positions, caches)
 
-        for b, (state, budget) in enumerate(zip(active, budgets)):
+        accepted = 0
+        row = 0
+        for state in active:
+            window = windows.get(id(state)) if windows else None
+            if window is not None:
+                event, proposals = window
+                accepted += self._spec_decode(
+                    state, event, proposals, result, row, record
+                )
+                row += event.rows
+                continue
             observe_and_evict(
                 state.policy,
                 state.cache,
-                [rows[b] for rows in result.attention],
-                budget,
+                [rows[row] for rows in result.attention],
+                self._budget_of(state.request),
                 step=state.num_generated,
                 log=state.evictions,
             )
             state.cache_lengths.append(state.cache[0].length)
-            state.logits = result.logits[b]
+            state.logits = result.logits[row]
             state.position += 1
+            row += 1
+        return accepted
 
     # ------------------------------------------------------------------
     # Fork/join (parallel sampling and beam search)
@@ -1939,15 +1966,49 @@ class Scheduler:
             position += 1
         return proposals, int(rows.shape[0]), prior, tuple(decode_lengths)
 
-    def _spec_decode(self, state, k_eff, record):
-        """One speculative round for ``state``: propose, verify, accept
-        the longest exact-match prefix, roll back the rest.
+    def _open_windows(self, active):
+        """Verify windows of the sequences that speculate this round,
+        keyed by ``id(state)``: a ``(VerifyEvent, proposals)`` pair
+        whose event :meth:`_spec_decode` completes with the outcome.
+        The other sequences add one plain row."""
+        windows = {}
+        for state in active:
+            k_eff = self._can_speculate(state)
+            if not k_eff:
+                continue
+            lengths = set(state.cache.lengths)
+            if len(lengths) != 1:
+                raise ValueError(
+                    f"ragged cache lengths {sorted(lengths)}: a verify "
+                    "window needs every layer at the same length"
+                )
+            proposals, draft_rows, draft_prior, draft_lengths = (
+                self._draft_propose(state, k_eff)
+            )
+            event = VerifyEvent(
+                request_id=state.request_id,
+                rows=k_eff + 1,
+                prior=lengths.pop(),
+                proposed=k_eff,
+                accepted=0,
+                tokens=0,
+                budgeted=self._budget_of(state.request) is not None,
+                draft_prefill_rows=draft_rows,
+                draft_prefill_prior=draft_prior,
+                draft_decode_lengths=draft_lengths,
+            )
+            windows[id(state)] = (event, proposals)
+        return windows
 
-        The verify pass feeds the pending token plus the ``k_eff``
-        proposals through :meth:`CachedTransformer.verify`, whose row
-        ``i`` logits (and attention rows) are bitwise identical to the
-        sequential decode of the same tokens.  Row ``m`` is therefore
-        bookkept exactly as :meth:`_decode` would have — scalar policy
+    def _spec_decode(self, state, event, proposals, result, first_row, record):
+        """Commit ``state``'s verify window from the round's forward:
+        accept the longest exact-match prefix, roll back the rest.
+
+        The window's rows ``first_row ..`` of ``result`` are the pending
+        token plus the ``proposals``, and row ``i``'s logits (and
+        attention rows) are bitwise identical to the sequential decode of
+        the same tokens (see :meth:`_decode`).  Row ``m`` is therefore
+        bookkept exactly as a plain step would have been — scalar policy
         observe over the row's causal width, budget enforcement,
         cache-length log — and ``self.sampler(logits[m])`` *is* the
         token the non-speculative scheduler would sample next; a
@@ -1961,19 +2022,10 @@ class Scheduler:
         """
         request = state.request
         budget = self._budget_of(request)
-        proposals, draft_rows, draft_prior, draft_lengths = self._draft_propose(
-            state, k_eff
-        )
-        prior = int(state.cache[0].length)
-        inputs = np.concatenate(
-            [[state.tokens[-1]], np.asarray(proposals, dtype=np.int64)]
-        )
-        result = self.model.verify(
-            inputs, state.cache, start_position=state.position
-        )
+        k_eff, prior = event.proposed, event.prior
 
         def bookkeep(row):
-            # Identical per-step epilogue to _decode: the verify pass
+            # Identical per-step epilogue to a plain step: the forward
             # appended all rows up front, so the cache views are sliced
             # back to the width this row's sequential step would have
             # seen (row attention already has exactly that width).
@@ -1981,7 +2033,7 @@ class Scheduler:
             observe_and_evict(
                 state.policy,
                 state.cache,
-                [rows[row] for rows in result.attention],
+                [rows[first_row + row] for rows in result.attention],
                 budget,
                 step=state.num_generated,
                 log=state.evictions,
@@ -1994,7 +2046,7 @@ class Scheduler:
         pending = None
         for m in range(k_eff):
             bookkeep(m)
-            true_token = self.sampler(result.logits[m], state.rng)
+            true_token = self.sampler(result.logits[first_row + m], state.rng)
             if true_token != proposals[m]:
                 pending = m
                 break
@@ -2005,9 +2057,9 @@ class Scheduler:
                 finished = True
                 break
             if state.num_generated >= request.max_new_tokens:
-                # No dead-step record here: the verify pass already
-                # computed (and the co-simulator prices) the rows past
-                # the final token — a separate dead step would
+                # No dead-step record here: the round's forward already
+                # computed (and the co-simulator prices) the window rows
+                # past the final token — a separate dead step would
                 # double-charge that work (see trace module docstring).
                 self._finish(state, "length")
                 finished = True
@@ -2021,27 +2073,16 @@ class Scheduler:
 
         if not finished:
             state.cache.truncate(prior + pending + 1)
-            state.logits = result.logits[pending]
+            state.logits = result.logits[first_row + pending]
             state.position += pending + 1
             committed = request.prompt.shape[0] + state.num_generated
             if state.draft_cache[0].length > committed:
                 state.draft_cache.truncate(committed)
 
         tokens_credit = accepted + (0 if finished else 1)
-        record.verifies.append(
-            VerifyEvent(
-                request_id=request.request_id,
-                rows=k_eff + 1,
-                prior=prior,
-                proposed=k_eff,
-                accepted=accepted,
-                tokens=tokens_credit,
-                budgeted=budget is not None,
-                draft_prefill_rows=draft_rows,
-                draft_prefill_prior=draft_prior,
-                draft_decode_lengths=draft_lengths,
-            )
-        )
+        event.accepted = accepted
+        event.tokens = tokens_credit
+        record.verifies.append(event)
         state.spec_rounds += 1
         state.spec_proposed += k_eff
         state.spec_accepted += accepted

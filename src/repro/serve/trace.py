@@ -13,19 +13,19 @@ The trace is *honest*: it records work the scheduler performed.  The one
 engine/scheduler divergence — the dead decode step the solo
 :class:`~repro.core.engine.GenerationEngine` spends on the final token of
 a length-capped request, which the scheduler's loop skips — is recorded
-separately in ``dead_steps`` so the co-simulator can either price it
-(for cycle-exact comparison against the solo co-simulator) or ignore it
-(for pure serving throughput).  One caveat under speculative decoding: a
-request whose length cap lands *inside* a verify window records no dead
-step — the verify pass already computed (and the co-simulator already
-prices) the rows past the final token, so a separate dead step would
-double-charge that work.
+separately in ``dead_steps``; the co-simulator always prices it, as
+compute that yields no token, which keeps the batch-1 replay
+cycle-identical to the solo co-simulator.  One caveat under speculative
+decoding: a request whose length cap lands *inside* a verify window
+records no dead step — the round's forward already computed (and the
+co-simulator already prices) the window rows past the final token, so a
+separate dead step would double-charge that work.
 
 Speculative decoding rounds are recorded as :class:`VerifyEvent` rows —
 one per speculating sequence per round — carrying both the draft model's
-propose work and the target's multi-token verify pass, with the
-accept/reject outcome the co-simulator needs to relate modeled speedup
-to measured accept rate.
+propose work and the target's verify window, with the accept/reject
+outcome the co-simulator needs to relate modeled speedup to measured
+accept rate.
 
 Worked example — a one-round trace priced by hand::
 
@@ -132,13 +132,13 @@ class VerifyEvent:
     """One sequence's speculative-decoding round within a scheduler round.
 
     Covers both halves of the round: the draft model's propose work and
-    the target model's multi-token verify pass.  The co-simulator prices
-    the verify pass on the *target* simulator as ``rows`` extra entries
-    in the round's batched decode pass at their exact causal widths
-    (``prior + 1 .. prior + rows``): linear weights are fetched once for
-    the whole round and amortized over every row — the speculative win —
-    while attention stays per-row, exactly how
-    :meth:`repro.models.inference.CachedTransformer.verify` computes.
+    the target model's verify window.  The window's ``rows`` ride in the
+    round's one :meth:`~repro.models.inference.CachedTransformer.step_batch`
+    beside the plain decode rows, and the co-simulator prices them the
+    same way, as extra entries in the round's batched decode pass at
+    their exact causal widths (``prior + 1 .. prior + rows``): linear
+    weights are fetched once for the whole round and amortized over
+    every row — the speculative win — while attention stays per-row.
     Draft work is priced on a second simulator built from the draft
     model's shapes.  Rejected rows are wasted work: they are priced in
     full but contribute no tokens.
@@ -151,8 +151,8 @@ class VerifyEvent:
         Target verify rows computed: the pending committed token plus
         every draft proposal (``proposed + 1``).
     prior:
-        Cache entries resident before the verify pass (its attention
-        prefix).
+        Cache entries resident before the window's rows appended (its
+        attention prefix).
     proposed:
         Draft tokens proposed this round (``k_eff``).
     accepted:

@@ -275,8 +275,8 @@ class TestSharedDecodeEpilogue:
         assert policy.vote_counts(0).shape[0] == len(prompt) + 1
 
     def test_width_slices_positions_to_a_speculative_row(self, tiny_inference, prompt):
-        """A verify pass appends every row up front; row ``i`` is
-        observed against the first ``prior + i + 1`` slots only."""
+        """A verify window's forward appends every row up front; row
+        ``i`` is observed against the first ``prior + i + 1`` slots only."""
         n_layers = tiny_inference.config.n_layers
         sequential, speculative = (
             VotingPolicy(n_layers, reserved_length=4) for _ in range(2)
@@ -289,7 +289,9 @@ class TestSharedDecodeEpilogue:
             observe_and_evict(sequential, cache, step.attention, None, i, [])
         cache = tiny_inference.new_cache()
         tiny_inference.prefill(prompt, cache)
-        verify = tiny_inference.verify(drafts, cache, start_position=len(prompt))
+        verify = tiny_inference.step_batch(
+            drafts, len(prompt) + np.arange(len(drafts)), [cache] * len(drafts)
+        )
         for i in range(len(drafts)):
             observe_and_evict(
                 speculative,

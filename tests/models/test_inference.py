@@ -77,7 +77,10 @@ class TestLeanKernels:
         with pytest.raises(IndexError):
             tiny_inference.prefill(np.arange(4), cache, start_position=limit - 2)
         with pytest.raises(IndexError):
-            tiny_inference.verify(np.arange(4), cache, start_position=limit - 2)
+            # A verify window whose positions cross max_seq_len.
+            tiny_inference.step_batch(
+                np.arange(4), np.arange(limit - 2, limit + 2), [cache] * 4
+            )
         assert cache.lengths == [0] * tiny_inference.config.n_layers
 
 

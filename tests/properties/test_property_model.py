@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import small_lm_config
@@ -11,6 +11,7 @@ from repro.models.inference import CachedTransformer, batch_matmul
 from repro.models.transformer import TransformerLM
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.serve.paging import BlockPool, PagedKVCache
 
 # Every (D, F) a linear layer or LM head is served at: the tiny config
 # (d_model 32, d_ff 64, vocab 64) and the small one (128, 256, 512).
@@ -125,6 +126,102 @@ class TestBatchMatmulRowInvariance:
             np.testing.assert_array_equal(batched.logits[b], solo.logits)
             for layer, rows in enumerate(batched.attention):
                 np.testing.assert_array_equal(rows[b], solo.attention[layer])
+
+
+def cache_contents(cache):
+    """Copies of every layer's occupied keys, values and positions."""
+    return [
+        (layer.keys.copy(), layer.values.copy(), layer.positions.copy())
+        for layer in cache.layers
+    ]
+
+
+def assert_cache_equals(cache, contents):
+    for got, want in zip(cache_contents(cache), contents, strict=True):
+        for got_array, want_array in zip(got, want):
+            np.testing.assert_array_equal(got_array, want_array)
+
+
+class TestRoundBatchEqualsSequentialSteps:
+    """A scheduler round's one ``step_batch``: plain rows plus verify
+    windows (one cache repeated over a window's consecutive positions),
+    in any interleaving that keeps each window's rows in order.  Every
+    row's logits and attention, and every cache's keys/values/positions
+    — also after a window's rejected suffix is truncated — equal each
+    sequence's own sequential ``step`` calls bitwise, on dense and paged
+    caches alike."""
+
+    SPEC_K = 4
+
+    @given(
+        SEEDS,
+        st.sampled_from(["tiny", "small"]),
+        st.sampled_from([None, 1, 4]),
+        st.integers(0, 8),
+        st.lists(st.integers(1, SPEC_K + 1), max_size=3),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_batch_equals_sequential_steps(
+        self, tiny_inference, small_inference, seed, config, block_size,
+        plain, windows, data,
+    ):
+        model = tiny_inference if config == "tiny" else small_inference
+        cfg = model.config
+        sizes = [1] * plain + windows
+        assume(sizes)
+        rng = np.random.default_rng(seed)
+        prompts = [
+            rng.integers(0, cfg.vocab_size, size=int(rng.integers(1, 25)))
+            for _ in sizes
+        ]
+        seq_tokens = [rng.integers(0, cfg.vocab_size, size=n) for n in sizes]
+        owners = data.draw(
+            st.permutations([s for s, n in enumerate(sizes) for _ in range(n)])
+        )
+
+        def prefilled():
+            pool = (
+                None
+                if block_size is None
+                else BlockPool(cfg.n_heads, cfg.head_dim, block_size)
+            )
+            caches = []
+            for prompt in prompts:
+                cache = (
+                    model.new_cache(capacity=32)
+                    if pool is None
+                    else PagedKVCache(pool, cfg.n_layers, 32)
+                )
+                model.prefill(prompt, cache)
+                caches.append(cache)
+            return caches
+
+        caches = prefilled()
+        tokens, positions, batch_caches, row_of = [], [], [], {}
+        taken = [0] * len(sizes)
+        for s in owners:
+            i = taken[s]
+            taken[s] += 1
+            row_of[s, i] = len(tokens)
+            tokens.append(seq_tokens[s][i])
+            positions.append(len(prompts[s]) + i)
+            batch_caches.append(caches[s])
+        batched = model.step_batch(tokens, positions, batch_caches)
+
+        for s, cache in enumerate(prefilled()):
+            contents = [cache_contents(cache)]
+            for i, token in enumerate(seq_tokens[s]):
+                solo = model.step(token, len(prompts[s]) + i, cache)
+                b = row_of[s, i]
+                np.testing.assert_array_equal(batched.logits[b], solo.logits)
+                for layer, rows in enumerate(batched.attention):
+                    np.testing.assert_array_equal(rows[b], solo.attention[layer])
+                contents.append(cache_contents(cache))
+            assert_cache_equals(caches[s], contents[-1])
+            keep = data.draw(st.integers(0, sizes[s]))
+            caches[s].truncate(len(prompts[s]) + keep)
+            assert_cache_equals(caches[s], contents[keep])
 
 
 class TestSoftmaxGraphProperties:

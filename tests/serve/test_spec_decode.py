@@ -122,6 +122,14 @@ class TestTruncate:
         assert np.array_equal(reader.keys, writer.keys)
 
 
+def verify_window(model, tokens, cache, start):
+    """Score a verify window the way the scheduler does: one
+    ``step_batch`` row per token, every row backed by ``cache``."""
+    return model.step_batch(
+        tokens, np.arange(start, start + len(tokens)), [cache] * len(tokens)
+    )
+
+
 class TestVerifyExactness:
     def test_verify_rows_bitwise_match_sequential_steps(self, tiny_inference, rng):
         prompt = rng.integers(0, 64, size=18)
@@ -130,9 +138,7 @@ class TestVerifyExactness:
         step_cache = tiny_inference.new_cache()
         tiny_inference.prefill(prompt, verify_cache)
         tiny_inference.prefill(prompt, step_cache)
-        result = tiny_inference.verify(
-            np.asarray(tokens), verify_cache, start_position=len(prompt)
-        )
+        result = verify_window(tiny_inference, tokens, verify_cache, len(prompt))
         for i, token in enumerate(tokens):
             step = tiny_inference.step(token, len(prompt) + i, step_cache)
             assert np.array_equal(result.logits[i], step.logits)
@@ -151,9 +157,7 @@ class TestVerifyExactness:
         step_cache = tiny_inference.new_cache()
         tiny_inference.prefill(prompt, verify_cache)
         tiny_inference.prefill(prompt, step_cache)
-        tiny_inference.verify(
-            np.asarray(tokens), verify_cache, start_position=len(prompt)
-        )
+        verify_window(tiny_inference, tokens, verify_cache, len(prompt))
         verify_cache.truncate(len(prompt) + accept)
         for i in range(accept):
             tiny_inference.step(tokens[i], len(prompt) + i, step_cache)
@@ -245,6 +249,66 @@ class TestSchedulerBitIdentity:
         assert_same_outcome(base_sched, spec_sched, requests)
 
 
+class ForwardCounter:
+    """Delegates to a model and logs, per scheduler round, every call to
+    it other than a prefill — i.e. every decode-side forward pass."""
+
+    def __init__(self, model):
+        self._model = model
+        self.config = model.config
+        self.scheduler = None
+        self.rounds = []  # round index of each forward call
+
+    def __getattr__(self, name):
+        attr = getattr(self._model, name)
+        if not callable(attr) or name in ("prefill", "new_cache"):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.rounds.append(self.scheduler.round_index)
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+class TestOneForwardPerRound:
+    @pytest.mark.parametrize("paged", [False, True])
+    def test_each_decoding_round_is_one_target_forward(
+        self, tiny_inference, draft_inference, rng, paged
+    ):
+        # Unbudgeted requests speculate; the budgeted ones sit over their
+        # budget from the first decode on and fall back to plain rows.
+        requests = make_requests(
+            rng, n=3, prompt_range=(16, 20), max_new_range=(8, 12), budget=12
+        ) + [
+            Request(f"s{i}", rng.integers(0, 64, size=12), max_new_tokens=10, seed=i)
+            for i in range(3)
+        ]
+        target = ForwardCounter(tiny_inference)
+        scheduler = Scheduler(
+            target,
+            policy_factory=lambda: VotingPolicy(
+                tiny_inference.config.n_layers, reserved_length=2
+            ),
+            max_batch_size=6,
+            draft_model=draft_inference,
+            spec_k=3,
+            paged=paged,
+            block_size=4,
+        )
+        target.scheduler = scheduler
+        for request in requests:
+            scheduler.submit(request)
+        report = scheduler.run()
+
+        decoding = [r for r in scheduler.trace if r.decodes or r.verifies]
+        assert any(len(r.verifies) >= 2 and r.decodes for r in decoding)
+        calls = {r: target.rounds.count(r) for r in set(target.rounds)}
+        assert calls == {r.round_index: 1 for r in decoding}
+        assert report.verify_passes > len(decoding)
+        assert report.total_tokens == sum(r.max_new_tokens for r in requests)
+
+
 class TestResourceConservation:
     def test_paged_run_returns_every_block(self, tiny_inference, draft_inference, rng):
         requests = make_requests(rng, n=4)
@@ -313,6 +377,21 @@ class TestSchedulerValidation:
                 draft_model=tiny_inference,
                 sampler=sampler,
             )
+
+    def test_ragged_cache_refuses_a_verify_window(
+        self, tiny_inference, draft_inference, rng
+    ):
+        scheduler = Scheduler(
+            tiny_inference, draft_model=draft_inference, spec_k=2
+        )
+        scheduler.submit(
+            Request("r0", rng.integers(0, 64, size=10), max_new_tokens=8)
+        )
+        scheduler.run_round()
+        (state,) = scheduler._running
+        state.cache[0].evict(0)
+        with pytest.raises(ValueError, match="ragged"):
+            scheduler.run_round()
 
     def test_spec_requires_matching_vocab(self, tiny_inference):
         other = CachedTransformer.from_module(
