@@ -85,7 +85,7 @@ def main():
     ]
     print(format_table(rows, title="Dense vs paged on the accelerator"))
     print(
-        f"\nPrefix sharing saved {paged_report.prefill_tokens_saved} prefill "
+        f"\nPrefix sharing saved {paged_report.prefix_tokens_hit} prefill "
         f"rows -> {dense_hw.prefill_cycles - paged_hw.prefill_cycles:,.0f} "
         "prefill cycles; decode work identical "
         f"({paged_hw.decode_cycles == dense_hw.decode_cycles})."

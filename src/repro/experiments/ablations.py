@@ -15,14 +15,12 @@ harnesses measure each one:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.accel.config import baseline_config, veda_config
 from repro.accel.simulator import AcceleratorSimulator
 from repro.config import llama2_7b_shapes
 from repro.core import GenerationEngine, VotingPolicy
-from repro.experiments.common import ExperimentResult
-from repro.zoo import default_corpus, get_pretrained
+from repro.experiments.common import ExperimentResult, eval_windows, mean_perplexity
+from repro.zoo import get_pretrained
 
 __all__ = [
     "voting_threshold",
@@ -34,22 +32,12 @@ __all__ = [
 
 def _eval_setup(model_name, n_windows, window_length):
     model, tokenizer, _ = get_pretrained(model_name)
-    _, documents = default_corpus("eval")
-    windows = []
-    for doc in documents[:n_windows]:
-        ids = tokenizer.encode(doc)
-        if ids.shape[0] >= window_length:
-            windows.append(ids[:window_length])
-    return model, windows
+    return model, eval_windows(tokenizer, n_windows, window_length)
 
 
 def _mean_ppl(model, policy, windows, budget, prefill_length, **engine_kwargs):
     engine = GenerationEngine(model, policy, budget=budget, **engine_kwargs)
-    nlls = [
-        engine.perplexity(w, prefill_length=prefill_length).mean_nll
-        for w in windows
-    ]
-    return float(np.exp(np.mean(nlls)))
+    return mean_perplexity(engine, windows, prefill_length)
 
 
 def voting_threshold(

@@ -1,14 +1,20 @@
-"""Shared helpers for the experiment modules: table formatting and result
-containers.  Every experiment returns an :class:`ExperimentResult` whose
-``rows`` are plain dicts, so benches can both print the paper-style table
-and assert on the values.
+"""Shared helpers for the experiment modules: table formatting, result
+containers, and the paper sweeps' perplexity evaluation.  Every
+experiment returns an :class:`ExperimentResult` whose ``rows`` are plain
+dicts, so benches can both print the paper-style table and assert on the
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ExperimentResult", "format_table"]
+import numpy as np
+
+from repro.data.datasets import book_aligned_windows
+from repro.zoo import default_corpus
+
+__all__ = ["ExperimentResult", "eval_windows", "format_table", "mean_perplexity"]
 
 
 @dataclass
@@ -40,6 +46,35 @@ class ExperimentResult:
         if extra:
             text += f"\n{extra}"
         return text
+
+
+def eval_windows(tokenizer, n_windows, window_length):
+    """Token windows of the first ``n_windows`` evaluation books, aligned
+    to book starts (books shorter than ``window_length`` are skipped).
+
+    Alignment matters: the long-range facts (character introductions) sit
+    at the start of each book, so a window must contain the introduction
+    for its recall sentences to be predictable at all.
+    """
+    _, documents = default_corpus("eval")
+    try:
+        windows = book_aligned_windows(documents[:n_windows], tokenizer, window_length)
+    except ValueError as error:
+        raise RuntimeError(
+            "evaluation corpus too small for requested windows"
+        ) from error
+    return list(windows)
+
+
+def mean_perplexity(engine, windows, prefill_length):
+    """Perplexity of ``engine`` over ``windows``: ``exp`` of the mean of
+    the per-window mean NLLs, each window scored from ``prefill_length``
+    on."""
+    nlls = [
+        engine.perplexity(window, prefill_length=prefill_length).mean_nll
+        for window in windows
+    ]
+    return float(np.exp(np.mean(nlls)))
 
 
 def format_table(rows, title=None):

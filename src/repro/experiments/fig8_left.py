@@ -15,8 +15,6 @@ length scales 32 → 8 accordingly.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import (
     FullCachePolicy,
     GenerationEngine,
@@ -24,8 +22,8 @@ from repro.core import (
     StreamingLLMPolicy,
     VotingPolicy,
 )
-from repro.experiments.common import ExperimentResult
-from repro.zoo import default_corpus, get_pretrained
+from repro.experiments.common import ExperimentResult, eval_windows, mean_perplexity
+from repro.zoo import get_pretrained
 
 __all__ = ["run", "CACHE_SIZES", "PAPER_TREND"]
 
@@ -55,24 +53,6 @@ def _policies(n_layers, budget):
     }
 
 
-def _eval_windows(tokenizer, n_windows, window_length):
-    """Token windows aligned to book starts.
-
-    Alignment matters: the long-range facts (character introductions) sit
-    at the start of each book, so a window must contain the introduction
-    for its recall sentences to be predictable at all.
-    """
-    _, documents = default_corpus("eval")
-    windows = []
-    for doc in documents[:n_windows]:
-        ids = tokenizer.encode(doc)
-        if ids.shape[0] >= window_length:
-            windows.append(ids[:window_length])
-    if not windows:
-        raise RuntimeError("evaluation corpus too small for requested windows")
-    return windows
-
-
 def run(n_windows=4, window_length=512, cache_sizes=CACHE_SIZES, model_name="small"):
     """Reproduce Fig. 8 (left).
 
@@ -81,25 +61,18 @@ def run(n_windows=4, window_length=512, cache_sizes=CACHE_SIZES, model_name="sma
     """
     model, tokenizer, _ = get_pretrained(model_name)
     n_layers = model.config.n_layers
-    windows = _eval_windows(tokenizer, n_windows, window_length)
+    windows = eval_windows(tokenizer, n_windows, window_length)
 
     # Full-cache reference (upper bound on quality), same scored tokens.
     full_engine = GenerationEngine(model, FullCachePolicy(n_layers), budget=None)
-    full_nll = [
-        full_engine.perplexity(w, prefill_length=PREFILL_LENGTH) for w in windows
-    ]
-    full_ppl = float(np.exp(np.mean([r.mean_nll for r in full_nll])))
+    full_ppl = mean_perplexity(full_engine, windows, PREFILL_LENGTH)
 
     rows = []
     for budget in cache_sizes:
         row = {"cache_size": budget}
         for name, policy in _policies(n_layers, budget).items():
             engine = GenerationEngine(model, policy, budget=budget)
-            results = [
-                engine.perplexity(w, prefill_length=PREFILL_LENGTH)
-                for w in windows
-            ]
-            row[name] = float(np.exp(np.mean([r.mean_nll for r in results])))
+            row[name] = mean_perplexity(engine, windows, PREFILL_LENGTH)
         row["full_cache"] = full_ppl
         rows.append(row)
 

@@ -7,11 +7,9 @@ on the language-modeling task at an aggressive compression ratio.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import GenerationEngine, make_policy
-from repro.experiments.common import ExperimentResult
-from repro.zoo import default_corpus, get_pretrained
+from repro.experiments.common import ExperimentResult, eval_windows, mean_perplexity
+from repro.zoo import get_pretrained
 
 __all__ = ["run", "POLICY_CONFIGS"]
 
@@ -31,22 +29,14 @@ def run(budget=32, model_name="small", n_windows=3, window_length=512,
         prefill_length=64):
     """Rank all policies by perplexity at ``budget``."""
     model, tokenizer, _ = get_pretrained(model_name)
-    _, documents = default_corpus("eval")
-    windows = []
-    for doc in documents[:n_windows]:
-        ids = tokenizer.encode(doc)
-        if ids.shape[0] >= window_length:
-            windows.append(ids[:window_length])
+    windows = eval_windows(tokenizer, n_windows, window_length)
 
     rows = []
     for name, kwargs in POLICY_CONFIGS.items():
         policy = make_policy(name, n_layers=model.config.n_layers, **kwargs)
         engine = GenerationEngine(model, policy, budget=budget)
-        nlls = [
-            engine.perplexity(w, prefill_length=prefill_length).mean_nll
-            for w in windows
-        ]
-        rows.append({"policy": name, "perplexity": float(np.exp(np.mean(nlls)))})
+        perplexity = mean_perplexity(engine, windows, prefill_length)
+        rows.append({"policy": name, "perplexity": perplexity})
     rows.sort(key=lambda r: r["perplexity"])
     return ExperimentResult(
         "policy_zoo",

@@ -281,16 +281,43 @@ def save_workload(requests, path):
 
 def load_workload(path):
     """Load a :func:`save_workload` JSONL trace back into
-    :class:`~repro.serve.Request` objects (validation re-runs on
-    construction, so a hand-edited file fails loudly)."""
+    :class:`~repro.serve.Request` objects.
+
+    Validation re-runs on construction, so a hand-edited file fails
+    loudly: any line that is not a JSON object carrying valid
+    :class:`~repro.serve.Request` fields raises a ``ValueError`` naming
+    ``path:line``.
+
+    >>> import os, tempfile
+    >>> from repro.serve import Request
+    >>> folder = tempfile.TemporaryDirectory()
+    >>> path = save_workload(
+    ...     [Request("r0", np.array([5, 6, 7]), max_new_tokens=4)],
+    ...     os.path.join(folder.name, "trace.jsonl"),
+    ... )
+    >>> [(r.request_id, r.prompt.tolist(), r.max_new_tokens)
+    ...  for r in load_workload(path)]
+    [('r0', [5, 6, 7], 4)]
+    >>> with open(path, "a") as handle:
+    ...     _ = handle.write("3\\n")
+    >>> load_workload(path)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    ...
+    ValueError: ...trace.jsonl:2: bad workload record: expected a JSON object, got int
+    >>> folder.cleanup()
+    """
     requests = []
     with open(path) as handle:
         for line_number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
             try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise TypeError(
+                        f"expected a JSON object, got {type(row).__name__}"
+                    )
                 prompt = np.asarray(row.pop("prompt"), dtype=np.int64)
                 requests.append(Request(prompt=prompt, **row))
             except (KeyError, TypeError, ValueError) as error:
@@ -493,7 +520,7 @@ def run(
                         "block_util": paged_report.mean_block_utilization,
                         "prefix_hit_rate": paged_report.prefix_hit_rate,
                         "token_hit_rate": paged_report.prefix_token_hit_rate,
-                        "prefill_saved": paged_report.prefill_tokens_saved,
+                        "prefill_saved": paged_report.prefix_tokens_hit,
                     }
                 )
             rows.append(row)
@@ -687,7 +714,7 @@ def run_prefix(
                 "tokens": report.summary()["tokens"],
                 "hit_rate": report.prefix_hit_rate,
                 "token_hit_rate": report.prefix_token_hit_rate,
-                "prefill_saved": report.prefill_tokens_saved,
+                "prefill_saved": report.prefix_tokens_hit,
                 "cow_copies": report.cow_copies,
                 "peak_kv": report.peak_kv_slots,
             }

@@ -512,7 +512,8 @@ class PagedLayerKVCache:
         goes through the ordinary :meth:`_ensure_owned` copy-on-write,
         including a mid-block append into a partial tail.  A branch whose
         tail shrinks back past a shared block releases just its reference
-        (``join``/prune never frees blocks another branch still holds).
+        (retiring a pruned branch never frees blocks another branch still
+        holds).
         """
         clone = PagedLayerKVCache(self.pool, self.capacity)
         for block_id in self._table:

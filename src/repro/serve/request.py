@@ -252,10 +252,6 @@ class SequenceState:
     prompt_tokens: np.ndarray | None = None
     #: Times this sequence was preempted (either mode).
     preemptions: int = 0
-    #: KV slots (per layer, summed over preemptions) this sequence paged
-    #: out to / back from the modeled host pool (``preempt="swap"``).
-    swapped_out_slots: int = 0
-    swapped_in_slots: int = 0
     #: Prefix-trie node of the last full prompt block this sequence
     #: registered/adopted (chunked paged prefill resumes insertion here;
     #: a :class:`~repro.serve.prefix_cache.PrefixNode`, or ``None``).
@@ -274,9 +270,6 @@ class SequenceState:
     #: blocks back from later admissions so this sequence can always
     #: grow/CoW to its capacity.
     reserved_blocks: int = 0
-    #: Prompt tokens adopted from the prefix cache at admission (their
-    #: prefill compute was skipped); 0 when served dense or on a miss.
-    prefix_hit_length: int = 0
     #: Draft-model KV cache (speculative decoding).  Modeled as
     #: host-resident: it holds no device pool blocks, survives a swap
     #: (its contents are committed tokens, still valid at resume), and is
@@ -284,11 +277,6 @@ class SequenceState:
     #: preemption.  ``None`` until the sequence's first speculative
     #: round, or when speculation is off.
     draft_cache: object = None
-    #: Speculative rounds (propose + verify passes) this sequence took.
-    spec_rounds: int = 0
-    #: Draft tokens proposed for / accepted by this sequence.
-    spec_proposed: int = 0
-    spec_accepted: int = 0
     #: Family id (the root request's id) when this sequence belongs to a
     #: fork family (parallel sampling or beam search); ``None`` otherwise.
     family: object = None

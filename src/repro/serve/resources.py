@@ -5,9 +5,10 @@ their own slot/block bookkeeping inline in the admit/release paths.
 :class:`KVResourceManager` centralizes every device resource a sequence
 can hold — its batch slot, its :class:`~repro.serve.paging.BlockPool`
 blocks, and the prefix-cache reservations that pin pool blocks across
-requests — behind one ``can_admit / admit / swap_out / swap_in /
-retire`` surface (``retire`` also serves recompute-preemption), for all
-four serving modes (dense/paged x scheduler/engine).  Its request-to-cache map is the
+requests — behind one ``can_admit / admit / fork / swap_out / swap_in /
+retire`` surface (``retire`` also serves beam pruning and
+recompute-preemption), for all four serving modes (dense/paged x
+scheduler/engine).  Its request-to-cache map is the
 one registry of device-resident KV: it builds each sequence's dense or
 paged cache and returns paged blocks to the pool at retire and
 swap-out.  It is also the only place that knows which storage layout is
@@ -60,7 +61,10 @@ The host pool is *modeled*: images are plain numpy copies, and the
 scheduler records a :class:`~repro.serve.trace.SwapEvent` per transfer so
 :class:`~repro.serve.cosim.ServingCoSimulator` can charge the bytes to
 the hardware configuration's host link
-(:attr:`~repro.accel.config.HardwareConfig.host_link_gb_s`).
+(:attr:`~repro.accel.config.HardwareConfig.host_link_gb_s`).  Those
+events (and the :class:`~repro.serve.trace.ForkEvent` rows) are the only
+count of swaps and forks: the manager keeps no event counters, just the
+pool, the host-pool occupancy and its peak.
 
 Worked example — admit, swap out, swap in, retire against a fixed pool::
 
@@ -249,20 +253,7 @@ prefix_match_mode:
         self._utilization_sum = 0.0
         self._utilization_rounds = 0
 
-        # ---- fork/join counters (feed ServingReport) ----
-        self.forks = 0
-        self.joins = 0
-        #: Pool blocks branches adopted copy-on-write at fork instead of
-        #: allocating — the shared-prompt-blocks metric (paged mode).
-        self.fork_shared_blocks = 0
-        #: KV slots (per-layer convention) dense forks physically copied.
-        self.fork_copied_slots = 0
-
-        # ---- swap-traffic counters (feed ServingReport) ----
-        self.swap_outs = 0
-        self.swap_ins = 0
-        self.swap_out_blocks = 0
-        self.swap_in_blocks = 0
+        # ---- host pool (feeds ServingReport) ----
         #: Host-pool occupancy in KV slots (all layers) and its peak.
         self.host_kv_slots = 0
         self.host_peak_kv_slots = 0
@@ -599,10 +590,6 @@ prefix_match_mode:
             if reserved_blocks is None
             else reserved_blocks
         )
-        self.forks += 1
-        shared_blocks, copied_slots = self.fork_footprint(child)
-        self.fork_shared_blocks += shared_blocks
-        self.fork_copied_slots += copied_slots
         return child
 
     def fork_footprint(self, cache):
@@ -613,22 +600,11 @@ prefix_match_mode:
             return cache.num_blocks, 0
         return 0, max((layer.length for layer in cache), default=0)
 
-    def join(self, request_id):
-        """Prune a losing branch back into the pool.
-
-        Resource-wise identical to :meth:`retire` — the branch's tail
-        blocks return to the pool and blocks still shared with siblings
-        just drop a refcount — but spelled (and counted) separately
-        because the sequence did not finish: beam pruning retires it
-        with ``finish_reason="beam_pruned"``."""
-        self.joins += 1
-        self.retire(request_id)
-
     def retire(self, request_id):
         """Free a sequence's slot, reservation and cache — at retirement,
-        and at recompute-preemption, whose victim re-admits later and
-        re-prefills.  Paged blocks return to the pool (blocks still
-        shared elsewhere just drop a refcount)."""
+        at beam pruning, and at recompute-preemption, whose victim
+        re-admits later and re-prefills.  Paged blocks return to the pool
+        (blocks still shared elsewhere just drop a refcount)."""
         cache = self._admitted.pop(request_id)
         self._reservations.pop(request_id, None)
         if self.paged:
@@ -673,8 +649,6 @@ prefix_match_mode:
         self.retire(request_id)
         self._swapped[request_id] = image
 
-        self.swap_outs += 1
-        self.swap_out_blocks += image.blocks_out
         self.host_kv_slots += image.total_slots
         self.host_peak_kv_slots = max(self.host_peak_kv_slots, self.host_kv_slots)
         return image
@@ -715,8 +689,6 @@ prefix_match_mode:
         if self.paged:
             image.blocks_in = cache.num_blocks
 
-        self.swap_ins += 1
-        self.swap_in_blocks += image.blocks_in
         self.host_kv_slots -= image.total_slots
         return image
 

@@ -108,8 +108,11 @@ is dropped with the rest of the device state on a recompute preemption.
 
 Every round is also recorded in :attr:`Scheduler.trace` (prefill row
 counts, per-sequence decode attention lengths, speculative verify
-windows), which :class:`~repro.serve.cosim.ServingCoSimulator` prices on
-the accelerator cycle model after the run.
+windows, swaps, forks), which :class:`~repro.serve.cosim.ServingCoSimulator`
+prices on the accelerator cycle model after the run.  The trace is the
+one record of those events: :meth:`Scheduler.report` reads its verify,
+swap and fork counts from it too, so the scheduler keeps no second tally
+(only the token total and the running peaks are tracked per round).
 
 Worked example — serve three requests at batch cap 2::
 
@@ -198,7 +201,7 @@ class ServingReport:
     rejections: list = field(default_factory=list)
     total_rounds: int = 0
     #: Rounds in which the hardware did any work (prefill chunks count
-    #: even when no token was sampled yet).
+    #: even when no token was sampled yet) — the round trace's length.
     busy_rounds: int = 0
     total_tokens: int = 0
     peak_concurrency: int = 0
@@ -222,25 +225,28 @@ class ServingReport:
     #: KV, over all lookups — the token-weighted hit accounting
     #: (:attr:`prefix_token_hit_rate`), which unlike
     #: :attr:`prefix_hit_rate` credits a hit by how much prefill it
-    #: actually skipped.
+    #: actually skipped.  ``prefix_tokens_hit`` is exactly the prompt
+    #: prefill the hits saved (``summary()["prefill_saved"]``).
     prompt_tokens_seen: int = 0
     prefix_tokens_hit: int = 0
-    #: Prompt tokens whose prefill was skipped via a prefix-cache hit.
-    prefill_tokens_saved: int = 0
     cow_copies: int = 0
     # ---- preemption extras (defaults when preempt="off") ----
     #: The scheduler's preemption mode
     #: (``off``/``recompute``/``swap``/``model``).
     preempt: str = "off"
-    #: Preemption events over the run (all modes).
+    #: Preemption events over the run (all modes): the sum of every
+    #: sequence's ``preemptions``.
     preemptions: int = 0
     #: Per-victim choices made under ``preempt="model"`` (zero
     #: otherwise): how often the cost model picked swap vs recompute.
+    #: Every swap-out of a ``"model"`` run is such a choice, so these
+    #: are the swap-outs and the remaining preemptions.
     model_swaps: int = 0
     model_recomputes: int = 0
+    #: Swap transfers and the pool blocks they paged out to / back from
+    #: the modeled host pool — the trace's ``SwapEvent`` rows.
     swap_outs: int = 0
     swap_ins: int = 0
-    #: Pool blocks paged out to / back from the modeled host pool.
     swap_out_blocks: int = 0
     swap_in_blocks: int = 0
     #: Peak KV slots (all layers) resident in the host pool — the memory
@@ -249,7 +255,8 @@ class ServingReport:
     # ---- speculative-decoding extras (defaults when no draft model) ----
     spec_decode: bool = False
     spec_k: int = 0
-    #: Multi-token target verify passes executed.
+    #: Multi-token target verify passes executed (the trace's
+    #: ``VerifyEvent`` rows; the ``spec_*`` counters sum their fields).
     verify_passes: int = 0
     #: Draft tokens proposed / accepted over the run.
     spec_proposed: int = 0
@@ -259,9 +266,12 @@ class ServingReport:
     #: :attr:`tokens_per_target_pass`.
     spec_tokens: int = 0
     # ---- fork/join extras (defaults when no fork families) ----
-    #: Branch forks performed (parallel-sampling spawns + beam splits).
+    #: Branch forks performed (parallel-sampling spawns + beam splits):
+    #: the trace's ``ForkEvent`` rows, whose fields the two
+    #: ``fork_*`` counters below sum.
     forks: int = 0
-    #: Branches retired early through the join path (beam pruning).
+    #: Branches retired early by beam pruning
+    #: (``finish_reason == "beam_pruned"``).
     joins: int = 0
     #: Pool blocks branches adopted copy-on-write at fork instead of
     #: allocating fresh — the shared-prompt-blocks saving (paged mode).
@@ -408,7 +418,7 @@ class ServingReport:
                     "block_util": self.mean_block_utilization,
                     "prefix_hit_rate": self.prefix_hit_rate,
                     "token_hit_rate": self.prefix_token_hit_rate,
-                    "prefill_saved": self.prefill_tokens_saved,
+                    "prefill_saved": self.prefix_tokens_hit,
                     "cow_copies": self.cow_copies,
                 }
             )
@@ -679,17 +689,10 @@ class Scheduler:
         #: :class:`~repro.serve.cosim.ServingCoSimulator`.
         self.trace = []
         self.round_index = 0
-        self._busy_rounds = 0
+        # Beam branches inherit their parent's tokens, so the run's token
+        # total is counted as sampled, not summed over states.
         self._total_tokens = 0
         self._peak_concurrency = 0
-        self._prefill_tokens_saved = 0
-        self._preemption_count = 0
-        self._model_swaps = 0
-        self._model_recomputes = 0
-        self._verify_passes = 0
-        self._spec_proposed = 0
-        self._spec_accepted = 0
-        self._spec_tokens = 0
 
     # ------------------------------------------------------------------
     # Client API
@@ -930,7 +933,7 @@ class Scheduler:
             self.run_round()
             executed += 1
         wall = time.perf_counter() - start
-        return self._report(wall)
+        return self.report(wall)
 
     def run_round(self):
         """One scheduler iteration: continue prefills, admit, sample,
@@ -987,7 +990,6 @@ class Scheduler:
             # out: a chunked-prefill-only round costs compute too, and
             # tokens_per_round must reflect it.  (Unchunked runs are
             # unchanged: every round with work also samples.)
-            self._busy_rounds += 1
             self.trace.append(record)
         self._retire()
         self.round_index += 1
@@ -1098,7 +1100,6 @@ class Scheduler:
 
             if state.status == SWAPPED:
                 image = self.manager.swap_in(state)
-                state.swapped_in_slots += image.kv_slots
                 record.swaps.append(
                     SwapEvent(
                         state.request_id,
@@ -1287,19 +1288,13 @@ class Scheduler:
         immediately available.
         """
         state.preemptions += 1
-        self._preemption_count += 1
         self._running.remove(state)
         mode = self.preempt
         if mode == "model":
             mode = self._choose_preempt_mode(state)
-            if mode == "swap":
-                self._model_swaps += 1
-            else:
-                self._model_recomputes += 1
         if mode == "swap":
             image = self.manager.swap_out(state)
             state.status = SWAPPED
-            state.swapped_out_slots += image.kv_slots
             record.swaps.append(
                 SwapEvent(
                     state.request_id,
@@ -1318,7 +1313,6 @@ class Scheduler:
             state.prefilled = 0
             state.prompt_tokens = None
             state.prefix_node = None
-            state.prefix_hit_length = 0
             state.prefix_tainted = False
             # Recompute drops *all* derived state, the (host-resident)
             # draft cache included; a swap victim keeps its draft cache —
@@ -1546,9 +1540,7 @@ class Scheduler:
                 )
         state.prefix_tainted = hit.tainted
         assert not (state.prefix_tainted and budget is not None)
-        state.prefix_hit_length = hit.shared_length
         state.prefilled = hit.shared_length
-        self._prefill_tokens_saved += hit.shared_length
 
     def _sample(self, record):
         """Sample one token per running sequence; retire EOS/full ones.
@@ -1767,7 +1759,6 @@ class Scheduler:
             submit_index=self._submit_count,
             reserved_blocks=parent.reserved_blocks,
             prefix_node=parent.prefix_node,
-            prefix_hit_length=parent.prefix_hit_length,
             prefix_tainted=parent.prefix_tainted,
             family=parent.family,
             branch_index=branch_index,
@@ -1796,9 +1787,10 @@ class Scheduler:
         return child
 
     def _prune(self, state):
-        """Beam pruning: retire a losing branch through the join path,
-        releasing its cache tail back to the pool immediately."""
-        self.manager.join(state.request_id)
+        """Beam pruning: retire a losing branch, releasing its cache tail
+        back to the pool immediately (blocks still shared with siblings
+        just drop a refcount)."""
+        self.manager.retire(state.request_id)
         state.finish(self.round_index, "beam_pruned")
         self._sync_family(self._families[state.family])
 
@@ -2079,17 +2071,9 @@ class Scheduler:
             if state.draft_cache[0].length > committed:
                 state.draft_cache.truncate(committed)
 
-        tokens_credit = accepted + (0 if finished else 1)
         event.accepted = accepted
-        event.tokens = tokens_credit
+        event.tokens = accepted + (0 if finished else 1)
         record.verifies.append(event)
-        state.spec_rounds += 1
-        state.spec_proposed += k_eff
-        state.spec_accepted += accepted
-        self._verify_passes += 1
-        self._spec_proposed += k_eff
-        self._spec_accepted += accepted
-        self._spec_tokens += tokens_credit
         return accepted
 
     def _finish(self, state, reason):
@@ -2164,10 +2148,17 @@ class Scheduler:
     def report(self, wall_seconds=0.0):
         """Snapshot :class:`ServingReport` over the requests retired (and
         rejected) so far.  :meth:`run` calls this once at drain; the
-        serving engine calls it at any point of a streaming run."""
-        return self._report(wall_seconds)
+        serving engine calls it at any point of a streaming run.
 
-    def _report(self, wall_seconds):
+        Every event counter is read off the event's one record — the
+        round trace (verify windows, swaps, forks), the sequence states
+        (preemptions, pruned branches) and the prefix trie (tokens hit,
+        via the manager's usage report) — here, never kept per round."""
+        verifies = [event for record in self.trace for event in record.verifies]
+        swaps = [event for record in self.trace for event in record.swaps]
+        forks = [event for record in self.trace for event in record.forks]
+        swap_outs = [event for event in swaps if event.direction == SWAP_OUT]
+        swap_ins = [event for event in swaps if event.direction == SWAP_IN]
         rows = [
             {
                 "request_id": s.request_id,
@@ -2190,47 +2181,55 @@ class Scheduler:
             for s in self._finished
         ]
         if self.draft_model is not None:
-            for row, s in zip(rows, self._finished):
-                row["spec_rounds"] = s.spec_rounds
-                row["spec_proposed"] = s.spec_proposed
-                row["spec_accepted"] = s.spec_accepted
-                row["accept_rate"] = (
-                    s.spec_accepted / s.spec_proposed if s.spec_proposed else 0.0
-                )
+            spec = {}  # request_id -> [verify rounds, proposed, accepted]
+            for event in verifies:
+                counts = spec.setdefault(event.request_id, [0, 0, 0])
+                counts[0] += 1
+                counts[1] += event.proposed
+                counts[2] += event.accepted
+            for row in rows:
+                rounds, proposed, accepted = spec.get(row["request_id"], (0, 0, 0))
+                row["spec_rounds"] = rounds
+                row["spec_proposed"] = proposed
+                row["spec_accepted"] = accepted
+                row["accept_rate"] = accepted / proposed if proposed else 0.0
         if self._families:
             for row, s in zip(rows, self._finished):
                 row["family"] = s.family
                 row["branch"] = s.branch_index
                 if self._is_beam(s):
                     row["cum_logprob"] = s.cum_logprob
+        states = self._finished + self._running + self._waiting
+        preemptions = sum(s.preemptions for s in states)
+        # Under preempt="model" every swap-out is a cost-model choice.
+        modeled = self.preempt == "model"
         manager = self.manager
         return ServingReport(
             requests=rows,
             rejections=[r.as_row() for r in self._rejected],
             total_rounds=self.round_index,
-            busy_rounds=self._busy_rounds,
+            busy_rounds=len(self.trace),
             total_tokens=self._total_tokens,
             peak_concurrency=self._peak_concurrency,
             wall_seconds=wall_seconds,
-            prefill_tokens_saved=self._prefill_tokens_saved,
             preempt=self.preempt,
-            preemptions=self._preemption_count,
-            model_swaps=self._model_swaps,
-            model_recomputes=self._model_recomputes,
-            swap_outs=manager.swap_outs,
-            swap_ins=manager.swap_ins,
-            swap_out_blocks=manager.swap_out_blocks,
-            swap_in_blocks=manager.swap_in_blocks,
+            preemptions=preemptions,
+            model_swaps=len(swap_outs) if modeled else 0,
+            model_recomputes=preemptions - len(swap_outs) if modeled else 0,
+            swap_outs=len(swap_outs),
+            swap_ins=len(swap_ins),
+            swap_out_blocks=sum(event.blocks for event in swap_outs),
+            swap_in_blocks=sum(event.blocks for event in swap_ins),
             host_peak_kv_slots=manager.host_peak_kv_slots,
             spec_decode=self.draft_model is not None,
             spec_k=self.spec_k if self.draft_model is not None else 0,
-            verify_passes=self._verify_passes,
-            spec_proposed=self._spec_proposed,
-            spec_accepted=self._spec_accepted,
-            spec_tokens=self._spec_tokens,
-            forks=manager.forks,
-            joins=manager.joins,
-            fork_shared_blocks=manager.fork_shared_blocks,
-            fork_copied_slots=manager.fork_copied_slots,
+            verify_passes=len(verifies),
+            spec_proposed=sum(event.proposed for event in verifies),
+            spec_accepted=sum(event.accepted for event in verifies),
+            spec_tokens=sum(event.tokens for event in verifies),
+            forks=len(forks),
+            joins=sum(1 for s in self._finished if s.finish_reason == "beam_pruned"),
+            fork_shared_blocks=sum(event.blocks for event in forks),
+            fork_copied_slots=sum(event.copied_slots for event in forks),
             **manager.usage_report(),
         )

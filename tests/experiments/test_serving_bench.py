@@ -181,6 +181,16 @@ def test_bad_values_are_usage_errors(argv, capsys):
     assert argv[-2] in _error_line(capsys)
 
 
+def test_malformed_workload_file_is_a_usage_error(tmp_path, capsys):
+    """A valid-JSON line that is not an object died with a traceback."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text('"abc"\n')
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve-bench", "batch", "--workload-file", str(path)])
+    assert exit_info.value.code == 2
+    assert "bad.jsonl:1: bad workload record" in _error_line(capsys)
+
+
 def test_fork_needs_a_width(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["serve-bench", "fork"])

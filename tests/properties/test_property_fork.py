@@ -1,7 +1,8 @@
 """Property-based tests: fork/join block and refcount conservation.
 
-Arbitrary admit / fork / diverge / prune / retire interleavings over
-the KVResourceManager must conserve the pool exactly — every pool
+Arbitrary admit / fork / diverge / retire interleavings (a pruned beam
+branch retires like any other) over the KVResourceManager must conserve
+the pool exactly — every pool
 refcount equals the number of live block tables referencing the block,
 ``num_used`` equals the count of distinct referenced blocks — and
 copy-on-write divergence must never let one branch's appends show up in
@@ -80,7 +81,7 @@ def op_schedule(draw):
         st.lists(
             st.tuples(
                 st.sampled_from(
-                    ["admit", "fork", "diverge", "prune", "retire"]
+                    ["admit", "fork", "diverge", "retire"]
                 ),
                 st.integers(0, 2**31 - 1),
             ),
@@ -142,10 +143,6 @@ class TestForkConservation:
                 if not manager.has_blocks(worst):
                     continue
                 append_rows(caches, expected, tag, rows)
-            elif op == "prune" and live:
-                tag = live[pick % len(live)]
-                manager.join(tag)
-                del expected[tag]
             elif op == "retire" and live:
                 tag = live[pick % len(live)]
                 manager.retire(tag)
@@ -155,7 +152,6 @@ class TestForkConservation:
             assert_no_cross_branch_writes(caches, expected)
             assert manager.slots_used == len(expected)
 
-        assert manager.joins + manager.forks >= 0  # counters monotone
         for tag in sorted(expected):
             manager.retire(tag)
         assert pool.num_free == pool.num_blocks
@@ -202,7 +198,7 @@ class TestForkConservation:
 
         # Prune every child: the pool returns to the root-only footprint.
         for child in children:
-            manager.join(child)
+            manager.retire(child)
             del expected[child]
         assert_refcounts_exact(manager, caches, expected)
         manager.retire("root")

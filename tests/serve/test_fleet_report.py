@@ -172,6 +172,31 @@ class TestWorkloadRoundTrip:
         with pytest.raises(ValueError, match="broken.jsonl:2"):
             serving.load_workload(path)
 
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            ('"abc"', "expected a JSON object, got str"),
+            ("3", "expected a JSON object, got int"),
+            ("null", "expected a JSON object, got NoneType"),
+            ("[1, 2]", "expected a JSON object, got list"),
+            ('{"request_id": "r1", "prompt": [1', "Expecting"),
+        ],
+        ids=["string", "number", "null", "list", "truncated"],
+    )
+    def test_malformed_line_reports_path_and_line(self, tmp_path, line, reason):
+        """A line that is not a JSON object, or not JSON at all, is a
+        structured bad-record error, never a bare AttributeError or a
+        JSONDecodeError without its location."""
+        path = tmp_path / "broken.jsonl"
+        good = json.dumps(
+            {"request_id": "r0", "prompt": [1, 2], "max_new_tokens": 2}
+        )
+        path.write_text(good + "\n\n" + line + "\n")
+        expected = "broken.jsonl:3: bad workload record"
+        with pytest.raises(ValueError, match=expected) as info:
+            serving.load_workload(path)
+        assert reason in str(info.value)
+
 
 class TestRunFleet:
     def test_affinity_strictly_beats_round_robin_hit_rate(self, model):

@@ -328,7 +328,7 @@ class TestBeamSearch:
         assert len(tokens) == 6
         assert score < 0.0
         assert report.forks > 0
-        # Pruned losers retired through join, not plain finish.
+        # Pruned losers are counted as joins, not as plain finishes.
         assert report.joins == sum(
             1
             for s in scheduler.results()

@@ -121,7 +121,7 @@ class TestPrefixHitsPreserveOutputs:
             model, requests, paged=True, block_size=block_size
         )
         assert report.prefix_hits > 0
-        assert report.prefill_tokens_saved > 0
+        assert report.prefix_tokens_hit > 0
         for request in requests:
             assert paged.tokens_for(request.request_id) == dense.tokens_for(
                 request.request_id
@@ -166,7 +166,7 @@ class TestPrefixHitsPreserveOutputs:
             model, requests, policy_factory=factory, paged=True, block_size=4
         )
         assert report.prefix_hits == 0
-        assert report.prefill_tokens_saved == 0
+        assert report.prefix_tokens_hit == 0
         for request in requests:
             assert paged.tokens_for(request.request_id) == dense.tokens_for(
                 request.request_id
@@ -185,7 +185,7 @@ class TestPagedReporting:
         assert 0.0 <= report.prefix_hit_rate <= 1.0
         summary = report.summary()
         assert summary["block_size"] == 4
-        assert summary["prefill_saved"] == report.prefill_tokens_saved
+        assert summary["prefill_saved"] == report.prefix_tokens_hit
 
     def test_dense_report_has_no_paged_extras(self, model):
         requests = make_requests(model, 3, seed=37)

@@ -80,7 +80,7 @@ class TestPartialTailEndToEnd:
         # The warm request CoWs nothing (it allocated its own blocks);
         # the twin CoWs the one partially adopted block, per layer.
         assert scheduler.manager.block_pool.cow_copies == model.config.n_layers
-        assert report.prefill_tokens_saved == 7
+        assert report.prefix_tokens_hit == 7
 
     @pytest.mark.parametrize("factory", [voting_factory, h2o_factory])
     def test_partial_hit_bit_identical_to_cold_dense(self, model, factory):
@@ -209,7 +209,7 @@ class TestCosimPricesPartialCoverage:
         assert paged_hw.prefill_tokens == 9  # warm prompt + 1 divergent row
         assert (
             dense_hw.prefill_tokens - paged_hw.prefill_tokens
-            == report.prefill_tokens_saved
+            == report.prefix_tokens_hit
         )
         assert paged_hw.total_cycles < dense_hw.total_cycles
 

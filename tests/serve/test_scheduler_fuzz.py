@@ -186,7 +186,7 @@ def test_prefix_cache_survives_across_trace_and_hits_accumulate(model):
     )
     # Every request after the first should have hit the shared prefix.
     assert report.prefix_hits == len(requests) - 1
-    assert report.prefill_tokens_saved == (len(requests) - 1) * 16
+    assert report.prefix_tokens_hit == (len(requests) - 1) * 16
 
 
 @pytest.mark.parametrize("seed", range(6))

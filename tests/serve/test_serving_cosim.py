@@ -256,12 +256,12 @@ class TestTraceAccounting:
         paged_sched, paged_report = serve(
             tiny_inference, requests, max_batch_size=2, paged=True
         )
-        assert paged_report.prefill_tokens_saved > 0
+        assert paged_report.prefix_tokens_hit > 0
         dense = ServingCoSimulator(dense_sched).replay()
         paged = ServingCoSimulator(paged_sched).replay()
         assert (
             dense.prefill_tokens - paged.prefill_tokens
-            == paged_report.prefill_tokens_saved
+            == paged_report.prefix_tokens_hit
         )
         assert paged.prefill_cycles < dense.prefill_cycles
         # Decode work is untouched by prefix sharing.

@@ -457,7 +457,7 @@ class TestRicherWorkloads:
         engine.play(workload)
         report = engine.report()
         assert report.prefix_hits > 0
-        assert report.prefill_tokens_saved > 0
+        assert report.prefix_tokens_hit > 0
 
     def test_workload_validation(self):
         with pytest.raises(ValueError):
