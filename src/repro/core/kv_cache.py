@@ -86,11 +86,10 @@ class LayerKVCache:
         self.length += 1
 
     def append_block(self, keys, values, positions):
-        """Append a prefill block; ``keys``/``values`` are (H, L, d)."""
-        keys = np.asarray(keys)
-        values = np.asarray(values)
-        positions = np.asarray(positions, dtype=np.int64)
-        block = keys.shape[1]
+        """Append a block of L tokens; ``keys``/``values`` are (H, L, d)
+        and ``positions`` is (L,)."""
+        keys, values, positions = _checked_block(self, keys, values, positions)
+        block = positions.shape[0]
         if self.length + block > self.capacity:
             raise RuntimeError(
                 f"KV cache overflow: {self.length} + {block} > {self.capacity}"
@@ -159,6 +158,26 @@ class LayerKVCache:
             f"LayerKVCache(heads={self.n_heads}, head_dim={self.head_dim}, "
             f"length={self.length}/{self.capacity})"
         )
+
+
+def _checked_block(layer, keys, values, positions):
+    """``append_block``'s inputs as arrays, or ``ValueError`` unless
+    ``keys``/``values`` are (H, L, d) for the layer's heads and head
+    dim and ``positions`` is (L,) — nothing is broadcast."""
+    keys = np.asarray(keys)
+    values = np.asarray(values)
+    positions = np.asarray(positions, dtype=np.int64)
+    if (
+        positions.ndim != 1
+        or keys.shape != (layer.n_heads, positions.shape[0], layer.head_dim)
+        or values.shape != keys.shape
+    ):
+        raise ValueError(
+            f"kv block shapes {keys.shape}/{values.shape} with positions "
+            f"{positions.shape} != expected ({layer.n_heads}, L, "
+            f"{layer.head_dim}) with (L,)"
+        )
+    return keys, values, positions
 
 
 class KVCache:

@@ -7,17 +7,19 @@ and extending it.  Per-row attention scores are surfaced to the caller so
 eviction policies (H2O's accumulation, VEDA's voting) can observe exactly
 the ``s'`` vectors the hardware voting engine sees.
 
-Decoding is batched: :meth:`CachedTransformer.step_batch` advances ``B``
-independent sequences in lock-step, sharing one stacked matmul per linear
+Both phases run one forward over *segments* — runs of rows that continue
+one :class:`~repro.core.kv_cache.KVCache`: a prefill chunk, a
+speculative verify window, a decode step.  :meth:`CachedTransformer.step_batch`
+advances ``B`` rows in lock-step, sharing one stacked matmul per linear
 layer (the Orca observation modeled in ``experiments/batching.py`` —
-weights are fetched once per batch) while attending to each sequence's
-own :class:`~repro.core.kv_cache.KVCache`.  ``step`` is the batch-of-one
-special case, and a speculative verify window is a run of rows sharing
-one cache.  Batched linear algebra goes through :func:`batch_matmul`,
-which runs one BLAS gemv per row, so a row's result does not depend on
-how many rows share the call: a sequence decodes to bitwise-identical
-logits whether it runs alone or inside any batch — the property the
-serving scheduler's equivalence guarantee rests on.
+weights are fetched once per batch).  Two invariances make the hidden
+state exact, not only the tokens: :func:`batch_matmul` runs one BLAS gemv
+per row, so a row's linear layers do not depend on how many rows share
+the call, and :func:`stable_softmax` divides by a serial sum, so a
+causally masked row equals the same row at its exact width.  A token's
+logits, attention rows and cached keys/values are therefore bitwise the
+same alone or in any batch, prefilled whole, in chunks or step by step —
+the property the serving scheduler's equivalence guarantee rests on.
 
 The weights come from a trained :class:`repro.models.transformer.TransformerLM`
 via ``state_dict``; ``tests/models/test_inference.py`` property-tests that
@@ -189,18 +191,18 @@ class CachedTransformer:
         variance = np.add.reduce(centered * centered, axis=-1, keepdims=True) / width
         return centered / np.sqrt(variance + 1e-5) * weight + bias
 
-    def _ffn(self, lw, x, mm=np.matmul):
+    def _ffn(self, lw, x):
         if self.config.activation == "swiglu":
-            gate = mm(x, lw.w_gate)
-            gate = gate / (1.0 + np.exp(-gate)) * mm(x, lw.w_up)
-            return mm(gate, lw.w_down)
-        hidden = mm(x, lw.w_up)
+            gate = batch_matmul(x, lw.w_gate)
+            gate = gate / (1.0 + np.exp(-gate)) * batch_matmul(x, lw.w_up)
+            return batch_matmul(gate, lw.w_down)
+        hidden = batch_matmul(x, lw.w_up)
         if self.config.activation == "gelu":
             c = math.sqrt(2.0 / math.pi)
             hidden = 0.5 * hidden * (1.0 + np.tanh(c * (hidden + 0.044715 * hidden**3)))
         else:
             hidden = np.maximum(hidden, 0.0)
-        return mm(hidden, lw.w_down)
+        return batch_matmul(hidden, lw.w_down)
 
     # ------------------------------------------------------------------
     # Cache management
@@ -219,16 +221,15 @@ class CachedTransformer:
 
         When ``cache`` already holds entries — a shared prefix adopted
         from the serving prefix cache, or an earlier chunk — the new
-        tokens attend to the cached keys/values as well as to each other,
-        so a chunked prefill reproduces the one-shot prefill exactly.
-        All linear layers go through :func:`batch_matmul`, one gemv per
-        row, so a row's result is independent of the number of rows; combined
-        with the per-element (width-outer) einsum attention reductions,
-        a token's hidden state — and the final logits — is bitwise
-        identical whether its prompt was prefilled whole or continued
-        from a cached prefix.  That invariance is what lets prefix-cache
-        hits skip recomputation without changing a single generated
-        token.
+        tokens attend to the cached keys/values as well as to each other.
+        The prompt is one segment of the forward every decode row takes
+        too, so a token's hidden state is exact, not only its token: its
+        keys and values in every layer, its attention row and the final
+        logits are bitwise the same whether the prompt was prefilled
+        whole, in chunks, after a cached prefix, or by sequential
+        :meth:`step` calls.  That is what lets prefix-cache hits and
+        chunked prefill skip or split recomputation without changing a
+        single generated token.
 
         Parameters
         ----------
@@ -256,55 +257,17 @@ class CachedTransformer:
         length = tokens.shape[0]
         if length == 0:
             raise ValueError("empty prompt")
-        config = self.config
-        heads, head_dim = config.n_heads, config.head_dim
-        prior_lengths = {cache[i].length for i in range(config.n_layers)}
+        prior_lengths = {cache[i].length for i in range(self.config.n_layers)}
         if len(prior_lengths) != 1:
             raise ValueError(
                 f"ragged cache lengths {sorted(prior_lengths)}: prefill "
                 "continuation needs every layer at the same length"
             )
-        (prior,) = prior_lengths
-        total = prior + length
         positions = np.arange(start_position, start_position + length)
-        # Positions are the same in every layer: one table look-up (and
-        # one range check) serves q and k of all of them.
-        cos, sin = self.rope.at(positions)
-        scale = 1.0 / math.sqrt(head_dim)
-
-        x = self.embed[tokens]
-        attention_records = []
-        # Row i (absolute slot prior + i) sees every cached slot plus the
-        # new slots up to itself.
-        mask = (np.arange(total)[None, :] - prior) > np.arange(length)[:, None]
-        for layer_index, lw in enumerate(self.layers):
-            layer_cache = cache[layer_index]
-            normed = self._norm(x, lw.attn_norm_w, lw.attn_norm_b)
-
-            def split(mat):
-                return mat.reshape(length, heads, head_dim).transpose(1, 0, 2)
-
-            q = rotate_half(split(batch_matmul(normed, lw.wq)), cos, sin)
-            k = rotate_half(split(batch_matmul(normed, lw.wk)), cos, sin)
-            v = split(batch_matmul(normed, lw.wv))
-            layer_cache.append_block(k, v, positions)
-            keys = layer_cache.keys  # (H, total, d)
-            values = layer_cache.values
-
-            scores = np.einsum("hid,hjd->hij", q, keys) * scale
-            scores = np.where(mask, -1e30, scores)
-            attn = stable_softmax(scores, axis=-1)
-            attention_records.append(attn)
-            context = np.einsum("hij,hjd->hid", attn, values)
-            merged = context.transpose(1, 0, 2).reshape(length, config.d_model)
-            x = x + batch_matmul(merged, lw.wo)
-
-            normed = self._norm(x, lw.ffn_norm_w, lw.ffn_norm_b)
-            x = x + self._ffn(lw, normed, mm=batch_matmul)
-
-        x = self._norm(x, self.final_norm_w, self.final_norm_b)
-        logits = x[-1] @ self.lm_head
-        return StepResult(logits, attention_records)
+        logits, attention = self._forward(
+            tokens, positions, [(cache, slice(0, length))], slice(length - 1, None)
+        )
+        return StepResult(logits[0], [layer[0] for layer in attention])
 
     # ------------------------------------------------------------------
     # Decode
@@ -324,42 +287,35 @@ class CachedTransformer:
         ``(H, l)`` rows over the (post-append) cache.
         """
         result = self.step_batch([int(token)], [int(position)], [cache])
-        return StepResult(
-            result.logits[0], [rows[0] for rows in result.attention]
-        )
+        return StepResult(result.logits[0], [rows[0] for rows in result.attention])
 
     def step_batch(self, tokens, positions, caches):
-        """Decode one token for each of ``B`` sequences in lock-step.
+        """Decode one token for each of ``B`` rows in lock-step.
 
         Parameters
         ----------
         tokens:
-            ``(B,)`` token ids, one per sequence.
+            ``(B,)`` token ids, one per row.
         positions:
-            ``(B,)`` absolute positions, one per sequence (sequences are
-            at independent points in their generations).
+            ``(B,)`` absolute positions, one per row (sequences are at
+            independent points in their generations).
         caches:
-            ``B`` per-sequence :class:`KVCache` objects (dense, or the
-            paged drop-in the serving resource manager builds); each
-            row's kv pair is appended to its own cache before
-            attention.  One cache may back several rows — a speculative
-            verify window, its pending token and draft proposals at
-            consecutive positions: rows append and attend in row order,
-            so each row sees exactly the cache a sequential :meth:`step`
-            of its token would have, and its logits and attention are
-            bitwise that step's.
+            ``B`` :class:`KVCache` objects (dense, or the paged drop-in
+            the serving resource manager builds); each row's kv pair is
+            appended to its cache before attention.  One cache may back
+            several rows in any interleaving — a speculative verify
+            window: its pending token and draft proposals at consecutive
+            positions — which append and attend in row order.
 
-        All linear layers run as one stacked ``(B, D) @ (D, F)``
-        :func:`batch_matmul` call — on the modeled hardware the weight
-        matrix is read once for the whole batch, which is the batching
-        win (attention remains per-row: each row attends over its own
-        cache at its own length, never a padded or masked width).
+        Every row's hidden state is exact, not only its token: logits,
+        attention row and cached keys/values are bitwise those of a
+        sequential :meth:`step` of its token (and of its row in a whole
+        or chunked :meth:`prefill`).  All linear layers run as one
+        stacked :func:`batch_matmul` call — on the modeled hardware the
+        weight matrix is read once for the whole batch.
 
         Returns a :class:`BatchStepResult`.
         """
-        config = self.config
-        heads, head_dim = config.n_heads, config.head_dim
-        scale = 1.0 / math.sqrt(head_dim)
         tokens = np.asarray(tokens, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
         if tokens.ndim != 1 or tokens.shape[0] == 0:
@@ -370,42 +326,84 @@ class CachedTransformer:
                 f"batch mismatch: {batch} tokens, {positions.shape[0]} "
                 f"positions, {len(caches)} caches"
             )
+        groups = {}  # by cache identity, each cache's rows in row order
+        for b, cache in enumerate(caches):
+            groups.setdefault(id(cache), (cache, []))[1].append(b)
+        segments = [
+            (cache, slice(rows[0], rows[0] + 1) if len(rows) == 1 else rows)
+            for cache, rows in groups.values()
+        ]
+        logits, attention = self._forward(tokens, positions, segments, slice(None))
+        records = []
+        for layer_attention in attention:
+            layer_rows = [None] * batch
+            for (_, rows), attn in zip(groups.values(), layer_attention):
+                prior = attn.shape[2] - len(rows)
+                for i, b in enumerate(rows):
+                    layer_rows[b] = attn[:, i, : prior + i + 1]
+            records.append(layer_rows)
+        return BatchStepResult(logits, records)
 
-        cos, sin = self.rope.at(positions[:, None])  # once for all layers
+    def _forward(self, tokens, positions, segments, logit_rows):
+        """Run ``tokens`` at ``positions`` through every layer.
 
-        x = self.embed[tokens]  # (B, D)
-        attention_records = []
+        ``segments`` lists ``(cache, rows)``: the rows (a slice — always,
+        for one row — or an index list, in append order) that continue
+        ``cache``: a prefill chunk, a verify window or one decode row.
+        Everything but attention runs once over all rows; each segment
+        appends its keys/values and attends causally over its cache.
+        Returns the logits of ``logit_rows`` and, per layer, every
+        segment's ``(H, n, W)`` attention over its ``W`` cached slots.
+        """
+        config = self.config
+        batch = tokens.shape[0]
+        heads, head_dim = config.n_heads, config.head_dim
+        scale = 1.0 / math.sqrt(head_dim)
+        # One table look-up (and range check, before any cache is
+        # touched) serves q and k of every layer.
+        cos, sin = self.rope.at(positions[:, None])
+
+        spans = [(cache, rows, positions[rows]) for cache, rows in segments]
+        x = self.embed[tokens]  # (N, D)
+        attention = []
         for layer_index, lw in enumerate(self.layers):
             normed = self._norm(x, lw.attn_norm_w, lw.attn_norm_b)
 
-            q = batch_matmul(normed, lw.wq).reshape(batch, heads, head_dim)
-            k = batch_matmul(normed, lw.wk).reshape(batch, heads, head_dim)
-            v = batch_matmul(normed, lw.wv).reshape(batch, heads, head_dim)
-            q = rotate_half(q, cos, sin)
-            k = rotate_half(k, cos, sin)
+            def project(w):
+                return batch_matmul(normed, w).reshape(batch, heads, head_dim)
 
-            contexts = np.empty((batch, config.d_model))
-            layer_attn = []
-            for b, cache in enumerate(caches):
+            # Heads-first (H, N, d) views: a segment is a slice of them.
+            q = rotate_half(project(lw.wq), cos, sin).transpose(1, 0, 2)
+            k = rotate_half(project(lw.wk), cos, sin).transpose(1, 0, 2)
+            v = project(lw.wv).transpose(1, 0, 2)
+            context = np.empty((heads, batch, head_dim))
+            layer_attention = []
+            for cache, rows, where in spans:
                 layer_cache = cache[layer_index]
-                layer_cache.append(k[b], v[b], positions[b])
-                keys = layer_cache.keys  # (H, l_b, d)
+                n = where.shape[0]
+                if n == 1:
+                    layer_cache.append(k[:, rows.start], v[:, rows.start], where[0])
+                else:
+                    layer_cache.append_block(k[:, rows], v[:, rows], where)
+                keys = layer_cache.keys  # (H, W, d)
                 values = layer_cache.values
-                scores = np.einsum("hd,hld->hl", q[b], keys) * scale
-                attn = stable_softmax(scores, axis=-1)  # (H, l_b)
-                layer_attn.append(attn)
-                contexts[b] = np.einsum("hl,hld->hd", attn, values).reshape(
-                    config.d_model
-                )
-            attention_records.append(layer_attn)
-            x = x + batch_matmul(contexts, lw.wo)
+                scores = np.einsum("hid,hjd->hij", q[:, rows], keys) * scale
+                if n > 1:  # row i (slot W - n + i) sees the slots up to itself
+                    width = keys.shape[1]
+                    causal = np.arange(width) > np.arange(width - n, width)[:, None]
+                    np.copyto(scores, -1e30, where=causal)
+                attn = stable_softmax(scores, axis=-1)
+                layer_attention.append(attn)
+                context[:, rows] = np.einsum("hij,hjd->hid", attn, values)
+            attention.append(layer_attention)
+            merged = context.transpose(1, 0, 2).reshape(batch, config.d_model)
+            x = x + batch_matmul(merged, lw.wo)
 
             normed = self._norm(x, lw.ffn_norm_w, lw.ffn_norm_b)
-            x = x + self._ffn(lw, normed, mm=batch_matmul)
+            x = x + self._ffn(lw, normed)
 
-        x = self._norm(x, self.final_norm_w, self.final_norm_b)
-        logits = batch_matmul(x, self.lm_head)
-        return BatchStepResult(logits, attention_records)
+        x = self._norm(x[logit_rows], self.final_norm_w, self.final_norm_b)
+        return batch_matmul(x, self.lm_head), attention
 
 
 def _optional(state, key):

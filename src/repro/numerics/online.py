@@ -137,20 +137,25 @@ class WelfordAccumulator:
 
 
 def stable_softmax(x, axis=-1):
-    """Numerically stable batch softmax for plain ndarrays.
+    """Numerically stable batch softmax for plain ndarrays, width-invariant.
 
-    The two-pass reference implementation (subtract max, exponentiate,
-    normalize); :func:`online_softmax` is tested to match it exactly.
-    It sits inside every attention call of the decode loop, so the
-    reductions go straight to the ufuncs (``np.max``/``np.sum`` are
-    python wrappers around exactly these calls) and ``exp``/divide run
-    in place on the one array allocated here — same float operations in
-    the same order, bitwise the same result.
+    Two passes: subtract the maximum and exponentiate, then divide by
+    the exponent sum.  The sum is accumulated strictly serially along
+    ``axis`` — the last element of ``np.add.accumulate``, the order in
+    which the element-serial SFU folds the normalizer in.  The pairwise
+    tree of ``np.add.reduce`` depends on the row width, so a row padded
+    with exact zeros could sum differently in the last bit; the serial
+    sum cannot.  A causal row masked to ``-1e30`` past its width
+    therefore gets bitwise the probabilities of the same row at its
+    exact width — what lets one masked attention formulation serve a
+    prefill chunk, a verify window and a decode step.
+    :func:`online_softmax` matches it to rounding.
     """
     x = np.asarray(x, dtype=np.float64)
     out = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     np.exp(out, out=out)
-    out /= np.add.reduce(out, axis=axis, keepdims=True)
+    last = (slice(None),) * (axis % out.ndim) + (slice(-1, None),)
+    out /= np.add.accumulate(out, axis=axis)[last]
     return out
 
 

@@ -17,9 +17,9 @@ wraps the scheduler in an event-driven :class:`ServingEngine`:
   round computes (Sarathi-style): long prompts are prefilled in N-token
   chunks interleaved with the running batch's decode rounds instead of
   head-of-line-blocking them.  Generated tokens are bit-identical to
-  whole-prompt prefill at every chunk budget (the model's prefill is
-  row-count-invariant over a populated cache and every policy's
-  ``observe_continuation`` is chunk-invariant).
+  whole-prompt prefill at every chunk budget (a chunk's hidden state is
+  bitwise the whole prompt's — see :mod:`repro.models.inference` — and
+  every policy's ``observe_continuation`` is chunk-invariant).
 - **SLA-aware admission.**  Pluggable :class:`AdmissionPolicy` objects
   order arrived requests for admission: :class:`FIFOAdmission` (arrival
   order), :class:`EDFAdmission` (earliest ``Request.deadline`` first),

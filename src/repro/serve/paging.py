@@ -50,6 +50,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kv_cache import _checked_block
+
 __all__ = [
     "BlockPool",
     "BlockPoolExhausted",
@@ -348,11 +350,10 @@ class PagedLayerKVCache:
         self.length += 1
 
     def append_block(self, keys, values, positions):
-        """Append a prefill block; ``keys``/``values`` are (H, L, d)."""
-        keys = np.asarray(keys)
-        values = np.asarray(values)
-        positions = np.asarray(positions, dtype=np.int64)
-        block = keys.shape[1]
+        """Append a block of L tokens; ``keys``/``values`` are (H, L, d)
+        and ``positions`` is (L,)."""
+        keys, values, positions = _checked_block(self, keys, values, positions)
+        block = positions.shape[0]
         if self.length + block > self.capacity:
             raise RuntimeError(
                 f"KV cache overflow: {self.length} + {block} > {self.capacity}"

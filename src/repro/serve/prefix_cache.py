@@ -2,11 +2,13 @@
 
 Serving traffic repeats prompt prefixes constantly — system prompts,
 few-shot preambles, multi-turn conversations resubmitting their whole
-history.  Because a token's key/value vectors depend only on the tokens
-before it (RoPE is applied at production time and the prefill linear
-layers are row-count invariant, see ``repro.models.inference``), the KV
-state of a shared prefix is bitwise identical across requests and can be
-computed once.  The paged allocator (:mod:`repro.serve.paging`) makes
+history.  A token's key/value vectors depend only on the tokens before
+it, and bitwise so: RoPE is applied at production time, the linear
+layers are row-count invariant and the softmax is width-invariant (see
+``repro.models.inference``), so a token's hidden state does not depend
+on how its prompt was split into prefill chunks or what followed it.
+The KV state of a shared prefix is therefore bitwise identical across
+requests — exact, not only token-equivalent — and can be computed once.  The paged allocator (:mod:`repro.serve.paging`) makes
 that state *shareable* (refcounted blocks, copy-on-write); this module
 decides what stays resident and how much of a new prompt it covers.
 

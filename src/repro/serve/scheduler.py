@@ -49,10 +49,13 @@ Chunked prefill (``prefill_chunk=N``) bounds the prompt rows computed
 per round, Sarathi-style: an admitted prompt is prefilled in N-token
 chunks interleaved with the running batch's decode rounds (the sequence
 sits in the ``PREFILLING`` state, holding a batch slot but not sampling,
-until its last chunk lands).  Because the model's prefill is
-row-count-invariant over a populated cache and every policy's
-``observe_continuation`` is chunk-invariant, generated tokens are
-bit-identical to whole-prompt prefill at any chunk budget — the win is
+until its last chunk lands).  A chunk is one segment of the model's
+forward (row-count-invariant linear layers, width-invariant softmax),
+so every prompt token's keys, values, attention rows and the final
+logits are bitwise those of the whole-prompt prefill — the hidden state
+is exact, not only the tokens — and every policy's
+``observe_continuation`` is chunk-invariant, so generated tokens and
+eviction logs are bit-identical at any chunk budget.  The win is
 latency shape only: no single round carries a whole long prompt, so
 decode rounds never stall behind one (the head-of-line cycle spike
 visible in ``serve-bench batch --cosim``).
@@ -1446,9 +1449,10 @@ class Scheduler:
         populated cache (adopted prefix blocks and earlier chunks) and
         feed their attention rows to the policy; returns the logits.
 
-        The model's row-count-invariant continuation plus every policy's
-        chunk-invariant ``observe_continuation`` make the logits and the
-        policy state bitwise equal to a one-shot prefill at any split.
+        The model's exact continuation (the range is one forward
+        segment) plus every policy's chunk-invariant
+        ``observe_continuation`` make the logits and the policy state
+        bitwise equal to a one-shot prefill at any split.
         Observation is one call per layer over the whole range, except
         while the sequence registers its prompt blocks in the prefix
         trie (``state.prefix_node`` set by :meth:`_attach_prefix`): then

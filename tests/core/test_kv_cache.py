@@ -48,6 +48,25 @@ class TestAppend:
         with pytest.raises(ValueError):
             layer.append(np.zeros((2, 5)), np.zeros((2, 4)), position=0)
 
+    @pytest.mark.parametrize(
+        "keys_shape, values_shape, positions",
+        [
+            ((1, 3, 4), (1, 3, 4), [0, 1, 2]),  # one head for two
+            ((2, 3, 4), (2, 3, 5), [0, 1, 2]),  # values head dim
+            ((2, 2, 4), (2, 2, 4), [7]),  # one position for two rows
+            ((2, 2, 4), (2, 2, 4), 7),  # a scalar position
+            ((2, 4), (2, 4), [0]),  # a single (H, d) row
+        ],
+    )
+    def test_append_block_validation(self, layer, keys_shape, values_shape, positions):
+        """Like ``append``, ``append_block`` broadcasts nothing: a
+        malformed block raises before any slot is written."""
+        layer.append(*kv(1), position=0)
+        with pytest.raises(ValueError):
+            layer.append_block(np.ones(keys_shape), np.ones(values_shape), positions)
+        assert layer.length == 1
+        np.testing.assert_array_equal(layer.positions, [0])
+
 
 class TestEvict:
     def test_evict_middle_compacts(self, layer):

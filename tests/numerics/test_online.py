@@ -25,17 +25,33 @@ class TestOnlineSoftmax:
         )
 
     @pytest.mark.parametrize("axis", [-1, 0, 1])
-    def test_stable_softmax_bitwise_equals_np_max_sum_formulation(self, rng, axis):
-        """The in-place ufunc spelling performs the same float
-        operations in the same order as the textbook one it replaced."""
+    def test_stable_softmax_bitwise_equals_serial_sum_formulation(self, rng, axis):
+        """The denominator is a strict left-to-right sum along ``axis``
+        (the element-serial SFU's order), not numpy's pairwise tree."""
         for shape in [(4, 1), (4, 13), (2, 3, 130), (1, 1)]:
             x = rng.normal(size=shape) * 8.0
             keep = x.copy()
-            shifted = x - np.max(x, axis=axis, keepdims=True)
-            exps = np.exp(shifted)
-            expected = exps / np.sum(exps, axis=axis, keepdims=True)
+            exps = np.exp(x - np.max(x, axis=axis, keepdims=True))
+            terms = np.moveaxis(exps, axis, 0)
+            total = terms[0]
+            for term in terms[1:]:
+                total = total + term
+            expected = exps / np.expand_dims(total, axis)
             np.testing.assert_array_equal(stable_softmax(x, axis=axis), expected)
             np.testing.assert_array_equal(x, keep)  # input untouched
+
+    def test_stable_softmax_zero_tail_is_exact(self, rng):
+        """A row padded with ``-1e30`` (a causally masked attention row)
+        gets bitwise the exact-width row's probabilities and exact zeros
+        in the tail, at every width and padding."""
+        for width in range(1, 70):
+            x = rng.normal(size=(3, width)) * 4.0
+            exact = stable_softmax(x)
+            for pad in (1, 7, 64, 193):
+                padded = np.concatenate([x, np.full((3, pad), -1e30)], axis=1)
+                probs = stable_softmax(padded)
+                np.testing.assert_array_equal(probs[:, :width], exact)
+                assert not probs[:, width:].any()
 
     def test_extreme_values(self):
         x = np.array([-1e4, 0.0, 1e4])

@@ -224,6 +224,106 @@ class TestRoundBatchEqualsSequentialSteps:
             assert_cache_equals(caches[s], contents[keep])
 
 
+class TestSegmentWidthInvariance:
+    """A token's hidden state does not depend on the segment that carries
+    it: a whole prefill, a random chunking, sequential ``step`` calls and
+    a ``step_batch`` window interleaved with other sequences' rows give
+    bitwise the same logits, the same attention row in every layer and
+    the same keys, values and positions in every layer's cache — dense
+    and paged alike.  A pairwise softmax denominator fails this: a row's
+    masked zero tail changes its sum's grouping."""
+
+    @given(
+        SEEDS,
+        st.sampled_from(["tiny", "small"]),
+        st.sampled_from([None, 1, 4, 16]),
+        st.integers(1, 40),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_prefill_chunks_steps_and_window_agree(
+        self, tiny_inference, small_inference, seed, config, block_size,
+        length, data,
+    ):
+        model = tiny_inference if config == "tiny" else small_inference
+        cfg = model.config
+        rng = np.random.default_rng(seed)
+        prompt = rng.integers(0, cfg.vocab_size, size=length)
+        pool = (
+            None
+            if block_size is None
+            else BlockPool(cfg.n_heads, cfg.head_dim, block_size)
+        )
+
+        def new_cache():
+            if pool is None:
+                return model.new_cache(capacity=64)
+            return PagedKVCache(pool, cfg.n_layers, 64)
+
+        # The reference: sequential steps from an empty cache.
+        stepped = new_cache()
+        steps = [model.step(token, i, stepped) for i, token in enumerate(prompt)]
+        want = cache_contents(stepped)
+
+        def assert_row(i, logits, attention):
+            if logits is not None:
+                np.testing.assert_array_equal(logits, steps[i].logits)
+            for got, row in zip(attention, steps[i].attention, strict=True):
+                np.testing.assert_array_equal(got, row)
+
+        whole_cache = new_cache()
+        whole = model.prefill(prompt, whole_cache)
+        for i in range(length):
+            assert_row(
+                i,
+                whole.logits if i == length - 1 else None,
+                [attn[:, i, : i + 1] for attn in whole.attention],
+            )
+        assert_cache_equals(whole_cache, want)
+
+        cuts = data.draw(st.sets(st.integers(1, max(1, length - 1))))
+        bounds = [0, *sorted(cut for cut in cuts if cut < length), length]
+        chunked = new_cache()
+        for start, stop in zip(bounds, bounds[1:]):
+            chunk = model.prefill(prompt[start:stop], chunked, start_position=start)
+            for i in range(start, stop):
+                assert_row(
+                    i,
+                    chunk.logits if i == stop - 1 else None,
+                    [attn[:, i - start, : i + 1] for attn in chunk.attention],
+                )
+        assert_cache_equals(chunked, want)
+
+        # The prompt as one verify-style window of step_batch rows,
+        # interleaved with decode rows of other prefilled sequences.
+        others = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            cache = new_cache()
+            other = rng.integers(0, cfg.vocab_size, size=int(rng.integers(1, 12)))
+            model.prefill(other, cache)
+            others.append((cache, len(other)))
+        owners = data.draw(
+            st.permutations([None] * length + list(range(len(others))))
+        )
+        window = new_cache()
+        tokens, positions, caches, row_of = [], [], [], []
+        for owner in owners:
+            if owner is None:
+                row_of.append(len(tokens))
+                tokens.append(prompt[len(row_of) - 1])
+                positions.append(len(row_of) - 1)
+                caches.append(window)
+            else:
+                cache, position = others[owner]
+                tokens.append(int(rng.integers(0, cfg.vocab_size)))
+                positions.append(position)
+                caches.append(cache)
+        batched = model.step_batch(tokens, positions, caches)
+        for i, b in enumerate(row_of):
+            assert_row(i, batched.logits[b], [rows[b] for rows in batched.attention])
+        assert_cache_equals(window, want)
+
+
 class TestSoftmaxGraphProperties:
     @given(st.integers(0, 2**31 - 1), st.integers(2, 12))
     @settings(max_examples=40, deadline=None)

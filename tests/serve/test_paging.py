@@ -148,6 +148,20 @@ class TestPagedLayerKVCache:
         with pytest.raises(RuntimeError, match="overflow"):
             paged.append(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), 4)
 
+    def test_append_block_validation(self, block_size, rng):
+        """A malformed block — one head for two, one position for two
+        rows — raises before any block is allocated or written."""
+        pool = BlockPool(2, 3, block_size)
+        paged = PagedLayerKVCache(pool, capacity=40)
+        fill(paged, 5, rng)
+        used = pool.num_used
+        with pytest.raises(ValueError):
+            paged.append_block(np.ones((1, 2, 3)), np.ones((1, 2, 3)), [5, 6])
+        with pytest.raises(ValueError):
+            paged.append_block(np.ones((2, 2, 3)), np.ones((2, 2, 3)), [5])
+        assert len(paged) == 5 and pool.num_used == used
+        np.testing.assert_array_equal(paged.positions, np.arange(5))
+
 
 class TestCopyOnWrite:
     def test_shared_block_is_copied_before_write(self, rng):
