@@ -90,6 +90,7 @@ def main():
         "prefill cycles; decode work identical "
         f"({paged_hw.decode_cycles == dense_hw.decode_cycles})."
     )
+    assert paged_hw.decode_cycles == dense_hw.decode_cycles
 
     # ------------------------------------------------------------------
     # 2. Dataflow flexibility on the mixed trace.
@@ -135,6 +136,7 @@ def main():
         f"{solo.total_decode_cycles:,.0f} -> "
         f"{serving_cycles.decode_cycles == solo.total_decode_cycles}"
     )
+    assert serving_cycles.decode_cycles == solo.total_decode_cycles
 
 
 if __name__ == "__main__":

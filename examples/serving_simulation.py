@@ -83,6 +83,7 @@ def main():
           f"{report.tokens_per_round:.2f} tok/round)")
     print(f"\nper-request token match (batched vs solo): {matches}/{len(requests)}")
     print(f"batched speedup: {sequential_wall / report.wall_seconds:.2f}x")
+    assert matches == len(requests), "batching must never change tokens"
 
 
 if __name__ == "__main__":

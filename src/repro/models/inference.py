@@ -40,7 +40,6 @@ from repro.numerics.online import stable_softmax
 __all__ = [
     "CachedTransformer",
     "StepResult",
-    "BatchStepResult",
     "batch_matmul",
     "stable_softmax",
 ]
@@ -67,39 +66,24 @@ def batch_matmul(x, w):
 
 
 class StepResult:
-    """Output of one decode step (or one prefill).
+    """Output of one forward: a decode step, a prefill, or a batched step.
 
     Attributes
     ----------
     logits:
-        ``(V,)`` next-token logits (for prefill: logits of the last prompt
-        token, which predicts the first generated token).
+        Next-token logits.  ``(V,)`` for :meth:`CachedTransformer.step`
+        and :meth:`CachedTransformer.prefill` (whose logits are the last
+        prompt token's, predicting the first generated token); ``(B, V)``
+        for :meth:`CachedTransformer.step_batch`, row ``b`` for row ``b``.
     attention:
-        Per-layer attention probabilities.  For a decode step this is a
-        list of ``(H, l)`` arrays (one row per head over the cache); for a
-        prefill it is a list of ``(H, L, L)`` causal matrices.
-    """
-
-    __slots__ = ("logits", "attention")
-
-    def __init__(self, logits, attention):
-        self.logits = logits
-        self.attention = attention
-
-
-class BatchStepResult:
-    """Output of one batched decode step over ``B`` sequences.
-
-    Attributes
-    ----------
-    logits:
-        ``(B, V)`` next-token logits, row ``b`` for sequence ``b``.
-    attention:
-        Per-layer, per-row attention rows: ``attention[layer][b]`` is
-        the ``(H, l_b)`` probability row of row ``b`` over its cache as
-        it stood right after that row's append.  Ragged across ``b``
-        because every sequence has an independent cache length (and
-        each row of a verify window sees one more slot than the last).
+        Per-layer attention probabilities.  A decode step gives one
+        ``(H, l)`` row per layer over the (post-append) cache; a prefill
+        gives ``(H, L, prior + L)`` causal matrices.  A batched step
+        gives per-layer lists of rows: ``attention[layer][b]`` is the
+        ``(H, l_b)`` row of row ``b`` over its cache as it stood right
+        after that row's append — ragged across ``b``, because every
+        sequence has an independent cache length (and each row of a
+        verify window sees one more slot than the last).
     """
 
     __slots__ = ("logits", "attention")
@@ -314,7 +298,8 @@ class CachedTransformer:
         stacked :func:`batch_matmul` call — on the modeled hardware the
         weight matrix is read once for the whole batch.
 
-        Returns a :class:`BatchStepResult`.
+        Returns a :class:`StepResult` with ``(B, V)`` logits and
+        per-row attention.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
@@ -342,7 +327,7 @@ class CachedTransformer:
                 for i, b in enumerate(rows):
                     layer_rows[b] = attn[:, i, : prior + i + 1]
             records.append(layer_rows)
-        return BatchStepResult(logits, records)
+        return StepResult(logits, records)
 
     def _forward(self, tokens, positions, segments, logit_rows):
         """Run ``tokens`` at ``positions`` through every layer.

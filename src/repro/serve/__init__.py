@@ -1,14 +1,14 @@
-"""Batched serving subsystem: requests, sequence state, the
-continuous-batching scheduler (with Sarathi-style chunked prefill and
-two-way preemption/swap scheduling), the unified resource manager
-(batch slots, pool blocks, prefix reservations, the modeled host swap
-pool), the async serving engine (streaming submission, per-request
-handles, SLA-aware admission), the paged KV memory layer (block pool,
-paged caches, cross-request prefix cache), the serving-scale hardware
-co-simulator (per-round trace replay with phase-aware dataflow
-selection, TTFT-in-cycles accounting, and host-link swap pricing), and
-the multi-replica fleet (prefix-affinity routing over engine replicas
-with fleet-level co-simulation and tensor-parallel pricing)."""
+"""Batched serving subsystem: requests and admission policies, sequence
+state, the continuous-batching scheduler (with Sarathi-style chunked
+prefill and two-way preemption/swap scheduling), the unified resource
+manager (batch slots, pool blocks, prefix reservations, the modeled host
+swap pool), the async serving engine (streaming submission, per-request
+handles), the paged KV memory layer (block pool, paged caches,
+cross-request prefix cache), the serving-scale hardware co-simulator
+(per-round trace replay with phase-aware dataflow selection,
+TTFT-in-cycles accounting, and host-link swap pricing), and the
+multi-replica fleet (prefix-affinity routing over engine replicas with
+fleet-level co-simulation and tensor-parallel pricing)."""
 
 from repro.serve.cosim import (
     ServingCoSimReport,
@@ -28,18 +28,7 @@ from repro.serve.fleet import (
     available_placements,
     make_placement,
 )
-from repro.serve.engine import (
-    AdmissionPolicy,
-    CycleEDFAdmission,
-    EDFAdmission,
-    EngineTick,
-    FIFOAdmission,
-    PriorityAdmission,
-    RequestHandle,
-    ServingEngine,
-    available_admissions,
-    make_admission,
-)
+from repro.serve.engine import EngineTick, RequestHandle, ServingEngine
 from repro.serve.paging import (
     BlockPool,
     BlockPoolExhausted,
@@ -54,9 +43,16 @@ from repro.serve.request import (
     QUEUED,
     RUNNING,
     SWAPPED,
+    AdmissionPolicy,
+    CycleEDFAdmission,
+    EDFAdmission,
+    FIFOAdmission,
+    PriorityAdmission,
     Rejection,
     Request,
     SequenceState,
+    available_admissions,
+    make_admission,
 )
 from repro.serve.resources import PREEMPT_MODES, KVResourceManager, SwapImage
 from repro.serve.scheduler import Scheduler, ServingReport

@@ -1,5 +1,5 @@
-"""Async serving engine: streaming submission, chunked prefill, and
-SLA-aware admission.
+"""Async serving engine: streaming submission and per-request handles
+over the continuous-batching scheduler.
 
 :class:`~repro.serve.scheduler.Scheduler.run` drains a pre-submitted
 queue — fine for replaying a fixed trace, but not a server.  This module
@@ -13,20 +13,17 @@ wraps the scheduler in an event-driven :class:`ServingEngine`:
   clock (it steps :meth:`Scheduler.run_round` itself, never the idle
   gap-skipping :meth:`Scheduler.run`), so a request can always still
   arrive "now".
-- **Chunked prefill.**  ``prefill_chunk=N`` bounds the prompt rows any
-  round computes (Sarathi-style): long prompts are prefilled in N-token
-  chunks interleaved with the running batch's decode rounds instead of
-  head-of-line-blocking them.  Generated tokens are bit-identical to
-  whole-prompt prefill at every chunk budget (a chunk's hidden state is
-  bitwise the whole prompt's — see :mod:`repro.models.inference` — and
-  every policy's ``observe_continuation`` is chunk-invariant).
-- **SLA-aware admission.**  Pluggable :class:`AdmissionPolicy` objects
-  order arrived requests for admission: :class:`FIFOAdmission` (arrival
-  order), :class:`EDFAdmission` (earliest ``Request.deadline`` first),
-  :class:`PriorityAdmission` (``Request.priority`` with linear
-  starvation aging).  Unsatisfiable requests come back as structured
-  rejections on the handle (and in ``ServingReport.rejections``) instead
-  of raising, so callers can retry or degrade.
+- **Structured rejections.**  Unsatisfiable requests come back as
+  structured rejections on the handle (and in
+  ``ServingReport.rejections``) instead of raising, so callers can retry
+  or degrade.
+
+Every constructor keyword goes to the :class:`Scheduler`, so chunked
+prefill (``prefill_chunk=N``: long prompts prefilled in N-token chunks
+interleaved with decode rounds, tokens bit-identical to whole-prompt
+prefill) and SLA-aware admission (``admission="edf"``, or any
+:class:`~repro.serve.request.AdmissionPolicy`) are scheduler settings
+the engine passes through.
 
 The simulated clock is the scheduler round; arrival processes live in
 :func:`repro.experiments.serving.make_workload` (Poisson / bursty
@@ -76,172 +73,10 @@ from repro.serve.request import FINISHED, Rejection, Request
 from repro.serve.scheduler import Scheduler
 
 __all__ = [
-    "AdmissionPolicy",
-    "FIFOAdmission",
-    "EDFAdmission",
-    "CycleEDFAdmission",
-    "PriorityAdmission",
-    "make_admission",
-    "available_admissions",
     "RequestHandle",
     "EngineTick",
     "ServingEngine",
 ]
-
-
-# ----------------------------------------------------------------------
-# Admission policies
-# ----------------------------------------------------------------------
-class AdmissionPolicy:
-    """Orders *arrived* waiting requests for admission.
-
-    The scheduler admits the request with the **lowest** ``key`` first
-    (ties broken by submission order), re-evaluated every round — so a
-    policy may depend on ``now`` (see :class:`PriorityAdmission`'s
-    aging).  The base class is FIFO by arrival round.
-    """
-
-    name = "fifo"
-
-    def key(self, request, now):
-        """Sortable admission rank of ``request`` at round ``now``."""
-        return (request.arrival_time,)
-
-
-class FIFOAdmission(AdmissionPolicy):
-    """First-in-first-out by arrival round (the scheduler's default)."""
-
-
-class EDFAdmission(AdmissionPolicy):
-    """Earliest-deadline-first.
-
-    Requests carrying a ``deadline`` are admitted in deadline order,
-    ahead of deadline-less requests (which fall back to FIFO among
-    themselves).  EDF is the classic optimal single-resource deadline
-    scheduler; the property suite asserts it never inverts deadlines.
-    """
-
-    name = "edf"
-
-    def key(self, request, now):
-        if request.deadline is not None:
-            return (0, request.deadline)
-        return (1, request.arrival_time)
-
-
-class CycleEDFAdmission(AdmissionPolicy):
-    """Least-laxity-first with deadlines and work priced in *cycles*.
-
-    Plain EDF ranks by deadline round alone, blind to how much compute a
-    request still needs: of two requests due the same round, the one
-    with the *longer* prompt is objectively more urgent — its prefill
-    burns more of the shared machine time before a first token can
-    appear.  This policy converts each deadline to a cycle-denominated
-    laxity::
-
-        laxity = (deadline - now) * cycles_per_round
-                 - predicted_prefill_cycles(prompt)
-
-    and admits the smallest laxity first (ties by deadline, then
-    arrival).  Deadline-less requests fall back to FIFO behind every
-    deadline-carrying one, as in :class:`EDFAdmission`.
-
-    Parameters
-    ----------
-    cost_model:
-        A :class:`repro.accel.simulator.AcceleratorSimulator` pricing
-        prompt prefills.  Defaults to VEDA hardware at Llama-2 7B
-        shapes — the same datacenter-scale substitution the serving
-        co-simulator defaults to.
-    cycles_per_round:
-        Calibration constant converting the scheduler's abstract round
-        clock (deadlines are in rounds) to cycles.  Defaults to the
-        cost model's predicted cycles for one reference decode round —
-        a half-full batch of eight sequences at cache length 256.
-    """
-
-    name = "edf_cycles"
-
-    #: Reference decode round for the ``cycles_per_round`` default.
-    REFERENCE_BATCH = 8
-    REFERENCE_LENGTH = 256
-
-    def __init__(self, cost_model=None, cycles_per_round=None):
-        if cost_model is None:
-            from repro.accel.config import veda_config
-            from repro.accel.simulator import AcceleratorSimulator
-            from repro.config import llama2_7b_shapes
-
-            cost_model = AcceleratorSimulator(veda_config(), llama2_7b_shapes())
-        self.cost_model = cost_model
-        if cycles_per_round is None:
-            cycles_per_round = cost_model.decode_round_cycles(
-                [self.REFERENCE_LENGTH] * self.REFERENCE_BATCH
-            )
-        if cycles_per_round <= 0:
-            raise ValueError(
-                f"cycles_per_round must be positive, got {cycles_per_round}"
-            )
-        self.cycles_per_round = float(cycles_per_round)
-
-    def key(self, request, now):
-        if request.deadline is not None:
-            laxity = (
-                request.deadline - now
-            ) * self.cycles_per_round - self.cost_model.prefill_cycles(
-                int(request.prompt.shape[0])
-            )
-            return (0, laxity, request.deadline, request.arrival_time)
-        return (1, request.arrival_time)
-
-
-class PriorityAdmission(AdmissionPolicy):
-    """Highest ``Request.priority`` first, with linear starvation aging.
-
-    A request's effective priority is ``priority + aging * waited``
-    (waited = rounds since arrival), so a low-priority request waiting
-    ``(p_max - p) / aging`` rounds outranks any fixed priority ``p_max``
-    — aging bounds starvation.  ``aging=0`` is strict priority (can
-    starve); the property suite asserts the bound for ``aging > 0``.
-    """
-
-    name = "priority"
-
-    def __init__(self, aging=0.05):
-        if aging < 0:
-            raise ValueError(f"aging must be non-negative, got {aging}")
-        self.aging = float(aging)
-
-    def effective_priority(self, request, now):
-        return request.priority + self.aging * (now - request.arrival_time)
-
-    def key(self, request, now):
-        return (-self.effective_priority(request, now), request.arrival_time)
-
-
-_ADMISSIONS = {
-    "fifo": FIFOAdmission,
-    "edf": EDFAdmission,
-    "edf_cycles": CycleEDFAdmission,
-    "priority": PriorityAdmission,
-}
-
-
-def make_admission(name, **kwargs):
-    """Instantiate an admission policy by name (``fifo``/``edf``/
-    ``edf_cycles``/``priority``); extra kwargs go to the policy
-    constructor."""
-    if name not in _ADMISSIONS:
-        raise KeyError(
-            f"unknown admission policy {name!r}; "
-            f"available: {sorted(_ADMISSIONS)}"
-        )
-    return _ADMISSIONS[name](**kwargs)
-
-
-def available_admissions():
-    """Sorted names of the registered admission policies."""
-    return sorted(_ADMISSIONS)
 
 
 # ----------------------------------------------------------------------
@@ -393,21 +228,17 @@ class ServingEngine:
     ----------
     model:
         A :class:`repro.models.inference.CachedTransformer`.
-    admission:
-        Admission policy: a name (``"fifo"``/``"edf"``/``"priority"``),
-        an :class:`AdmissionPolicy` instance, or ``None`` (FIFO).
-    prefill_chunk:
-        Per-round prompt-token budget (chunked prefill); ``None`` =
-        whole-prompt admission, the scheduler's legacy behavior.
     scheduler_kwargs:
-        Everything else (``max_batch_size``, ``budget``, ``paged``,
-        ``block_size``, ``num_blocks``, ``prefix_caching``,
-        ``preempt``, ...) is forwarded to the :class:`Scheduler`.  With
+        Forwarded unchanged to the :class:`Scheduler`: ``admission`` (a
+        policy name or :class:`~repro.serve.request.AdmissionPolicy`,
+        default ``"fifo"``), ``prefill_chunk``, ``max_batch_size``,
+        ``budget``, ``paged``, ``block_size``, ``num_blocks``,
+        ``prefix_caching``, ``preempt``, ...  With
         ``preempt="recompute"`` or ``"swap"``, an arrived request that
-        strictly outranks a running sequence under this engine's
-        admission policy (earlier deadline under EDF, higher effective
-        priority under priority-with-aging) preempts it when no slot or
-        blocks are free — deadline pressure becomes two-way scheduling.
+        strictly outranks a running sequence under the admission policy
+        (earlier deadline under EDF, higher effective priority under
+        priority-with-aging) preempts it when no slot or blocks are
+        free — deadline pressure becomes two-way scheduling.
 
     The engine owns the simulated clock: one :meth:`step` = one
     scheduler round, with no idle fast-forward, so submissions can keep
@@ -416,16 +247,8 @@ class ServingEngine:
     streaming path, or drive :meth:`run_forever` yourself.
     """
 
-    def __init__(self, model, admission="fifo", prefill_chunk=None, **scheduler_kwargs):
-        if isinstance(admission, str):
-            admission = make_admission(admission)
-        self.admission_policy = admission
-        self.scheduler = Scheduler(
-            model,
-            admission_policy=admission,
-            prefill_chunk=prefill_chunk,
-            **scheduler_kwargs,
-        )
+    def __init__(self, model, **scheduler_kwargs):
+        self.scheduler = Scheduler(model, **scheduler_kwargs)
         self._handles = {}
         self._token_counts = {}
         self._finished_seen = 0

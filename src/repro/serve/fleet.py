@@ -408,9 +408,9 @@ class ServingFleet:
         Placement policy: a name (``"round_robin"`` / ``"least_loaded"``
         / ``"prefix_affinity"``) or a :class:`PlacementPolicy` instance.
     engine_kwargs:
-        Everything else (``admission``, ``prefill_chunk``, plus all
-        :class:`~repro.serve.scheduler.Scheduler` options) is forwarded
-        to every replica's engine identically.
+        Everything else (every :class:`~repro.serve.scheduler.Scheduler`
+        option, ``admission`` and ``prefill_chunk`` included) is
+        forwarded to every replica's engine identically.
     """
 
     def __init__(self, model, replicas=2, placement="round_robin", **engine_kwargs):

@@ -48,6 +48,9 @@ Worked example — grow, evict, and release against a fixed pool::
 
 from __future__ import annotations
 
+import math
+import mmap
+
 import numpy as np
 
 from repro.core.kv_cache import _checked_block
@@ -62,6 +65,14 @@ __all__ = [
 
 class BlockPoolExhausted(RuntimeError):
     """Raised when a fixed-size pool cannot satisfy an allocation."""
+
+
+def _mapped_zeros(shape):
+    """Zero float64 storage on its own anonymous mapping: a page becomes
+    resident when first written and all pages return to the OS with the
+    array, so a pool costs the blocks it used, whatever the heap's state
+    (reuse of freed memory, huge-page backing) would have charged."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
 class BlockPool:
@@ -99,8 +110,8 @@ class BlockPool:
         self.block_size = int(block_size)
         self.growable = num_blocks is None
         capacity = 32 if num_blocks is None else int(num_blocks)
-        self.keys = np.zeros((capacity, self.n_heads, self.block_size, self.head_dim))
-        self.values = np.zeros_like(self.keys)
+        shape = (capacity, self.n_heads, self.block_size, self.head_dim)
+        self.keys, self.values = _mapped_zeros(shape), _mapped_zeros(shape)
         self.positions = np.full((capacity, self.block_size), -1, dtype=np.int64)
         self._refcounts = np.zeros(capacity, dtype=np.int64)
         # LIFO free list (ids descending so pop() reuses low ids first);
@@ -187,12 +198,11 @@ class BlockPool:
     def _grow(self):
         old = self.num_blocks
         new = old * 2
-        grown_keys = np.zeros(
-            (new, self.n_heads, self.block_size, self.head_dim)
-        )
+        shape = (new, self.n_heads, self.block_size, self.head_dim)
+        grown_keys = _mapped_zeros(shape)
         grown_keys[:old] = self.keys
         self.keys = grown_keys
-        grown_values = np.zeros_like(grown_keys)
+        grown_values = _mapped_zeros(shape)
         grown_values[:old] = self.values
         self.values = grown_values
         grown_positions = np.full((new, self.block_size), -1, dtype=np.int64)

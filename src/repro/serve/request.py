@@ -24,6 +24,16 @@ re-admits by swapping the saved blocks back in).  Both return to
 :class:`repro.serve.resources.KVResourceManager` for the resource side
 of the lifecycle.
 
+Which arrived request the scheduler admits next is an
+:class:`AdmissionPolicy` — a ``key(request, now)`` rank over the fields
+above, lowest first: :class:`FIFOAdmission` (arrival order, the
+default), :class:`EDFAdmission` (earliest ``deadline`` first),
+:class:`CycleEDFAdmission` (least laxity in predicted cycles) and
+:class:`PriorityAdmission` (``priority`` with starvation aging).
+``Scheduler(admission=...)`` takes one of them or its name
+(:func:`make_admission`); the same key decides whether a waiting
+request outranks a running one under two-way scheduling.
+
 A request the scheduler cannot serve (e.g. its worst-case block demand
 exceeds a fixed paged pool) is turned into a structured
 :class:`Rejection` instead of silently dropping, so engine-level
@@ -32,7 +42,7 @@ admission can retry, degrade, or report it.
 Worked example — requests validate their inputs up front::
 
     >>> import numpy as np
-    >>> from repro.serve.request import Request
+    >>> from repro.serve.request import Request, make_admission
     >>> request = Request("r0", np.array([1, 2, 3]), max_new_tokens=4, budget=8,
     ...                   deadline=40, priority=2)
     >>> request.arrival_time, request.eos, request.budget, request.deadline
@@ -41,6 +51,8 @@ Worked example — requests validate their inputs up front::
     Traceback (most recent call last):
         ...
     ValueError: max_new_tokens must be positive
+    >>> make_admission("edf").key(request, now=0)   # deadline-carrying first
+    (0, 40)
 """
 
 from __future__ import annotations
@@ -51,6 +63,13 @@ import numpy as np
 
 __all__ = [
     "Request",
+    "AdmissionPolicy",
+    "FIFOAdmission",
+    "EDFAdmission",
+    "CycleEDFAdmission",
+    "PriorityAdmission",
+    "make_admission",
+    "available_admissions",
     "Rejection",
     "SequenceState",
     "QUEUED",
@@ -106,12 +125,12 @@ class Request:
         default (``None`` = use the scheduler default).
     deadline:
         Optional SLA deadline: the scheduler round by which the request
-        should have *finished*.  Purely advisory for the FIFO scheduler;
-        the engine's EDF admission orders by it and the report counts
-        misses (``None`` = no deadline).
+        should have *finished*.  Purely advisory under FIFO admission;
+        :class:`EDFAdmission` orders by it and the report counts misses
+        (``None`` = no deadline).
     priority:
-        Scheduling priority (higher = more urgent); consumed by the
-        engine's priority admission policy, ignored by plain FIFO.
+        Scheduling priority (higher = more urgent); consumed by
+        :class:`PriorityAdmission`, ignored by FIFO.
     n:
         Parallel samples: ``n > 1`` returns ``n`` independent
         continuations of the same prompt.  The prompt is prefilled once;
@@ -182,6 +201,160 @@ class Request:
     def num_branches(self):
         """Branch slots this request can occupy at once (1 = plain)."""
         return max(self.n, self.beam_width)
+
+
+class AdmissionPolicy:
+    """Orders *arrived* waiting requests for admission.
+
+    The scheduler admits the request with the **lowest** ``key`` first
+    (ties broken by submission order), re-evaluated every round — so a
+    policy may depend on ``now`` (see :class:`PriorityAdmission`'s
+    aging).  Under two-way scheduling a waiting request preempts a
+    running one only when its key is strictly lower.  The base class is
+    FIFO by arrival round.
+    """
+
+    name = "fifo"
+
+    def key(self, request, now):
+        """Sortable admission rank of ``request`` at round ``now``."""
+        return (request.arrival_time,)
+
+
+class FIFOAdmission(AdmissionPolicy):
+    """First-in-first-out by arrival round (the scheduler's default)."""
+
+
+class EDFAdmission(AdmissionPolicy):
+    """Earliest-deadline-first.
+
+    Requests carrying a ``deadline`` are admitted in deadline order,
+    ahead of deadline-less requests (which fall back to FIFO among
+    themselves).  EDF is the classic optimal single-resource deadline
+    scheduler; the property suite asserts it never inverts deadlines.
+    """
+
+    name = "edf"
+
+    def key(self, request, now):
+        if request.deadline is not None:
+            return (0, request.deadline)
+        return (1, request.arrival_time)
+
+
+class CycleEDFAdmission(AdmissionPolicy):
+    """Least-laxity-first with deadlines and work priced in *cycles*.
+
+    Plain EDF ranks by deadline round alone, blind to how much compute a
+    request still needs: of two requests due the same round, the one
+    with the *longer* prompt is objectively more urgent — its prefill
+    burns more of the shared machine time before a first token can
+    appear.  This policy converts each deadline to a cycle-denominated
+    laxity::
+
+        laxity = (deadline - now) * cycles_per_round
+                 - predicted_prefill_cycles(prompt)
+
+    and admits the smallest laxity first (ties by deadline, then
+    arrival).  Deadline-less requests fall back to FIFO behind every
+    deadline-carrying one, as in :class:`EDFAdmission`.
+
+    Parameters
+    ----------
+    cost_model:
+        A :class:`repro.accel.simulator.AcceleratorSimulator` pricing
+        prompt prefills.  Defaults to VEDA hardware at Llama-2 7B
+        shapes — the same datacenter-scale substitution the serving
+        co-simulator defaults to.
+    cycles_per_round:
+        Calibration constant converting the scheduler's abstract round
+        clock (deadlines are in rounds) to cycles.  Defaults to the
+        cost model's predicted cycles for one reference decode round —
+        a half-full batch of eight sequences at cache length 256.
+    """
+
+    name = "edf_cycles"
+
+    #: Reference decode round for the ``cycles_per_round`` default.
+    REFERENCE_BATCH = 8
+    REFERENCE_LENGTH = 256
+
+    def __init__(self, cost_model=None, cycles_per_round=None):
+        if cost_model is None:
+            from repro.accel.config import veda_config
+            from repro.accel.simulator import AcceleratorSimulator
+            from repro.config import llama2_7b_shapes
+
+            cost_model = AcceleratorSimulator(veda_config(), llama2_7b_shapes())
+        self.cost_model = cost_model
+        if cycles_per_round is None:
+            cycles_per_round = cost_model.decode_round_cycles(
+                [self.REFERENCE_LENGTH] * self.REFERENCE_BATCH
+            )
+        if cycles_per_round <= 0:
+            raise ValueError(
+                f"cycles_per_round must be positive, got {cycles_per_round}"
+            )
+        self.cycles_per_round = float(cycles_per_round)
+
+    def key(self, request, now):
+        if request.deadline is not None:
+            laxity = (
+                request.deadline - now
+            ) * self.cycles_per_round - self.cost_model.prefill_cycles(
+                int(request.prompt.shape[0])
+            )
+            return (0, laxity, request.deadline, request.arrival_time)
+        return (1, request.arrival_time)
+
+
+class PriorityAdmission(AdmissionPolicy):
+    """Highest ``Request.priority`` first, with linear starvation aging.
+
+    A request's effective priority is ``priority + aging * waited``
+    (waited = rounds since arrival), so a low-priority request waiting
+    ``(p_max - p) / aging`` rounds outranks any fixed priority ``p_max``
+    — aging bounds starvation.  ``aging=0`` is strict priority (can
+    starve); the property suite asserts the bound for ``aging > 0``.
+    """
+
+    name = "priority"
+
+    def __init__(self, aging=0.05):
+        if aging < 0:
+            raise ValueError(f"aging must be non-negative, got {aging}")
+        self.aging = float(aging)
+
+    def effective_priority(self, request, now):
+        return request.priority + self.aging * (now - request.arrival_time)
+
+    def key(self, request, now):
+        return (-self.effective_priority(request, now), request.arrival_time)
+
+
+_ADMISSIONS = {
+    "fifo": FIFOAdmission,
+    "edf": EDFAdmission,
+    "edf_cycles": CycleEDFAdmission,
+    "priority": PriorityAdmission,
+}
+
+
+def make_admission(name, **kwargs):
+    """Instantiate an admission policy by name (``fifo``/``edf``/
+    ``edf_cycles``/``priority``); extra kwargs go to the policy
+    constructor."""
+    if name not in _ADMISSIONS:
+        raise KeyError(
+            f"unknown admission policy {name!r}; "
+            f"available: {sorted(_ADMISSIONS)}"
+        )
+    return _ADMISSIONS[name](**kwargs)
+
+
+def available_admissions():
+    """Sorted names of the registered admission policies."""
+    return sorted(_ADMISSIONS)
 
 
 @dataclass
@@ -265,11 +438,6 @@ class SequenceState:
     prefix_tainted: bool = False
     #: Monotone submission index (admission-policy tie-breaker).
     submit_index: int = 0
-    #: Worst-case pool-block demand reserved at admission (paged mode);
-    #: the scheduler holds ``reserved_blocks - cache.owned_blocks`` free
-    #: blocks back from later admissions so this sequence can always
-    #: grow/CoW to its capacity.
-    reserved_blocks: int = 0
     #: Draft-model KV cache (speculative decoding).  Modeled as
     #: host-resident: it holds no device pool blocks, survives a swap
     #: (its contents are committed tokens, still valid at resume), and is
@@ -282,9 +450,6 @@ class SequenceState:
     family: object = None
     #: Branch index within the family (0 = the root sequence).
     branch_index: int = 0
-    #: True once the family root has spawned its parallel-sampling
-    #: branches (guards against re-forking after a preemption resume).
-    forked: bool = False
     #: Cumulative log-probability of the generated tokens (beam scoring).
     cum_logprob: float = 0.0
 

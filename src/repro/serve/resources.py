@@ -565,12 +565,13 @@ prefix_match_mode:
         if request_id in self._admitted:
             raise KeyError(f"sequence {request_id!r} already admitted")
 
-    def fork(self, parent_id, child_id, reserved_blocks=None, family=None):
+    def fork(self, parent_id, child_id, family=None):
         """Fork ``parent_id``'s cache into a new branch ``child_id``.
 
         The child claims a batch slot — drawn from ``family``'s slot
         reservation when one is armed (the root admission pre-paid it),
-        otherwise from the free pool — and adopts the parent's KV state:
+        otherwise from the free pool — inherits the parent's worst-case
+        block reservation, and adopts the parent's KV state:
         copy-on-write block sharing in paged mode (zero slots copied,
         every parent block's refcount bumped), a full slab copy dense.
         Divergence is handled downstream by the caches themselves
@@ -585,11 +586,7 @@ prefix_match_mode:
             raise RuntimeError("fork with no free batch slot")
         child = self._admitted[parent_id].fork()
         self._admitted[child_id] = child
-        self._reservations[child_id] = (
-            self._reservations.get(parent_id, 0)
-            if reserved_blocks is None
-            else reserved_blocks
-        )
+        self._reservations[child_id] = self._reservations.get(parent_id, 0)
         return child
 
     def fork_footprint(self, cache):

@@ -60,11 +60,15 @@ latency shape only: no single round carries a whole long prompt, so
 decode rounds never stall behind one (the head-of-line cycle spike
 visible in ``serve-bench batch --cosim``).
 
-Admission order is pluggable (``admission_policy``): the default is
-FIFO by arrival; the engine layer provides EDF and priority-with-aging
-policies keyed on the new ``Request.deadline`` / ``Request.priority``
-fields.  Unsatisfiable paged requests become structured
-:class:`~repro.serve.request.Rejection` records (surfaced in
+Admission order is an :class:`~repro.serve.request.AdmissionPolicy`
+(``admission``, a policy or its name): FIFO by arrival by default, or
+EDF, cycle-priced least laxity and priority-with-aging keyed on
+``Request.deadline`` / ``Request.priority``.  Every admission attempt
+ranks the arrived requests by the policy's key (ties by submission
+order), computes the leader's demand once — its worst-case blocks and
+its admission-round blocks — and both the room check and the admission
+itself use those figures.  Unsatisfiable paged requests become
+structured :class:`~repro.serve.request.Rejection` records (surfaced in
 ``ServingReport.rejections``) instead of only raising.
 
 Every resource a sequence holds — its batch slot, its pool blocks, the
@@ -164,6 +168,7 @@ from repro.serve.request import (
     Rejection,
     Request,
     SequenceState,
+    make_admission,
 )
 from repro.serve.resources import PREEMPT_MODES, KVResourceManager
 from repro.serve.trace import (
@@ -538,11 +543,14 @@ class Scheduler:
         sets the *cost shapes* — pass Llama-2 7B shapes to steer a
         tiny-model trace by datacenter-scale costs, exactly like the
         co-simulator's ``hw_model`` substitution.
-    admission_policy:
-        Object with a ``key(request, now) -> sortable`` method ordering
+    admission:
+        An :class:`~repro.serve.request.AdmissionPolicy` — an object
+        with a ``key(request, now) -> sortable`` method ordering
         *arrived* waiting requests for admission (lowest key first; ties
-        broken by submission order).  ``None`` = FIFO by arrival.  See
-        :mod:`repro.serve.engine` for FIFO/EDF/priority-aging policies.
+        broken by submission order) — or the name of one
+        (``"fifo"``/``"edf"``/``"edf_cycles"``/``"priority"``, see
+        :func:`~repro.serve.request.make_admission`).  Default
+        ``"fifo"``: by arrival round.
     preempt:
         ``"off"`` (default): one-way scheduling — admission reserves
         worst case and an admitted sequence holds its slot and blocks to
@@ -592,7 +600,7 @@ class Scheduler:
         prefill_chunk=None,
         adaptive_chunk=False,
         cost_model=None,
-        admission_policy=None,
+        admission="fifo",
         preempt="off",
         draft_model=None,
         spec_k=4,
@@ -650,7 +658,9 @@ class Scheduler:
         #: The chunk budget in force for the current round (equals
         #: ``prefill_chunk`` unless adaptive chunking re-sized it).
         self._round_chunk = self.prefill_chunk
-        self.admission_policy = admission_policy
+        self.admission = (
+            make_admission(admission) if isinstance(admission, str) else admission
+        )
         self.model = model
         self.policy_factory = policy_factory or (
             lambda: VotingPolicy(model.config.n_layers)
@@ -661,6 +671,10 @@ class Scheduler:
         self.preempt = preempt
         self.draft_model = draft_model
         self.spec_k = int(spec_k)
+        #: Rows a running sequence may append in one round: a plain
+        #: decode step, or a full provisional verify window (the pending
+        #: token plus ``spec_k`` proposals) when speculating.
+        self._step_rows = 1 if draft_model is None else self.spec_k + 1
 
         #: The one owner of every device resource a sequence can hold:
         #: batch slots, pool blocks, prefix-cache reservations, and the
@@ -952,8 +966,8 @@ class Scheduler:
         :meth:`run`'s job).
         """
         # The round's chunk budget must be fixed before headroom is
-        # secured: _round_block_demand sizes this round's prefill claims
-        # from it.
+        # secured: _round_chunks allocates it for both the headroom
+        # estimate and the prefills that follow.
         self._round_chunk = (
             self._adaptive_chunk_budget()
             if self.adaptive_chunk
@@ -961,7 +975,7 @@ class Scheduler:
         )
         record = RoundTrace(round_index=self.round_index)
         self._ensure_headroom(record)
-        chunk_budget = self._continue_prefills(record, self._round_chunk)
+        chunk_budget = self._continue_prefills(record)
         self._admit(record, chunk_budget)
         self._peak_concurrency = max(self._peak_concurrency, len(self._running))
         self.manager.sample_usage()
@@ -1040,38 +1054,49 @@ class Scheduler:
             chunk = candidate
         return chunk
 
-    def _continue_prefills(self, record, chunk_budget):
-        """Advance in-flight chunked prefills (admission order) by up to
-        ``chunk_budget`` prompt tokens total; returns the budget left
-        for new admissions."""
+    def _chunk_rows(self, state, chunk_budget):
+        """Prompt rows ``state``'s next prefill computes under
+        ``chunk_budget``: the rest of its effective prompt, capped by the
+        budget when chunking."""
+        remaining = state.prompt_tokens.shape[0] - state.prefilled
+        return remaining if chunk_budget is None else min(chunk_budget, remaining)
+
+    def _round_chunks(self):
+        """This round's chunk allocation to in-flight prefills: ``(state,
+        rows)`` in admission order, sharing ``self._round_chunk`` until
+        it runs out.  The one walk both the headroom estimate
+        (:meth:`_round_block_demand`) and :meth:`_continue_prefills`
+        follow, so the rows secured are the rows computed."""
+        chunk_budget = self._round_chunk
         for state in self._running:
             if state.status != PREFILLING:
                 continue
             if chunk_budget is not None and chunk_budget <= 0:
-                break
-            chunk_budget = self._prefill_state(state, chunk_budget, record)
+                return
+            rows = self._chunk_rows(state, chunk_budget)
+            if chunk_budget is not None:
+                chunk_budget -= rows
+            yield state, rows
+
+    def _continue_prefills(self, record):
+        """Advance in-flight chunked prefills by this round's chunk
+        allocation; returns the budget left for new admissions."""
+        chunk_budget = self._round_chunk
+        for state, rows in self._round_chunks():
+            self._prefill_state(state, rows, record)
+            if chunk_budget is not None:
+                chunk_budget -= rows
         return chunk_budget
 
     def _next_admission(self):
-        """The arrived waiting request the admission policy ranks first
-        (``None`` when nothing has arrived yet)."""
-        arrived = [
-            s
-            for s in self._waiting
-            if s.request.arrival_time <= self.round_index
-        ]
-        if not arrived:
-            return None
-        if self.admission_policy is None:
-            # _waiting is kept sorted by (arrival, submit order): FIFO.
-            return arrived[0]
+        """The arrived waiting request the admission policy ranks first,
+        ties by submission order (``None`` when nothing has arrived)."""
         now = self.round_index
+        key = self.admission.key
         return min(
-            arrived,
-            key=lambda s: (
-                self.admission_policy.key(s.request, now),
-                s.submit_index,
-            ),
+            (s for s in self._waiting if s.request.arrival_time <= now),
+            key=lambda s: (key(s.request, now), s.submit_index),
+            default=None,
         )
 
     def _admit(self, record, chunk_budget):
@@ -1091,18 +1116,43 @@ class Scheduler:
         ``prefill_chunk`` set, each (re-)prefilling admission also needs
         prompt-token budget left this round.
         """
+        manager = self.manager
         while True:
             if chunk_budget is not None and chunk_budget <= 0:
                 break
             state = self._next_admission()
             if state is None:
                 break
-            if not self._make_room(state, chunk_budget, record):
+            # The candidate's demand, computed once for the room check
+            # and the admission.  Its first decode step (a full verify
+            # window when speculating) lands in this same round.
+            swapped = state.status == SWAPPED
+            if swapped:
+                worst = need = manager.swap_resume_demand(
+                    state.request_id, self._step_rows
+                )
+            else:
+                request = state.request
+                budget = self._budget_of(request)
+                prompt_length = request.prompt.shape[0] + state.num_generated
+                remaining = request.max_new_tokens - state.num_generated
+                worst = manager.sequence_worst_blocks(
+                    prompt_length, remaining, budget
+                )
+                rows_now = (
+                    prompt_length
+                    if chunk_budget is None
+                    else min(chunk_budget, prompt_length)
+                )
+                need = manager.admission_block_demand(
+                    rows_now, budget is not None, self._step_rows
+                )
+            if not self._make_room(state, worst, need, record):
                 break
             self._waiting.remove(state)
 
-            if state.status == SWAPPED:
-                image = self.manager.swap_in(state)
+            if swapped:
+                image = manager.swap_in(state)
                 record.swaps.append(
                     SwapEvent(
                         state.request_id,
@@ -1116,25 +1166,17 @@ class Scheduler:
                     self._sync_family(self._families[state.family])
                 continue  # no prefill rows: chunk budget untouched
 
-            request = state.request
-            resumed = state.status == PREEMPTED
-            budget = self._budget_of(request)
             state.prompt_tokens = self._effective_prompt(state)
-            prompt_length = state.prompt_tokens.shape[0]
-            remaining = request.max_new_tokens - state.num_generated
-            capacity = sequence_capacity(prompt_length, remaining, budget)
-            state.reserved_blocks = self.manager.sequence_worst_blocks(
-                prompt_length, remaining, budget
-            )
-
             state.policy = self.policy_factory()
             state.policy.reset()
-            if not resumed:
+            if state.status != PREEMPTED:
                 # A recompute resume keeps its RNG: tokens already
                 # sampled never consume the stream twice.
                 state.rng = np.random.default_rng(request.seed)
-            state.cache = self.manager.admit(
-                request.request_id, capacity, state.reserved_blocks
+            state.cache = manager.admit(
+                request.request_id,
+                sequence_capacity(prompt_length, remaining, budget),
+                worst,
             )
             state.status = PREFILLING
             if state.admitted_at is None:
@@ -1142,11 +1184,14 @@ class Scheduler:
             if state.family is not None:
                 family = self._families[state.family]
                 if family.branch_worst is None:
-                    family.branch_worst = state.reserved_blocks
+                    family.branch_worst = worst
                 self._sync_family(family)
 
             self._attach_prefix(state)
-            chunk_budget = self._prefill_state(state, chunk_budget, record)
+            rows = self._chunk_rows(state, chunk_budget)
+            self._prefill_state(state, rows, record)
+            if chunk_budget is not None:
+                chunk_budget -= rows
             self._running.append(state)
 
     def _effective_prompt(self, state):
@@ -1163,34 +1208,15 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Two-way scheduling (preemption)
     # ------------------------------------------------------------------
-    def _make_room(self, state, chunk_budget, record):
+    def _make_room(self, state, worst, own_need, record):
         """Secure a batch slot and the block demand for admitting (or
-        resuming) ``state``; under two-way scheduling this may preempt
+        resuming) ``state``: ``worst`` blocks over its life (what one-way
+        scheduling reserves) and ``own_need`` in its admission round
+        (what two-way scheduling checks, on top of the resident batch's
+        round demand).  Under two-way scheduling this may preempt
         running victims the candidate strictly outranks.  Returns False
         when the candidate must keep waiting."""
         manager = self.manager
-        # A candidate admitted (or resumed) this round takes its first
-        # decode step in the same round — a full provisional verify
-        # window when speculating, a single append otherwise.
-        step_tokens = 1 if self.draft_model is None else self.spec_k + 1
-        if state.status == SWAPPED:
-            worst = own_need = manager.swap_resume_demand(
-                state.request_id, step_tokens
-            )
-        else:
-            request = state.request
-            budget = self._budget_of(request)
-            prompt_length = request.prompt.shape[0] + state.num_generated
-            remaining = request.max_new_tokens - state.num_generated
-            worst = manager.sequence_worst_blocks(prompt_length, remaining, budget)
-            rows_now = (
-                prompt_length
-                if chunk_budget is None
-                else min(chunk_budget, prompt_length)
-            )
-            own_need = manager.admission_block_demand(
-                rows_now, budget is not None, step_tokens
-            )
         slots = 1
         if state.family is not None:
             worst, slots = self._family_claim(state, worst)
@@ -1242,9 +1268,7 @@ class Scheduler:
         return min(candidates, key=self._victim_rank)
 
     def _admission_key(self, request):
-        if self.admission_policy is None:
-            return (request.arrival_time,)
-        return self.admission_policy.key(request, self.round_index)
+        return self.admission.key(request, self.round_index)
 
     def _outranks(self, candidate, victim):
         """Whether ``candidate`` strictly outranks ``victim`` under the
@@ -1358,29 +1382,23 @@ class Scheduler:
         """Upper bound on pool blocks this round's prefill chunks and
         decode steps may claim for the sequences already resident."""
         manager = self.manager
-        chunk_budget = self._round_chunk
         demand = 0
+        for state, rows in self._round_chunks():
+            demand += manager.prefill_block_demand(
+                state.cache,
+                rows,
+                self._budget_of(state.request) is not None,
+                final=state.prefilled + rows >= state.prompt_tokens.shape[0],
+            )
         for state in self._running:
-            budgeted = self._budget_of(state.request) is not None
-            if state.status == PREFILLING:
-                remaining = state.prompt_tokens.shape[0] - state.prefilled
-                rows = (
-                    remaining
-                    if chunk_budget is None
-                    else min(chunk_budget, remaining)
-                )
-                if chunk_budget is not None:
-                    chunk_budget = max(0, chunk_budget - rows)
-                demand += manager.prefill_block_demand(
-                    state.cache, rows, budgeted, final=rows >= remaining
-                )
-            elif state.status == RUNNING:
-                # A speculative round appends up to spec_k + 1 provisional
-                # tokens before any rollback; cover the worst case even
-                # for sequences that may fall back to a one-token step.
-                tokens = 1 if self.draft_model is None else self.spec_k + 1
+            if state.status == RUNNING:
+                # A speculative round appends a whole verify window before
+                # any rollback; cover it even for sequences that may fall
+                # back to a one-token step.
                 demand += manager.decode_block_demand(
-                    state.cache, budgeted, tokens=tokens
+                    state.cache,
+                    self._budget_of(state.request) is not None,
+                    tokens=self._step_rows,
                 )
         # A beam family about to advance may fork up to width - 1
         # branches mid-round (after headroom was secured), each taking
@@ -1399,21 +1417,18 @@ class Scheduler:
             demand += (family.width - 1) * per_step
         return demand
 
-    def _prefill_state(self, state, chunk_budget, record):
-        """Prefill the next chunk (or the whole remainder) of ``state``'s
-        effective prompt (the request prompt, plus generated tokens on a
-        recompute resume), record the trace event, and complete the
-        prefill when the last token lands.  Returns the chunk budget
-        left."""
+    def _prefill_state(self, state, rows, record):
+        """Prefill the next ``rows`` rows (a chunk, or the whole
+        remainder) of ``state``'s effective prompt (the request prompt,
+        plus generated tokens on a recompute resume), record the trace
+        event, and complete the prefill when the last token lands."""
         request = state.request
         budget = self._budget_of(request)
         total = state.prompt_tokens.shape[0]
         start = state.prefilled
-        end = total if chunk_budget is None else min(total, start + chunk_budget)
+        end = start + rows
         logits = self._prefill_range(state, start, end)
         state.prefilled = end
-        if chunk_budget is not None:
-            chunk_budget -= end - start
         record.prefills.append(
             PrefillEvent(
                 request_id=request.request_id,
@@ -1436,13 +1451,10 @@ class Scheduler:
             state.logits = logits
             state.position = total
             state.status = RUNNING
-            if (
-                state.family is not None
-                and state.request.n > 1
-                and not state.forked
-            ):
-                self._fork_family(state, record)
-        return chunk_budget
+            if state.family is not None:
+                family = self._families[state.family]
+                if family.mode == "sample" and not family.spawned:
+                    self._fork_family(state, family, record)
 
     def _prefill_range(self, state, start, end):
         """Prefill effective-prompt rows ``[start, end)`` against the
@@ -1713,7 +1725,7 @@ class Scheduler:
         per_branch = family.branch_worst if family.branch_worst is not None else worst
         return worst + unspawned * per_branch, 1 + unspawned
 
-    def _fork_family(self, state, record):
+    def _fork_family(self, state, family, record):
         """Spawn a parallel-sampling family's ``n - 1`` sibling branches
         off the freshly prefilled root (one-shot).
 
@@ -1723,10 +1735,8 @@ class Scheduler:
         RNG, seeded ``seed`` and still unconsumed at this point, makes
         branch 0 the root itself, so branch ``i`` is bit-identical to an
         independent request with seed ``seed + i``."""
-        family = self._families[state.family]
         for _ in range(family.width - 1):
             self._fork_branch(state, family, record)
-        state.forked = True
         family.spawned = True
         self._sync_family(family)
 
@@ -1761,7 +1771,6 @@ class Scheduler:
             prefilled=parent.prefilled,
             prompt_tokens=parent.prompt_tokens,
             submit_index=self._submit_count,
-            reserved_blocks=parent.reserved_blocks,
             prefix_node=parent.prefix_node,
             prefix_tainted=parent.prefix_tainted,
             family=parent.family,
@@ -1770,10 +1779,7 @@ class Scheduler:
         )
         self._submit_count += 1
         child.cache = self.manager.fork(
-            parent.request_id,
-            child_id,
-            reserved_blocks=parent.reserved_blocks,
-            family=root.request_id,
+            parent.request_id, child_id, family=root.request_id
         )
         family.branches.append(child)
         self._running.append(child)

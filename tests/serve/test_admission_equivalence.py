@@ -1,6 +1,7 @@
-"""FIFO admission is one path: the scheduler's default and an explicit
-:class:`FIFOAdmission` instance serve every workload identically — the
-same tokens, the same round trace and the same report counters.
+"""FIFO admission is one path: the scheduler's default, the name
+``"fifo"`` and an explicit :class:`FIFOAdmission` instance serve every
+workload identically — the same tokens, the same round trace and the
+same report counters.
 
 The matrix covers the admission path's branches: the overload burst
 against an undersized paged pool under swap and recompute preemption,
@@ -102,11 +103,23 @@ class TestFIFOIsOnePath:
     def test_explicit_instance_matches_default(self, model, default_run):
         name, (tokens, trace, counters) = default_run
         other_tokens, other_trace, other_counters = serve(
-            model, name, admission_policy=FIFOAdmission()
+            model, name, admission=FIFOAdmission()
         )
         assert other_tokens == tokens
         assert other_trace == trace
         assert other_counters == counters
+
+    def test_name_matches_default(self, model, default_run):
+        name, (tokens, trace, counters) = default_run
+        other_tokens, other_trace, other_counters = serve(
+            model, name, admission="fifo"
+        )
+        assert other_tokens == tokens
+        assert other_trace == trace
+        assert other_counters == counters
+
+    def test_default_is_a_fifo_policy(self, model):
+        assert isinstance(Scheduler(model).admission, FIFOAdmission)
 
     def test_overload_matrix_preempts(self, model):
         """The overload runs exist to put admission order under

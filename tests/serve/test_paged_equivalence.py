@@ -173,6 +173,49 @@ class TestPrefixHitsPreserveOutputs:
             )
 
 
+class TestSameRoundPrefixReuse:
+    """Two requests sharing a prompt prefix, admitted in the same round:
+    the second adopts the blocks the first registered earlier in that
+    round (admission prefills each request before the next is matched),
+    so it computes only its unique suffix."""
+
+    @pytest.mark.parametrize("budget", [None, 12])
+    def test_second_admission_adopts_first_admissions_blocks(self, model, budget):
+        rng = np.random.default_rng(3)
+        prefix = rng.integers(0, model.config.vocab_size, size=16)
+        requests = [
+            Request(
+                f"r{i}",
+                np.concatenate(
+                    [prefix, rng.integers(0, model.config.vocab_size, size=5)]
+                ),
+                max_new_tokens=6,
+                seed=i,
+            )
+            for i in range(2)
+        ]
+        dense, _ = serve(model, requests, max_batch_size=2, budget=budget)
+        paged, report = serve(
+            model,
+            requests,
+            max_batch_size=2,
+            budget=budget,
+            paged=True,
+            block_size=4,
+        )
+        first = paged.trace[0]
+        assert first.round_index == 0
+        assert [
+            (e.request_id, e.computed_tokens, e.prefix_length)
+            for e in first.prefills
+        ] == [("r0", 21, 0), ("r1", 5, 16)]
+        assert report.prefix_tokens_hit == 16
+        for request in requests:
+            assert paged.tokens_for(request.request_id) == dense.tokens_for(
+                request.request_id
+            )
+
+
 class TestPagedReporting:
     def test_report_carries_paged_metrics(self, model):
         requests = make_requests(model, 5, seed=31, shared_prefix=12)

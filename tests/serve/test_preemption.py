@@ -23,12 +23,12 @@ from repro.core.policies.extensions import TOVAPolicy
 from repro.core.policies.voting import VotingPolicy
 from repro.experiments import serving
 from repro.serve import (
+    EDFAdmission,
     Request,
     Scheduler,
     ServingCoSimulator,
     ServingEngine,
 )
-from repro.serve.engine import EDFAdmission
 
 
 def make_requests(n=4, prompt_len=20, max_new=8, budget=None, seed=0):
@@ -413,7 +413,7 @@ class TestRouterLoadSignal:
             paged=paged,
             block_size=4,
             preempt="recompute",
-            admission_policy=EDFAdmission(),
+            admission=EDFAdmission(),
         )
         scheduler.submit(
             Request("bg", np.arange(10), max_new_tokens=8, seed=0, deadline=200)
