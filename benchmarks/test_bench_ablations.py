@@ -1,4 +1,5 @@
-"""Bench: design-choice ablations (DESIGN.md §5)."""
+"""Bench: design-choice ablations (README section "`ablations` —
+algorithm/hardware sensitivity sweeps")."""
 
 import pytest
 

@@ -30,7 +30,8 @@ column tiles), stalls per row on conventional softmax, and pays a
 bank-conflict derate reading Vᵀ from the on-chip buffer.
 
 All constants live in :class:`repro.accel.config.HardwareConfig`; the
-measured-vs-paper ratios are recorded in EXPERIMENTS.md.
+measured-vs-paper ratios are the ``fig8_center`` artifact (README section
+"`fig8_center` — dataflow ablation latency").
 
 Round-level dataflow selection (serving)
 ----------------------------------------

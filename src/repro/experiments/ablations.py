@@ -1,4 +1,5 @@
-"""Design-choice ablations (DESIGN.md §5).
+"""Design-choice ablations (README section "`ablations` —
+algorithm/hardware sensitivity sweeps").
 
 The paper fixes several design decisions with brief justifications; these
 harnesses measure each one:

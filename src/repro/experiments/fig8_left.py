@@ -5,7 +5,8 @@ StreamingLLM, H2O, and voting-based eviction across cache sizes
 {128, 256, 512, 1024, 2048, 4096}; voting wins at every size and the
 curves converge at the full cache.
 
-Scaled setup here (documented in DESIGN.md §2 and EXPERIMENTS.md): the
+Scaled setup here (summarized in README section "`fig8_left` —
+perplexity vs cache size"): the
 zoo's trained small Llama-style model (context 640) on synthetic long
 books, evaluation windows of 512 tokens, cache sizes scaled by 1/8 —
 {16, 32, 64, 128, 256, 512} — so the compression ratios sweep the same

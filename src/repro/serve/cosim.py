@@ -454,15 +454,9 @@ class ServingCoSimulator:
                         f"{event.request_id!r} misfiled under "
                         "RoundTrace.dead_steps"
                     )
-            decode_events = [*record.decodes, *record.dead_steps]
-            if (
-                not prefills
-                and not decode_events
-                and not verifies
-                and not record.swaps
-                and not record.forks
-            ):
+            if not record.busy:
                 continue
+            decode_events = [*record.decodes, *record.dead_steps]
             decode_lengths = [e.attention_length for e in decode_events]
             # Voting-engine vote counts live off-chip (paper Sec. V):
             # UINT16 per position, read + write per step per layer, for

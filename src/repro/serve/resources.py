@@ -238,14 +238,6 @@ prefix_match_mode:
         self._admitted = {}  # request_id -> cache (device-resident)
         self._reservations = {}  # request_id -> worst-case pool blocks
         self._swapped = {}  # request_id -> SwapImage (host pool)
-        # family id -> batch slots held for branches not yet forked; the
-        # scheduler keeps a fork family's total slot claim constant at
-        # its branch count, so later admissions can never starve a
-        # family of the slots its forks were admitted against.
-        self._slot_reservations = {}
-        # family id -> pool blocks held for branches not yet forked
-        # (one-way scheduling's block-side mirror of the slot claim).
-        self._block_reservations = {}
 
         # ---- KV usage (feeds ServingReport) ----
         #: Peak KV memory in slots (see :meth:`sample_usage`).
@@ -268,9 +260,11 @@ prefix_match_mode:
 
     @property
     def slots_used(self):
-        """Admitted sequences plus batch slots reserved for fork
-        families' not-yet-spawned branches."""
-        return len(self._admitted) + sum(self._slot_reservations.values())
+        """Batch slots held: one per device-resident sequence.  Slots a
+        fork family holds for branches it has not forked yet are the
+        scheduler's to set aside (it passes them to :meth:`can_admit`
+        and :meth:`free_kv_capacity`)."""
+        return len(self._admitted)
 
     @property
     def slots_free(self):
@@ -289,11 +283,13 @@ prefix_match_mode:
         entries; ``None`` when block supply is unbounded."""
         return self.block_pool.num_free if self.fixed_pool else None
 
-    @property
-    def free_kv_capacity(self):
-        """Free pool blocks when paged, free batch slots when dense (the
+    def free_kv_capacity(self, reserved_slots):
+        """Free pool blocks when paged, free batch slots less the
+        ``reserved_slots`` set aside for fork families when dense (the
         fleet router's tie-break)."""
-        return self.block_pool.num_free if self.paged else self.slots_free
+        if self.paged:
+            return self.block_pool.num_free
+        return self.slots_free - reserved_slots
 
     @property
     def num_swapped(self):
@@ -483,16 +479,18 @@ prefix_match_mode:
         return sum(
             max(0, self._reservations[rid] - cache.owned_blocks)
             for rid, cache in self._admitted.items()
-        ) + sum(self._block_reservations.values())
+        )
 
     def can_admit(self, worst_blocks, immediate_blocks, slots=1):
         """Room for one more sequence?
 
-        Needs a free batch slot in every mode (``slots`` of them: a fork
-        family's root admission claims one slot per eventual branch, so
-        the scheduler passes the branch count here).  Block-wise, one-way
-        scheduling (``preempt="off"``) demands the worst case on top of
-        every running sequence's outstanding reservation — an admitted
+        Needs ``slots`` free batch slots in every mode: the scheduler
+        passes one for the candidate plus every slot a fork family sets
+        aside for branches it has not forked yet (a root admission's own
+        future branches included), and adds those branches' worst cases
+        to ``worst_blocks``.  Block-wise, one-way scheduling
+        (``preempt="off"``) demands the worst case on top of every
+        running sequence's outstanding reservation — an admitted
         sequence can then never fail an allocation; two-way scheduling
         demands only the immediate prefill need, because a mid-run
         shortfall preempts a victim instead of crashing.
@@ -505,38 +503,19 @@ prefix_match_mode:
             return self.has_blocks(immediate_blocks)
         return self.has_blocks(worst_blocks + self.outstanding_reservation())
 
-    def reserve_slots(self, family, extra):
-        """Hold ``extra`` batch slots for ``family``'s unspawned branches.
-
-        Setting ``extra <= 0`` drops the family's reservation.  The
-        scheduler calls this at root admission (``num_branches - 1``
-        extras), shrinks it as forks consume slots, and re-arms it when
-        a beam family's live-branch count dips below its width."""
-        if extra <= 0:
-            self._slot_reservations.pop(family, None)
-        else:
-            self._slot_reservations[family] = int(extra)
-
-    def reserve_blocks(self, family, blocks):
-        """Hold ``blocks`` pool blocks for ``family``'s unspawned
-        branches (the one-way block-side mirror of
-        :meth:`reserve_slots`; counted by
-        :meth:`outstanding_reservation`).  ``blocks <= 0`` drops it."""
-        if blocks <= 0:
-            self._block_reservations.pop(family, None)
-        else:
-            self._block_reservations[family] = int(blocks)
-
     # ------------------------------------------------------------------
     # Lifecycle: admit / retire / preempt / resume
     # ------------------------------------------------------------------
     def admit(self, request_id, capacity, reserved_blocks=None):
         """Claim a batch slot and allocate a fresh cache; returns it.
 
-        ``reserved_blocks`` is the worst-case demand held back from later
-        one-way admissions (default: the capacity's table peak; the
-        scheduler passes :meth:`sequence_worst_blocks` to include the
-        prefix-registration CoW term)."""
+        The guard is a physical-slot check: whether the admission leaves
+        room for fork families' unforked branches is the scheduler's
+        question (:meth:`can_admit`).  ``reserved_blocks`` is the
+        worst-case demand held back from later one-way admissions
+        (default: the capacity's table peak; the scheduler passes
+        :meth:`sequence_worst_blocks` to include the prefix-registration
+        CoW term)."""
         if self.slots_free <= 0:
             raise RuntimeError("admit with no free batch slot")
         cache = self._new_cache(request_id, capacity)
@@ -565,13 +544,13 @@ prefix_match_mode:
         if request_id in self._admitted:
             raise KeyError(f"sequence {request_id!r} already admitted")
 
-    def fork(self, parent_id, child_id, family=None):
+    def fork(self, parent_id, child_id):
         """Fork ``parent_id``'s cache into a new branch ``child_id``.
 
-        The child claims a batch slot — drawn from ``family``'s slot
-        reservation when one is armed (the root admission pre-paid it),
-        otherwise from the free pool — inherits the parent's worst-case
-        block reservation, and adopts the parent's KV state:
+        The child claims a batch slot (a physical-slot check: the
+        scheduler set the slot aside when it admitted the family),
+        inherits the parent's worst-case block reservation, and adopts
+        the parent's KV state:
         copy-on-write block sharing in paged mode (zero slots copied,
         every parent block's refcount bumped), a full slab copy dense.
         Divergence is handled downstream by the caches themselves
@@ -579,10 +558,7 @@ prefix_match_mode:
         only does the bookkeeping.  Returns the child cache.
         """
         self._check_unadmitted(child_id)
-        if family is not None and family in self._slot_reservations:
-            remaining = self._slot_reservations[family] - 1
-            self.reserve_slots(family, remaining)
-        elif self.slots_free <= 0:
+        if self.slots_free <= 0:
             raise RuntimeError("fork with no free batch slot")
         child = self._admitted[parent_id].fork()
         self._admitted[child_id] = child
@@ -653,8 +629,9 @@ prefix_match_mode:
     def swap_in(self, state):
         """Page a swapped sequence back onto the device: allocate a fresh
         cache, replay the saved slots, restore the eviction policy, and
-        hand the slot back.  Returns the consumed :class:`SwapImage`
-        (``blocks_in`` filled in)."""
+        hand the slot back (a physical-slot check, as in :meth:`admit`).
+        Returns the consumed :class:`SwapImage` (``blocks_in`` filled
+        in)."""
         request_id = state.request_id
         image = self._swapped.pop(request_id)
         if self.slots_free <= 0:

@@ -93,12 +93,20 @@ bit-exactly.  Swap traffic is recorded as
 as HBM<->host transfers by the serving co-simulator.  With capacity to
 spare, no preemption triggers and all three modes are bit-identical.
 
-Speculative decoding (``draft_model=...``) changes how many rows a
-sequence adds to the round's one target forward: a cheap draft model
-proposes ``spec_k`` tokens, and the sequence adds a verify window — the
-pending token plus the proposals, its cache repeated once per row — to
-the round's :meth:`CachedTransformer.step_batch` beside the plain rows.
-The longest prefix whose greedy argmax matches the proposals is
+Decoding is one path.  Every running sequence adds a *window* to the
+round's one :meth:`CachedTransformer.step_batch`: its pending token plus
+zero or more draft proposals, its cache repeated once per row.  A plain,
+sampled or beam row is a zero-proposal window.  After the forward, one
+commit step per sequence bookkeeps each row as a sequential step (policy
+observe, budget enforcement, cache-length log — the same
+``observe_and_evict`` epilogue the solo engine runs), and every generated
+token, whether sampled, chosen by a beam advance or accepted from a
+window, is appended through one method that also retires the sequence on
+EOS or at ``max_new_tokens``.
+
+Speculative decoding (``draft_model=...``) only changes how many
+proposals a window carries: a cheap draft model proposes ``spec_k``
+tokens, and the longest prefix whose greedy argmax matches them is
 accepted — each window row's logits are bitwise identical to sequential
 decode, so with the (required) greedy sampler acceptance is exact and
 the generated tokens, eviction logs, and cache-length traces are
@@ -106,12 +114,21 @@ bit-identical to the non-speculative scheduler.  Rejected provisional KV
 entries are rolled back with ``cache.truncate`` (paged mode returns the
 freed tail blocks to the pool immediately, and provisional tokens never
 enter the prefix cache — registration only ever covers full *prompt*
-blocks).  A sequence whose eviction budget could fire inside the verify
-window (``cache length + k + 1 > budget``) transparently adds one plain
-row that round instead, keeping the eviction schedule exact; EOS/length
-caps landing mid-window clip the window.  The draft model's KV cache is
+blocks).  A sequence whose eviction budget could fire inside the window
+(``cache length + k + 1 > budget``) opens a zero-proposal window that
+round instead, keeping the eviction schedule exact; EOS/length caps
+landing mid-window clip the window.  The draft model's KV cache is
 modeled host-resident: it consumes no pool blocks, survives a swap, and
 is dropped with the rest of the device state on a recompute preemption.
+
+Fork families (``Request(n=)`` parallel sampling, ``Request(beam_width=)``
+beam search) fork branches that adopt the parent's KV state —
+copy-on-write blocks when paged, a slab copy when dense — and decode
+through the same windows.  A family is admitted against the slots (and,
+one-way, the worst-case blocks) of every branch it may still fork, and
+while any branch is resident those branches' claims are computed from
+the family's state wherever admission or the router reads free
+capacity; the resource manager keeps no copy of them.
 
 Every round is also recorded in :attr:`Scheduler.trace` (prefill row
 counts, per-sequence decode attention lengths, speculative verify
@@ -453,9 +470,9 @@ class _ForkFamily:
     branches: list = field(default_factory=list)
     #: Next branch index to assign (the root is branch 0).
     next_branch: int = 1
-    #: Worst-case pool blocks of one branch (captured at root admission;
-    #: scales the family's block-side reservation under one-way mode).
-    branch_worst: int | None = None
+    #: Worst-case pool blocks of one branch over its life (scales the
+    #: family's block-side claim under one-way mode).
+    branch_worst: int = 0
     #: Sample mode: True once the root has spawned its ``n - 1``
     #: siblings (a one-shot event, unlike beam's rolling forks).
     spawned: bool = False
@@ -707,7 +724,8 @@ class Scheduler:
         self.trace = []
         self.round_index = 0
         # Beam branches inherit their parent's tokens, so the run's token
-        # total is counted as sampled, not summed over states.
+        # total is counted as tokens commit (_commit_token), not summed
+        # over states.
         self._total_tokens = 0
         self._peak_concurrency = 0
 
@@ -805,6 +823,11 @@ class Scheduler:
                 mode="sample" if request.n > 1 else "beam",
                 width=request.num_branches,
                 branches=[state],
+                branch_worst=self.manager.sequence_worst_blocks(
+                    request.prompt.shape[0],
+                    request.max_new_tokens,
+                    self._budget_of(request),
+                ),
             )
         self._enqueue(state)
         return state
@@ -889,8 +912,9 @@ class Scheduler:
     @property
     def free_kv_capacity(self):
         """Free KV capacity for the router's tie-breaks: free pool
-        blocks when paged, free batch slots when dense."""
-        return self.manager.free_kv_capacity
+        blocks when paged, free batch slots when dense (less the slots
+        resident fork families hold for their unforked branches)."""
+        return self.manager.free_kv_capacity(self._family_reserved()[0])
 
     def prefix_probe(self, request):
         """Longest cached prefix (in tokens) this scheduler's radix trie
@@ -980,12 +1004,10 @@ class Scheduler:
         self._peak_concurrency = max(self._peak_concurrency, len(self._running))
         self.manager.sample_usage()
 
-        sampled = self._sample(record)
+        self._sample(record)
         beam_ready = None
         if self._families:
-            beam_tokens, beam_ready = self._advance_beams(record)
-            sampled += beam_tokens
-            beam_ready = {id(s) for s in beam_ready}
+            beam_ready = {id(s) for s in self._advance_beams(record)}
         active = [
             s
             for s in self._running
@@ -993,20 +1015,8 @@ class Scheduler:
             and (beam_ready is None or not self._is_beam(s) or id(s) in beam_ready)
         ]
         if active:
-            sampled += self._decode(active, record)
-        self._total_tokens += sampled
-        if (
-            record.prefills
-            or record.decodes
-            or record.dead_steps
-            or record.verifies
-            or record.swaps
-            or record.forks
-        ):
-            # Busy = the hardware did work, whether or not a token came
-            # out: a chunked-prefill-only round costs compute too, and
-            # tokens_per_round must reflect it.  (Unchunked runs are
-            # unchanged: every round with work also samples.)
+            self._decode(active, record)
+        if record.busy:
             self.trace.append(record)
         self._retire()
         self.round_index += 1
@@ -1162,8 +1172,6 @@ class Scheduler:
                     )
                 )
                 self._running.append(state)
-                if state.family is not None:
-                    self._sync_family(self._families[state.family])
                 continue  # no prefill rows: chunk budget untouched
 
             state.prompt_tokens = self._effective_prompt(state)
@@ -1181,11 +1189,6 @@ class Scheduler:
             state.status = PREFILLING
             if state.admitted_at is None:
                 state.admitted_at = self.round_index
-            if state.family is not None:
-                family = self._families[state.family]
-                if family.branch_worst is None:
-                    family.branch_worst = worst
-                self._sync_family(family)
 
             self._attach_prefix(state)
             rows = self._chunk_rows(state, chunk_budget)
@@ -1213,13 +1216,13 @@ class Scheduler:
         resuming) ``state``: ``worst`` blocks over its life (what one-way
         scheduling reserves) and ``own_need`` in its admission round
         (what two-way scheduling checks, on top of the resident batch's
-        round demand).  Under two-way scheduling this may preempt
-        running victims the candidate strictly outranks.  Returns False
-        when the candidate must keep waiting."""
+        round demand).  The claims of fork families on the branches they
+        may still fork — the resident families' and the candidate's own
+        (:meth:`_family_reserved`) — are set aside first.  Under two-way
+        scheduling this may preempt running victims the candidate
+        strictly outranks.  Returns False when the candidate must keep
+        waiting."""
         manager = self.manager
-        slots = 1
-        if state.family is not None:
-            worst, slots = self._family_claim(state, worst)
 
         def immediate():
             # Optimistic admission must not eat the blocks the resident
@@ -1232,14 +1235,20 @@ class Scheduler:
                 return own_need + self._round_block_demand()
             return own_need
 
-        while not manager.can_admit(worst, immediate(), slots=slots):
+        while True:
+            # Recomputed per check too: a victim may take its family's
+            # residency, and with it the family's claim, along.
+            reserved_slots, reserved_blocks = self._family_reserved(state)
+            if manager.can_admit(
+                worst + reserved_blocks, immediate(), slots=1 + reserved_slots
+            ):
+                return True
             if not manager.preemptible:
                 return False
             victim = self._select_victim()
             if victim is None or not self._outranks(state, victim):
                 return False
             self._preempt(victim, record)
-        return True
 
     def _victim_rank(self, state):
         """Preemption order: lowest priority first, then latest deadline
@@ -1346,10 +1355,6 @@ class Scheduler:
             # its contents are committed tokens, still valid at resume.
             state.draft_cache = None
         self._enqueue(state)
-        if state.family is not None:
-            # Losing residency may drop the family's standing reservation
-            # (re-secured wholesale at the next branch's re-admission).
-            self._sync_family(self._families[state.family])
 
     def _ensure_headroom(self, record):
         """Guarantee this round's block demand before any compute runs.
@@ -1559,112 +1564,74 @@ class Scheduler:
         state.prefilled = hit.shared_length
 
     def _sample(self, record):
-        """Sample one token per running sequence; retire EOS/full ones.
-
-        Mirrors the engine's per-step prologue: sample, append, stop on
-        EOS or on reaching ``max_new_tokens`` (in which case no further
-        decode step is spent on the sequence — the engine's dead step is
-        recorded in the trace as such, never executed).
-        """
-        sampled = 0
+        """Sample one token per running sequence from its pending logits
+        and commit it (see :meth:`_commit_token`) — the engine's
+        per-step prologue.  Beam branches take their tokens from the
+        joint advance instead."""
         for state in self._running:
             if state.status != RUNNING:
                 continue  # chunked prefill still in flight: no logits yet
             if self._is_beam(state):
                 continue  # beam branches take tokens from the joint advance
-            token = self.sampler(state.logits, state.rng)
-            state.tokens.append(token)
-            if state.first_token_round is None:
-                state.first_token_round = self.round_index
-            sampled += 1
-            self._finish_if_done(state, token, record)
-        return sampled
+            self._commit_token(state, self.sampler(state.logits, state.rng), record)
 
-    def _finish_if_done(self, state, token, record):
-        """Retire ``state`` after appending ``token`` if it was EOS or
-        reached ``max_new_tokens`` — the latter recording the engine's
-        dead step in the trace (never executed)."""
+    def _commit_token(self, state, token, record, stepped=False):
+        """Append one generated ``token`` to ``state`` and retire it on
+        EOS or on reaching ``max_new_tokens`` — the one place a generated
+        token is committed (sampling pass, beam advance, accepted verify
+        rows).
+
+        A length-capped sequence records the engine's dead step (never
+        executed) in the trace unless its final token was already
+        ``stepped`` by this round's forward: a verify window computed
+        (and the co-simulator prices) the rows past an accepted final
+        token, so a dead step would charge that work twice."""
+        state.tokens.append(token)
+        if state.first_token_round is None:
+            state.first_token_round = self.round_index
+        self._total_tokens += 1
         request = state.request
         if request.eos is not None and token == request.eos:
             self._finish(state, "eos")
         elif state.num_generated >= request.max_new_tokens:
-            record.dead_steps.append(
-                DecodeEvent(
-                    request_id=request.request_id,
-                    attention_length=int(state.cache[0].length + 1),
-                    budgeted=self._budget_of(request) is not None,
-                    dead=True,
+            if not stepped:
+                record.dead_steps.append(
+                    DecodeEvent(
+                        request_id=request.request_id,
+                        attention_length=int(state.cache[0].length + 1),
+                        budgeted=self._budget_of(request) is not None,
+                        dead=True,
+                    )
                 )
-            )
             self._finish(state, "length")
 
     def _decode(self, active, record):
         """The round's one target forward: a single ``step_batch`` over
-        the rows every still-active sequence adds.
+        the window every still-active sequence adds, then one
+        :meth:`_commit_window` per sequence.
 
-        A plain sequence adds one row, its last token at its position.
-        A speculating sequence adds its whole verify window (see
-        :meth:`_spec_decode`): the pending token plus the draft's
-        proposals at consecutive positions, its cache repeated once per
-        row.  A window's rows append to that cache and attend over it in
-        row order, so each row sees exactly the cache its sequential
-        step would have, and ``batch_matmul``'s row-count invariance
-        makes its logits and attention bitwise the sequential step's —
-        one weight fetch for the whole round, as the co-simulator prices
-        it.  Returns the extra (accepted) tokens speculation appended.
+        A window is the pending token plus the draft's proposals (none
+        for a plain, beam or sample row, see :meth:`_open_window`) at
+        consecutive positions, its cache repeated once per row.  A
+        window's rows append to that cache and attend over it in row
+        order, so each row sees exactly the cache its sequential step
+        would have, and ``batch_matmul``'s row-count invariance makes its
+        logits and attention bitwise the sequential step's — one weight
+        fetch for the whole round, as the co-simulator prices it.
         """
-        windows = (
-            self._open_windows(active) if self.draft_model is not None else None
-        )
+        windows = [self._open_window(state) for state in active]
         tokens, positions, caches = [], [], []
-        for state in active:
+        for state, (_, proposals) in zip(active, windows):
+            rows = 1 + len(proposals)
             tokens.append(state.tokens[-1])
-            positions.append(state.position)
-            caches.append(state.cache)
-            window = windows.get(id(state)) if windows else None
-            if window is not None:
-                event, proposals = window
-                tokens.extend(proposals)
-                positions.extend(
-                    range(state.position + 1, state.position + event.rows)
-                )
-                caches.extend([state.cache] * event.proposed)
-            else:
-                # The step appends then attends, so attention runs against
-                # the pre-step length plus the new token (append-then-evict).
-                record.decodes.append(
-                    DecodeEvent(
-                        request_id=state.request_id,
-                        attention_length=int(state.cache[0].length + 1),
-                        budgeted=self._budget_of(state.request) is not None,
-                    )
-                )
+            tokens.extend(proposals)
+            positions.extend(range(state.position, state.position + rows))
+            caches.extend([state.cache] * rows)
         result = self.model.step_batch(tokens, positions, caches)
-
-        accepted = 0
         row = 0
-        for state in active:
-            window = windows.get(id(state)) if windows else None
-            if window is not None:
-                event, proposals = window
-                accepted += self._spec_decode(
-                    state, event, proposals, result, row, record
-                )
-                row += event.rows
-                continue
-            observe_and_evict(
-                state.policy,
-                state.cache,
-                [rows[row] for rows in result.attention],
-                self._budget_of(state.request),
-                step=state.num_generated,
-                log=state.evictions,
-            )
-            state.cache_lengths.append(state.cache[0].length)
-            state.logits = result.logits[row]
-            state.position += 1
-            row += 1
-        return accepted
+        for state, (event, proposals) in zip(active, windows):
+            self._commit_window(state, event, proposals, result, row, record)
+            row += 1 + len(proposals)
 
     # ------------------------------------------------------------------
     # Fork/join (parallel sampling and beam search)
@@ -1680,15 +1647,8 @@ class Scheduler:
         """The family's unfinished branches, creation order."""
         return [s for s in family.branches if s.status != FINISHED]
 
-    def _family_resident(self, family):
-        """Whether any branch of ``family`` holds device residency (and
-        with it the family's standing reservation)."""
-        return any(
-            s.status in (PREFILLING, RUNNING) for s in self._family_live(family)
-        )
-
     def _family_unspawned(self, family):
-        """Branches the family may still fork (the reservation target).
+        """Branches the family may still fork (the claim's size).
 
         Sample mode spawns exactly once, so after the spawn the answer
         is 0 regardless of later branch deaths; beam mode refills its
@@ -1698,32 +1658,31 @@ class Scheduler:
             return 0
         return max(0, family.width - len(self._family_live(family)))
 
-    def _sync_family(self, family):
-        """Reconcile the manager's slot/block reservations with the
-        family's state: while any branch is resident the family holds
-        its unspawned branches' slots (and, one-way, their worst-case
-        blocks); with no resident branch the claim drops — the next
-        re-admission re-secures the whole family via :meth:`_family_claim`.
-        """
-        resident = self._family_resident(family)
-        extra = self._family_unspawned(family) if resident else 0
-        family_id = family.request.request_id
-        self.manager.reserve_slots(family_id, extra)
-        blocks = extra * (family.branch_worst or 0)
-        self.manager.reserve_blocks(family_id, blocks)
-
-    def _family_claim(self, state, worst):
-        """``(one-way worst-case blocks, batch slots)`` admitting branch
-        ``state`` (own worst case ``worst``) must find: its own share,
-        plus — when no family branch is resident, so nothing holds the
-        family's reservation — that of every branch the family may still
-        fork."""
-        family = self._families[state.family]
-        if self._family_resident(family):
-            return worst, 1
-        unspawned = self._family_unspawned(family)
-        per_branch = family.branch_worst if family.branch_worst is not None else worst
-        return worst + unspawned * per_branch, 1 + unspawned
+    def _family_reserved(self, candidate=None):
+        """``(batch slots, one-way worst-case blocks)`` held for the
+        branches fork families may still fork.  A family holds them while
+        any of its branches is in the running batch (prefilling or
+        decoding), so no later admission can starve it of the room its
+        forks were admitted against; an admission ``candidate``'s own
+        family is counted too, since admitting it makes the family
+        resident.  A family with no resident branch holds nothing, and
+        its next (re-)admission secures the whole claim again."""
+        if not self._families:
+            return 0, 0
+        resident = {
+            s.family
+            for s in self._running
+            if s.family is not None and s.status in (PREFILLING, RUNNING)
+        }
+        if candidate is not None and candidate.family is not None:
+            resident.add(candidate.family)
+        slots = blocks = 0
+        for family_id in resident:
+            family = self._families[family_id]
+            unspawned = self._family_unspawned(family)
+            slots += unspawned
+            blocks += unspawned * family.branch_worst
+        return slots, blocks
 
     def _fork_family(self, state, family, record):
         """Spawn a parallel-sampling family's ``n - 1`` sibling branches
@@ -1738,12 +1697,11 @@ class Scheduler:
         for _ in range(family.width - 1):
             self._fork_branch(state, family, record)
         family.spawned = True
-        self._sync_family(family)
 
     def _fork_branch(self, parent, family, record):
         """Fork one branch off ``parent``: duplicate its scheduler-side
-        state, let the resource manager duplicate its device state (this
-        consumes one reserved family slot), and record the
+        state, let the resource manager duplicate its device state (on
+        one of the slots the family's claim set aside), and record the
         :class:`~repro.serve.trace.ForkEvent`.  Returns the branch."""
         root = family.request
         branch_index = family.next_branch
@@ -1778,9 +1736,7 @@ class Scheduler:
             cum_logprob=parent.cum_logprob,
         )
         self._submit_count += 1
-        child.cache = self.manager.fork(
-            parent.request_id, child_id, family=root.request_id
-        )
+        child.cache = self.manager.fork(parent.request_id, child_id)
         family.branches.append(child)
         self._running.append(child)
         kv_slots = max((layer.length for layer in child.cache), default=0)
@@ -1802,18 +1758,16 @@ class Scheduler:
         just drop a refcount)."""
         self.manager.retire(state.request_id)
         state.finish(self.round_index, "beam_pruned")
-        self._sync_family(self._families[state.family])
 
     def _advance_beams(self, record):
         """Jointly advance every beam family that has all live branches
-        holding fresh logits this round; returns ``(tokens appended,
-        states whose appended token still needs a decode step)``.
+        holding fresh logits this round; returns the states whose
+        appended token still needs a decode step.
 
         A family with any branch mid-prefill, preempted, or swapped
         stalls wholesale — beam selection is a joint decision over every
         branch's logits, so advancing a subset would change the search.
         """
-        sampled = 0
         ready = []
         for family in self._families.values():
             if family.mode != "beam":
@@ -1823,8 +1777,8 @@ class Scheduler:
                 continue
             if any(s.status != RUNNING or s.logits is None for s in live):
                 continue
-            sampled += self._advance_one_beam(family, live, record, ready)
-        return sampled, ready
+            self._advance_one_beam(family, live, record, ready)
+        return ready
 
     def _advance_one_beam(self, family, live, record, ready):
         """One beam round: score every (branch, token) successor, keep
@@ -1833,7 +1787,7 @@ class Scheduler:
         several.  Ties break deterministically by (score, branch
         creation order, token id).  Pruning runs before forking so a
         fixed pool can fund the forks with the pruned branches' slots
-        and blocks.  Returns the number of tokens appended.
+        and blocks.  Branches still running go on ``ready``.
 
         Scoring ranks candidates by their *length-normalized* cumulative
         log-probability ``raw / len ** alpha`` (GNMT length penalty,
@@ -1861,7 +1815,6 @@ class Scheduler:
         for order, state in enumerate(live):
             if order not in by_branch:
                 self._prune(state)
-        appended = 0
         for order, state in enumerate(live):
             successors = by_branch.get(order)
             if not successors:
@@ -1873,35 +1826,19 @@ class Scheduler:
                 self._fork_branch(state, family, record)
                 for _ in successors[1:]
             ]
-            appended += self._append_beam_token(state, successors[0], record)
-            for child, successor in zip(children, successors[1:]):
-                appended += self._append_beam_token(child, successor, record)
-            if state.status == RUNNING:
-                ready.append(state)
-            ready.extend(c for c in children if c.status == RUNNING)
-        self._sync_family(family)
+            for branch, (score, token) in zip([state, *children], successors):
+                branch.cum_logprob = score
+                self._commit_token(branch, token, record)
+                if branch.status == RUNNING:
+                    ready.append(branch)
         self._peak_concurrency = max(self._peak_concurrency, len(self._running))
-        return appended
-
-    def _append_beam_token(self, state, successor, record):
-        """Commit one beam successor ``(cumulative score, token)`` onto
-        ``state``, mirroring ``_sample``'s finish handling (EOS retires
-        the branch; the length cap records the engine-compat dead step).
-        Returns 1 (the token appended)."""
-        score, token = successor
-        state.tokens.append(int(token))
-        state.cum_logprob = score
-        if state.first_token_round is None:
-            state.first_token_round = self.round_index
-        self._finish_if_done(state, token, record)
-        return 1
 
     # ------------------------------------------------------------------
     # Speculative decoding (draft-propose / target-verify)
     # ------------------------------------------------------------------
     def _can_speculate(self, state):
-        """Window size for ``state`` this round, or 0 to fall back to the
-        plain decode step.
+        """Draft proposals ``state`` may add to its window this round (0
+        without a draft model: a plain decode step).
 
         Speculation is skipped (never *wrong*, just unprofitable or
         unsafe) when: the remaining token budget clips the window to
@@ -1911,6 +1848,8 @@ class Scheduler:
         ``prior + k + 1 <= budget``); or either model's RoPE table /
         cache capacity cannot cover the provisional window.
         """
+        if self.draft_model is None:
+            return 0
         request = state.request
         k_eff = min(self.spec_k, request.max_new_tokens - state.num_generated)
         if k_eff < 1:
@@ -1968,70 +1907,79 @@ class Scheduler:
             position += 1
         return proposals, int(rows.shape[0]), prior, tuple(decode_lengths)
 
-    def _open_windows(self, active):
-        """Verify windows of the sequences that speculate this round,
-        keyed by ``id(state)``: a ``(VerifyEvent, proposals)`` pair
-        whose event :meth:`_spec_decode` completes with the outcome.
-        The other sequences add one plain row."""
-        windows = {}
-        for state in active:
-            k_eff = self._can_speculate(state)
-            if not k_eff:
-                continue
-            lengths = set(state.cache.lengths)
-            if len(lengths) != 1:
-                raise ValueError(
-                    f"ragged cache lengths {sorted(lengths)}: a verify "
-                    "window needs every layer at the same length"
-                )
-            proposals, draft_rows, draft_prior, draft_lengths = (
-                self._draft_propose(state, k_eff)
-            )
-            event = VerifyEvent(
-                request_id=state.request_id,
-                rows=k_eff + 1,
-                prior=lengths.pop(),
-                proposed=k_eff,
-                accepted=0,
-                tokens=0,
-                budgeted=self._budget_of(state.request) is not None,
-                draft_prefill_rows=draft_rows,
-                draft_prefill_prior=draft_prior,
-                draft_decode_lengths=draft_lengths,
-            )
-            windows[id(state)] = (event, proposals)
-        return windows
+    def _open_window(self, state):
+        """``(event, proposals)`` for the window ``state`` adds to this
+        round's forward: its pending token plus the draft's proposals.
 
-    def _spec_decode(self, state, event, proposals, result, first_row, record):
-        """Commit ``state``'s verify window from the round's forward:
-        accept the longest exact-match prefix, roll back the rest.
+        A plain, beam or sample row is a zero-proposal window recorded as
+        a :class:`~repro.serve.trace.DecodeEvent` (the step appends then
+        attends, so attention runs against the pre-step length plus the
+        new token).  When :meth:`_can_speculate` allows a window, the
+        draft proposes and the window is a
+        :class:`~repro.serve.trace.VerifyEvent` that
+        :meth:`_commit_window` completes with the outcome."""
+        budgeted = self._budget_of(state.request) is not None
+        k_eff = self._can_speculate(state)
+        if not k_eff:
+            event = DecodeEvent(
+                request_id=state.request_id,
+                attention_length=int(state.cache[0].length + 1),
+                budgeted=budgeted,
+            )
+            return event, []
+        lengths = set(state.cache.lengths)
+        if len(lengths) != 1:
+            raise ValueError(
+                f"ragged cache lengths {sorted(lengths)}: a verify "
+                "window needs every layer at the same length"
+            )
+        proposals, draft_rows, draft_prior, draft_lengths = self._draft_propose(
+            state, k_eff
+        )
+        event = VerifyEvent(
+            request_id=state.request_id,
+            rows=k_eff + 1,
+            prior=lengths.pop(),
+            proposed=k_eff,
+            accepted=0,
+            tokens=0,
+            budgeted=budgeted,
+            draft_prefill_rows=draft_rows,
+            draft_prefill_prior=draft_prior,
+            draft_decode_lengths=draft_lengths,
+        )
+        return event, proposals
+
+    def _commit_window(self, state, event, proposals, result, first_row, record):
+        """Commit ``state``'s window from the round's forward: accept the
+        longest exact-match prefix of ``proposals``, roll back the rest.
 
         The window's rows ``first_row ..`` of ``result`` are the pending
         token plus the ``proposals``, and row ``i``'s logits (and
         attention rows) are bitwise identical to the sequential decode of
-        the same tokens (see :meth:`_decode`).  Row ``m`` is therefore
-        bookkept exactly as a plain step would have been — scalar policy
-        observe over the row's causal width, budget enforcement,
-        cache-length log — and ``self.sampler(logits[m])`` *is* the
-        token the non-speculative scheduler would sample next; a
-        proposal mismatch just means rows past ``m`` are garbage.  On
-        mismatch the correction token is deliberately **not** appended:
-        the pending logits are set to row ``m`` and the next round's
-        sampling pass re-derives the identical token (greedy is
-        deterministic), preserving the invariant that the last appended
-        token has always been stepped.  Returns the number of extra
-        (accepted) tokens appended this round.
+        the same tokens (see :meth:`_decode`).  Every row is bookkept
+        exactly as a sequential step — policy observe over the row's
+        causal width, budget enforcement, cache-length log — and
+        ``self.sampler(logits[m])`` *is* the token the sequential
+        scheduler would sample next; a proposal mismatch just means rows
+        past ``m`` are garbage.  On mismatch the correction token is
+        deliberately **not** appended: the pending logits are set to row
+        ``m`` and the next round's sampling pass re-derives the identical
+        token (greedy is deterministic), preserving the invariant that the
+        last appended token has always been stepped.  A zero-proposal
+        window is a plain decode step: its one row is bookkept and its
+        logits become the pending logits.
         """
-        request = state.request
-        budget = self._budget_of(request)
-        k_eff, prior = event.proposed, event.prior
+        budget = self._budget_of(state.request)
+        k = len(proposals)
 
         def bookkeep(row):
-            # Identical per-step epilogue to a plain step: the forward
-            # appended all rows up front, so the cache views are sliced
-            # back to the width this row's sequential step would have
-            # seen (row attention already has exactly that width).
-            width = prior + row + 1
+            # The forward appended every window row up front, and no
+            # eviction runs inside a window (_can_speculate), so the row's
+            # sequential step saw the cache without the rows after it.
+            # The last row's enforcement may evict; its log records the
+            # post-eviction length, as a sequential step's does.
+            after = k - row
             observe_and_evict(
                 state.policy,
                 state.cache,
@@ -2039,60 +1987,48 @@ class Scheduler:
                 budget,
                 step=state.num_generated,
                 log=state.evictions,
-                width=width,
+                width=state.cache[0].length - after if after else None,
             )
-            state.cache_lengths.append(width)
+            state.cache_lengths.append(state.cache[0].length - after)
 
         accepted = 0
-        finished = False
-        pending = None
-        for m in range(k_eff):
+        pending = k
+        for m, proposal in enumerate(proposals):
             bookkeep(m)
-            true_token = self.sampler(result.logits[first_row + m], state.rng)
-            if true_token != proposals[m]:
+            token = self.sampler(result.logits[first_row + m], state.rng)
+            if token != proposal:
                 pending = m
                 break
-            state.tokens.append(true_token)
             accepted += 1
-            if request.eos is not None and true_token == request.eos:
-                self._finish(state, "eos")
-                finished = True
-                break
-            if state.num_generated >= request.max_new_tokens:
-                # No dead-step record here: the round's forward already
-                # computed (and the co-simulator prices) the window rows
-                # past the final token — a separate dead step would
-                # double-charge that work (see trace module docstring).
-                self._finish(state, "length")
-                finished = True
+            self._commit_token(state, token, record, stepped=True)
+            if state.status == FINISHED:
                 break
         else:
-            # Every proposal accepted: the bonus row — the step of the
-            # last appended token — is valid too; its logits become the
-            # pending logits the next round samples from.
-            bookkeep(k_eff)
-            pending = k_eff
+            # Every proposal accepted (or none made): the last row — the
+            # step of the last appended token — is valid too; its logits
+            # become the pending logits the next round samples from.
+            bookkeep(k)
 
+        finished = state.status == FINISHED
         if not finished:
-            state.cache.truncate(prior + pending + 1)
+            if pending < k:
+                state.cache.truncate(event.prior + pending + 1)
             state.logits = result.logits[first_row + pending]
             state.position += pending + 1
-            committed = request.prompt.shape[0] + state.num_generated
+        if not proposals:
+            record.decodes.append(event)
+            return
+        if not finished:
+            committed = state.request.prompt.shape[0] + state.num_generated
             if state.draft_cache[0].length > committed:
                 state.draft_cache.truncate(committed)
-
         event.accepted = accepted
         event.tokens = accepted + (0 if finished else 1)
         record.verifies.append(event)
-        return accepted
 
     def _finish(self, state, reason):
         self.manager.retire(state.request_id)
         state.finish(self.round_index, reason)
-        if state.family is not None:
-            # A finished beam branch frees a width slot the next advance
-            # re-forks into; a fully finished family drops every claim.
-            self._sync_family(self._families[state.family])
 
     def _retire(self):
         finished = [s for s in self._running if s.status == FINISHED]

@@ -286,6 +286,21 @@ class RoundTrace:
     forks: list = field(default_factory=list)
 
     @property
+    def busy(self):
+        """Whether the hardware did any work this round, whether or not
+        a token came out: a chunked-prefill-only round, a dead step, a
+        swap or a fork costs cycles too.  The scheduler records only
+        busy rounds, and the co-simulator prices only busy rounds."""
+        return bool(
+            self.prefills
+            or self.decodes
+            or self.dead_steps
+            or self.verifies
+            or self.swaps
+            or self.forks
+        )
+
+    @property
     def num_prefills(self):
         return len(self.prefills)
 

@@ -70,9 +70,11 @@ class TestFig8Center:
         assert values[-1] > values[0]  # rising trend
 
     def test_close_to_paper_numbers(self, result):
-        # Within 7 points of the paper's curves (see EXPERIMENTS.md: our
-        # +F trend rises mildly with length where the paper's falls
-        # mildly; magnitudes and the who-wins ordering agree).
+        # Within 7 points of the paper's curves (see README section
+        # "`fig8_center` — dataflow ablation latency": our +F ratio rises
+        # mildly with length where the paper's falls mildly, traced to
+        # the decode-phase F ratio; magnitudes and the who-wins ordering
+        # agree).
         for row in result.rows:
             assert row["Baseline+F"] == pytest.approx(row["paper_F"], abs=0.07)
             assert row["Baseline+F+E"] == pytest.approx(row["paper_F+E"], abs=0.07)

@@ -14,7 +14,7 @@ dense serve and drain the pool completely.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import tiny_config
@@ -61,6 +61,23 @@ def assert_no_cross_branch_writes(caches, expected):
             )
 
 
+def assert_refused_append(manager, caches, expected, tag, rows):
+    """Appending ``rows`` past ``tag``'s cache capacity raises, and the
+    refused append changes nothing: not a refcount, not ``num_used``,
+    not any cache's contents."""
+    pool = manager.block_pool
+    refcounts = [pool.refcount(block_id) for block_id in range(pool.num_blocks)]
+    used = pool.num_used
+    attempted = {t: list(layers) for t, layers in expected.items()}
+    with pytest.raises(RuntimeError, match="overflow"):
+        append_rows(caches, attempted, tag, rows)
+    assert pool.num_used == used
+    assert [
+        pool.refcount(block_id) for block_id in range(pool.num_blocks)
+    ] == refcounts
+    assert_no_cross_branch_writes(caches, expected)
+
+
 def assert_refcounts_exact(manager, caches, expected):
     """Pool refcounts == live table references, num_used == distinct."""
     pool = manager.block_pool
@@ -93,6 +110,9 @@ def op_schedule(draw):
 
 class TestForkConservation:
     @given(op_schedule())
+    # A 1-token root (capacity 17) diverged by 3 rows at a time overflows
+    # its cache on the sixth append.
+    @example([("admit", 0)] + [("diverge", 2)] * 6)
     @settings(max_examples=40, deadline=None)
     def test_blocks_refcounts_and_contents_conserved(self, ops):
         manager = KVResourceManager(
@@ -137,12 +157,14 @@ class TestForkConservation:
             elif op == "diverge" and live:
                 tag = live[pick % len(live)]
                 rows = 1 + pick % 3
+                layer = caches[tag][0]
                 # Worst case per layer: CoW the shared tail plus fresh
                 # blocks for the new rows.
                 worst = CONFIG.n_layers * (2 + rows // BLOCK_SIZE)
-                if not manager.has_blocks(worst):
-                    continue
-                append_rows(caches, expected, tag, rows)
+                if layer.length + rows > layer.capacity:
+                    assert_refused_append(manager, caches, expected, tag, rows)
+                elif manager.has_blocks(worst):
+                    append_rows(caches, expected, tag, rows)
             elif op == "retire" and live:
                 tag = live[pick % len(live)]
                 manager.retire(tag)

@@ -15,7 +15,9 @@ branch is swapped out and back in).
 Pinned per configuration: every request's admission round,
 ``free_kv_capacity`` after every round, and a digest of every
 sequence's tokens, eviction log and cache-length log, every
-``RoundTrace`` row and the report (minus wall time).
+``RoundTrace`` row and the report (minus wall time).  A second, smaller
+workload pins that a family's root is admitted against its whole width,
+dense (slots) and on a fixed paged pool (one-way blocks).
 """
 
 import dataclasses
@@ -161,3 +163,50 @@ def test_swap_config_preempts_a_beam_branch(model):
     ]
     assert ("b#2", "out") in swaps and ("b#2", "in") in swaps
     assert report.preemptions == 3
+
+
+ROOT_CLAIM = {
+    # A root is admitted against its whole width: with two of four slots
+    # (dense) or too few one-way blocks of a fixed 40-block pool (paged,
+    # 8 slots) free, the n=3 family waits for p0 to finish, and p2 waits
+    # behind it (FIFO).
+    "dense": (
+        dict(max_batch_size=4),
+        [2, 2, 2, 2, 2, 3, 0, 0, 1, 3, 3, 3, 4],
+    ),
+    "paged_off": (
+        dict(max_batch_size=8, paged=True, num_blocks=40, prefix_caching=False),
+        [28, 28, 28, 28, 24, 32, 22, 22, 30, 34, 34, 34, 40],
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(ROOT_CLAIM))
+def test_family_root_claims_its_whole_width(model, config):
+    kwargs, pinned_free = ROOT_CLAIM[config]
+    rng = np.random.default_rng(12)
+    vocab = model.config.vocab_size
+    requests = [
+        Request(f"p{i}", rng.integers(0, vocab, size=8), max_new_tokens=6 + 3 * i)
+        for i in range(2)
+    ]
+    requests.append(
+        Request("f", rng.integers(0, vocab, size=8), max_new_tokens=4, n=3,
+                arrival_time=1)
+    )
+    requests.append(
+        Request("p2", rng.integers(0, vocab, size=8), max_new_tokens=4,
+                arrival_time=2)
+    )
+    scheduler = Scheduler(model, block_size=4, **kwargs)
+    for request in requests:
+        scheduler.submit(request)
+    free = []
+    while not scheduler.done:
+        scheduler.run_round()
+        free.append(scheduler.free_kv_capacity)
+    admitted = {
+        row["request_id"]: row["admitted"] for row in scheduler.report().requests
+    }
+    assert admitted == {"p0": 0, "p1": 0, "f": 6, "f#1": 6, "f#2": 6, "p2": 9}
+    assert free == pinned_free
