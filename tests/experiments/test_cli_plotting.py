@@ -63,7 +63,7 @@ class TestCLI:
         assert main(["fig8_center"]) == 0
         assert "Baseline+F+E" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("name", ["table1", "fig8_center"])
+    @pytest.mark.parametrize("name", ["table1", "table2", "fig8_center", "fig8_right"])
     def test_written_artifact_matches_committed(self, name, tmp_path, monkeypatch):
         """The CLI and the benchmark suite write one rendering: a
         cycle-model artifact regenerated from the CLI equals the
