@@ -290,7 +290,8 @@ def test_decode_step_batched(benchmark, inference, rng):
 @pytest.mark.benchmark(group="micro")
 def test_decode_round_batch8(benchmark):
     """One batched decode round of 8 sequences on the 7B shapes from a
-    warm pricing cache: what is left is the per-layer accumulation."""
+    warm pricing cache: what is left is the cache lookups and one
+    closed-form multiply-add per accumulator."""
     sim = AcceleratorSimulator(veda_config(), llama2_7b_shapes())
     lengths = [128, 192, 256, 320, 384, 448, 512, 576]
     sim.decode_round(lengths)

@@ -28,12 +28,15 @@ mapping)``.  Cached fragments are re-assembled in the one accumulation
 order the model defines, so a warm instance returns exactly what a cold
 one does — identical floating-point partial sums, not merely close —
 and every call hands back a fresh stats object the caller may mutate.
-The loops sum each field in a local float, keeping every per-layer
-addition in order (no repeated add becomes a multiply; only integer
-products are hoisted), and record no HBM traffic: pricing has no side
-effects (``docs/ARCHITECTURE.md``, "Accumulation contract").
-``tests/properties/test_property_predictor.py`` pins both against a
-test-local transcription of the uncached loops.
+Every field equals what the per-layer reference loop sums: an
+accumulator's ``n_layers`` repeated adds become one multiply-add only
+where every partial sum of that loop is an exactly representable
+integer (nonnegative integer terms, a total below 2**53), so no add
+rounds and their order cannot matter; an accumulator with a fractional
+term keeps the loop, the same adds in the same order.  Pricing records
+no HBM traffic: it has no side effects (``docs/ARCHITECTURE.md``,
+"Accumulation contract").  ``tests/properties/test_property_predictor.py``
+pins both against a test-local transcription of the uncached loops.
 
 Worked example — warm pricing equals cold pricing, and the scalars the
 scheduler decides with::
@@ -58,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.accel.config import HardwareConfig
-from repro.accel.llm_mapping import decode_linear_ops, layer_norm_count, prefill_linear_ops
+from repro.accel.llm_mapping import decode_linear_ops, layer_norm_count
 from repro.accel.memory import HBMModel
 from repro.accel.scheduler import (
     AttentionBreakdown,
@@ -252,6 +255,50 @@ def _phase(cls, attention, linear, nonlinear, macs, hbm, ic_cycles, ic_bytes, **
     )
 
 
+#: Every integer below this is exactly a float, so float adds whose
+#: partial sums all stay such integers never round.
+_EXACT = 2.0**53
+
+
+def _integral(value):
+    """Whether ``value`` is a nonnegative integer (as a float or not)."""
+    return value >= 0 and float(value).is_integer()
+
+
+def _layer_sum(addends, n_layers):
+    """``0.0`` plus ``n_layers`` repeats of ``addends`` in order: the
+    per-layer loop's float, in one multiply-add when every partial sum of
+    that loop is an exactly representable integer (all addends
+    nonnegative integers, the total below 2**53), so that the order of
+    the additions cannot change a bit.  Otherwise the loop itself runs."""
+    if all(_integral(addend) for addend in addends):
+        total = n_layers * sum(addends)
+        if total < _EXACT:
+            return 0.0 + total
+    acc = 0.0
+    for _ in range(n_layers):
+        for addend in addends:
+            acc += addend
+    return acc
+
+
+def _sequence_sum(terms, integral, n_layers):
+    """``0.0`` plus each of ``terms`` added ``n_layers`` times, term after
+    term: a decode round's per-sequence, per-layer loop for one
+    accumulator.  ``integral[i]`` says ``terms[i]`` is a nonnegative
+    integer; when all are and the total stays below 2**53 the loop's
+    float is the exact sum (see :func:`_layer_sum`)."""
+    if all(integral):
+        total = n_layers * sum(terms)
+        if total < _EXACT:
+            return 0.0 + total
+    acc = 0.0
+    for term in terms:
+        for _ in range(n_layers):
+            acc += term
+    return acc
+
+
 class AcceleratorSimulator:
     """Cycle/energy model of one accelerator configuration.
 
@@ -292,8 +339,29 @@ class AcceleratorSimulator:
         #: batch -> weight-side decode accumulators (dataflow-free).
         self._decode_base = {}
         #: (length, mapping) -> one layer's decode attention as
-        #: (qk, softmax, sv, all-layer total).
+        #: (qk, softmax, sv, all-layer total), then whether each of qk,
+        #: softmax and sv is a nonnegative integer.
         self._decode_attn = {}
+        # Per key, per layer of a decode round: the q.K^T and s'.V MACs
+        # of this cluster's heads, and the K + V bytes read (also the
+        # one token written).
+        self._macs_per_key = 2 * (model.n_heads // tp) * model.head_dim
+        self._kv_bytes_per_key = 2 * (model.d_model // tp) * hw.bytes_per_element
+        # Per weight op of a layer, then of the LM head: one row's
+        # compute cycles and MACs, the weight fetch's cycles and bytes.
+        width = hw.tree_width
+        self._layer_ops, self._head_ops = (
+            [
+                (
+                    op.compute_cycles(width),
+                    op.macs,
+                    self.hbm.stream_cycles(op.weight_bytes, record=False),
+                    op.weight_bytes,
+                )
+                for op in ops
+            ]
+            for ops in decode_linear_ops(model, tp=tp)
+        )
 
     def _allreduce(self, rows):
         """``(bytes, cycles)`` of one layer's two ring all-reduces for
@@ -323,23 +391,16 @@ class AcceleratorSimulator:
     # ------------------------------------------------------------------
     # Linear layers
     # ------------------------------------------------------------------
-    def _linear_charges(self, ops, batch=1):
-        """Per linear op, the ``(cycles, macs, hbm_bytes)`` one pass adds:
+    def _linear_charges(self, ops, rows):
+        """Per op of ``ops`` (:attr:`_layer_ops` or :attr:`_head_ops`), the
+        ``(cycles, macs, hbm_bytes)`` one pass over ``rows`` rows adds:
         each op fetches its weights once per pass and reuses them for
-        every row (``batch`` decode rows share one fetch), so it costs
-        ``max(batch * compute, memory)``.  Pricing records no HBM traffic:
-        the returned bytes are what callers accumulate."""
-        width = self.hw.tree_width
+        every row (a decode batch's rows, a prefill chunk's rows), so it
+        costs ``max(rows * compute, memory)``.  Pricing records no HBM
+        traffic: the returned bytes are what callers accumulate."""
         return [
-            (
-                max(
-                    batch * op.compute_cycles(width),
-                    self.hbm.stream_cycles(op.weight_bytes, record=False),
-                ),
-                batch * op.macs,
-                op.weight_bytes,
-            )
-            for op in ops
+            (max(rows * compute, memory), rows * macs, weight_bytes)
+            for compute, macs, memory, weight_bytes in ops
         ]
 
     # ------------------------------------------------------------------
@@ -374,15 +435,23 @@ class AcceleratorSimulator:
         return replace(stats, attention=replace(stats.attention))
 
     def _price_prefill(self, prompt_length, prefix_length, mapping):
-        """One uncached prefill pass under a resolved ``mapping``."""
+        """One uncached prefill pass under a resolved ``mapping``.
+
+        Each field equals the per-layer reference loop's float: per
+        layer, every weight op's cycles, MACs and bytes, then the
+        attention terms, the KV write-back (and streamed K/V) bytes, the
+        norm stalls and the all-reduce terms, then the LM head once.  An
+        accumulator sums its ``n_layers`` layers in one multiply-add
+        (:func:`_layer_sum`) only where every partial sum is an exactly
+        representable integer; one with a fractional term (the fixed
+        baseline's s'xV, all-reduce bytes at some ``tp``) keeps the loop,
+        since each of its adds rounds and the rounding depends on order.
+        """
         model, hw = self.model, self.hw
         head_dim = model.head_dim
         local_heads = model.n_heads // self.tp
         kv_width = model.d_model // self.tp
 
-        per_layer_ops, head_ops = prefill_linear_ops(
-            model, prompt_length, tp=self.tp
-        )
         attn = prefill_attention(
             prompt_length,
             head_dim,
@@ -414,28 +483,27 @@ class AcceleratorSimulator:
             if not hw.element_serial
             else layer_norm_count(model) * prompt_length * hw.element_serial_drain
         )
-        layer_linear = self._linear_charges(per_layer_ops)
+        # Weight ops: the prefill GEMMs of :func:`prefill_linear_ops`,
+        # every row of the chunk reusing one weight fetch; only the last
+        # row goes through the LM head.
+        op_cycles, op_macs, op_bytes = zip(
+            *self._linear_charges(self._layer_ops, prompt_length)
+        )
         allreduce = self._allreduce(prompt_length)
-        a_qk, a_softmax, a_sv = attn.qk, attn.softmax, attn.sv
 
-        linear = nonlinear = macs = hbm = 0.0
-        qk = softmax = sv = ic_cycles = ic_bytes = 0.0
-        for _ in range(model.n_layers):
-            for op_cycles, op_macs, op_bytes in layer_linear:
-                linear += op_cycles
-                macs += op_macs
-                hbm += op_bytes
-            qk += a_qk
-            softmax += a_softmax
-            sv += a_sv
-            macs += attn_macs
-            hbm += kv_bytes
-            hbm += streamed_kv_bytes
-            nonlinear += norm
-            if allreduce is not None:
-                ic_bytes += allreduce[0]
-                ic_cycles += allreduce[1]
-        for op_cycles, op_macs, op_bytes in self._linear_charges(head_ops):
+        n_layers = model.n_layers
+        linear = _layer_sum(op_cycles, n_layers)
+        macs = _layer_sum((*op_macs, attn_macs), n_layers)
+        hbm = _layer_sum((*op_bytes, kv_bytes, streamed_kv_bytes), n_layers)
+        qk = _layer_sum((attn.qk,), n_layers)
+        softmax = _layer_sum((attn.softmax,), n_layers)
+        sv = _layer_sum((attn.sv,), n_layers)
+        nonlinear = _layer_sum((norm,), n_layers)
+        ic_bytes = ic_cycles = 0.0
+        if allreduce is not None:
+            ic_bytes = _layer_sum(allreduce[:1], n_layers)
+            ic_cycles = _layer_sum(allreduce[1:], n_layers)
+        for op_cycles, op_macs, op_bytes in self._linear_charges(self._head_ops, 1):
             linear += op_cycles
             macs += op_macs
             hbm += op_bytes
@@ -457,33 +525,41 @@ class AcceleratorSimulator:
         if base is not None:
             return base
         model, hw = self.model, self.hw
-        per_layer_ops, head_ops = decode_linear_ops(model, tp=self.tp)
         norm_stall = layernorm_stall_cycles(model.d_model, hw, hw.element_serial)
         norm = batch * (layer_norm_count(model) * norm_stall)
-        layer_linear = self._linear_charges(per_layer_ops, batch)
+        op_cycles, op_macs, op_bytes = zip(*self._linear_charges(self._layer_ops, batch))
         allreduce = self._allreduce(batch)
-        linear = nonlinear = macs = hbm = ic_cycles = ic_bytes = 0.0
-        for _ in range(model.n_layers):
-            for op_cycles, op_macs, op_bytes in layer_linear:
-                linear += op_cycles
-                macs += op_macs
-                hbm += op_bytes
-            nonlinear += norm
-            if allreduce is not None:
-                ic_bytes += allreduce[0]
-                ic_cycles += allreduce[1]
-        for op_cycles, op_macs, op_bytes in self._linear_charges(head_ops, batch):
+        n_layers = model.n_layers
+        linear = _layer_sum(op_cycles, n_layers)
+        macs = _layer_sum(op_macs, n_layers)
+        hbm = _layer_sum(op_bytes, n_layers)
+        nonlinear = _layer_sum((norm,), n_layers)
+        ic_bytes = ic_cycles = 0.0
+        if allreduce is not None:
+            ic_bytes = _layer_sum(allreduce[:1], n_layers)
+            ic_cycles = _layer_sum(allreduce[1:], n_layers)
+        for op_cycles, op_macs, op_bytes in self._linear_charges(self._head_ops, batch):
             linear += op_cycles
             macs += op_macs
             hbm += op_bytes
+        # Whether decode_round may add its per-key MACs and KV bytes to
+        # this snapshot in closed form.
+        keys_integral = (
+            _integral(macs)
+            and _integral(hbm)
+            and _integral(self._macs_per_key)
+            and _integral(self._kv_bytes_per_key)
+        )
         base = self._decode_base[batch] = (
-            linear, nonlinear, macs, hbm, ic_cycles, ic_bytes,
+            linear, nonlinear, macs, hbm, ic_cycles, ic_bytes, keys_integral,
         )
         return base
 
     def _decode_attention(self, length, mapping):
         """One layer's decode attention at ``length`` under a resolved
-        ``mapping`` as ``(qk, softmax, sv, all-layer total)``, cached per
+        ``mapping`` as ``(qk, softmax, sv, all-layer total)`` followed by
+        whether each of qk, softmax and sv is a nonnegative integer (so
+        :meth:`decode_round` may sum it in closed form), cached per
         ``(length, mapping)``."""
         key = (length, mapping)
         entry = self._decode_attn.get(key)
@@ -500,6 +576,9 @@ class AcceleratorSimulator:
                 attn.softmax,
                 attn.sv,
                 attn.total * self.model.n_layers,
+                _integral(attn.qk),
+                _integral(attn.softmax),
+                _integral(attn.sv),
             )
         return entry
 
@@ -518,40 +597,58 @@ class AcceleratorSimulator:
 
         Returns a fresh :class:`RoundStats`; ``per_sequence_attention``
         holds each sequence's all-layer attention cycles in input order.
+        Each field equals the per-sequence, per-layer reference loop's
+        float, which adds every sequence's terms ``n_layers`` times onto
+        the cached weight side.  An accumulator takes one multiply-add
+        only where every partial sum of that loop is an exactly
+        representable integer; one with a fractional term (s'xV under
+        the pinned ``"prefill"`` mapping at most lengths) keeps the loop,
+        the same adds in the same order, because each of them rounds.
         """
         cache_lengths = [int(length) for length in cache_lengths]
         if not cache_lengths:
             raise ValueError("decode round needs at least one sequence")
-        model = self.model
+        n_layers = self.model.n_layers
         mapping = resolve_dataflow(dataflow, self.hw, "decode")
-        linear, nonlinear, macs, hbm, ic_cycles, ic_bytes = self._decode_weight_base(
-            len(cache_lengths)
+        batch = len(cache_lengths)
+        linear, nonlinear, macs, hbm, ic_cycles, ic_bytes, keys_integral = (
+            self._decode_weight_base(batch)
         )
-        # Per key, per layer: the q.K^T and s'.V MACs of this cluster's
-        # heads, and the K + V bytes read (also the one token written).
-        macs_per_key = 2 * (model.n_heads // self.tp) * model.head_dim
-        kv_bytes_per_key = 2 * (model.d_model // self.tp) * self.hw.bytes_per_element
-        layers = range(model.n_layers)
-        qk = softmax = sv = 0.0
-        per_sequence = []
-        for length in cache_lengths:
-            a_qk, a_softmax, a_sv, total = self._decode_attention(length, mapping)
-            seq_macs = macs_per_key * length
-            kv_read = kv_bytes_per_key * length
-            for _ in layers:
-                qk += a_qk
-                softmax += a_softmax
-                sv += a_sv
-                macs += seq_macs
-                # KV cache read (K and V) + current token write-back.
-                hbm += kv_read
-                hbm += kv_bytes_per_key
-            per_sequence.append(total)
+        cached = self._decode_attn
+        a_qk, a_softmax, a_sv, per_sequence, i_qk, i_softmax, i_sv = zip(
+            *[
+                cached.get((length, mapping))
+                or self._decode_attention(length, mapping)
+                for length in cache_lengths
+            ]
+        )
+        qk = _sequence_sum(a_qk, i_qk, n_layers)
+        softmax = _sequence_sum(a_softmax, i_softmax, n_layers)
+        sv = _sequence_sum(a_sv, i_sv, n_layers)
+        # Per sequence, per layer: macs += macs_per_key * length, then
+        # hbm += the KV cache read (K and V) + the current token's
+        # write-back.  All integers from an integral snapshot: one
+        # multiply-add each while the totals stay exact.
+        macs_per_key, kv_bytes_per_key = self._macs_per_key, self._kv_bytes_per_key
+        keys = sum(cache_lengths)
+        round_macs = n_layers * (macs_per_key * keys)
+        round_kv = n_layers * (kv_bytes_per_key * (keys + batch))
+        if keys_integral and round_macs < _EXACT - macs and round_kv < _EXACT - hbm:
+            macs += round_macs
+            hbm += round_kv
+        else:
+            for length in cache_lengths:
+                seq_macs = macs_per_key * length
+                kv_read = kv_bytes_per_key * length
+                for _ in range(n_layers):
+                    macs += seq_macs
+                    hbm += kv_read
+                    hbm += kv_bytes_per_key
         return _phase(
             RoundStats,
             AttentionBreakdown(qk, softmax, sv),
             linear, nonlinear, macs, hbm, ic_cycles, ic_bytes,
-            per_sequence_attention=per_sequence,
+            per_sequence_attention=list(per_sequence),
         )
 
     def mixed_round(

@@ -462,10 +462,8 @@ class ServingCoSimulator:
             # UINT16 per position, read + write per step per layer, for
             # every budget-managed sequence.  Each verify row of a
             # budgeted sequence observes at its own causal width.
-            vote_bytes = sum(
-                2 * 2 * event.attention_length * n_layers
-                for event in decode_events
-                if event.budgeted
+            vote_bytes = 2 * 2 * n_layers * sum(
+                event.attention_length for event in decode_events if event.budgeted
             )
             if verifies:
                 # Verify rows join the round's batched decode pass at
@@ -479,8 +477,8 @@ class ServingCoSimulator:
                 decode_lengths += [
                     v.prior + i + 1 for v in verifies for i in range(v.rows)
                 ]
-                vote_bytes += sum(
-                    2 * 2 * (v.prior + i + 1) * n_layers
+                vote_bytes += 2 * 2 * n_layers * sum(
+                    v.prior + i + 1
                     for v in verifies
                     if v.budgeted
                     for i in range(v.rows)
@@ -554,26 +552,33 @@ class ServingCoSimulator:
                 report.swap_bytes += round_swap_bytes
                 report.swap_cycles += round_swap_cycles
             # Each aggregate of the priced round is read once: every
-            # MixedRoundStats aggregate re-sums its prefills.
+            # MixedRoundStats aggregate re-sums its prefills.  A
+            # decode-only round's aggregates are its decode pass's own
+            # fields (the empty prefill sum adds an exact 0).
             if stats is not None:
-                cycles = stats.cycles
-                attn_cycles = stats.attention_cycles
-                linear_cycles = stats.linear_cycles
+                totals = stats.decode if not stats.prefills else stats
+                cycles = totals.cycles
+                attn_cycles = totals.attention_cycles
+                linear_cycles = totals.linear_cycles
                 report.total_cycles += cycles
-                report.prefill_cycles += stats.prefill_cycles
-                report.decode_cycles += stats.decode_cycles
-                report.macs += stats.macs
-                report.hbm_bytes += stats.hbm_bytes + vote_bytes
-                report.interconnect_cycles += stats.interconnect_cycles
-                report.interconnect_bytes += stats.interconnect_bytes
+                if totals is stats:
+                    report.prefill_cycles += stats.prefill_cycles
+                    report.decode_cycles += stats.decode_cycles
+                else:
+                    report.decode_cycles += cycles
+                report.macs += totals.macs
+                report.hbm_bytes += totals.hbm_bytes + vote_bytes
+                report.interconnect_cycles += totals.interconnect_cycles
+                report.interconnect_bytes += totals.interconnect_bytes
                 if stats.decode is not None:
-                    for event, attention in zip(
-                        decode_events, stats.decode.per_sequence_attention
-                    ):
+                    per_sequence = stats.decode.per_sequence_attention
+                    for event, attention in zip(decode_events, per_sequence):
                         report.per_request_attention.setdefault(
                             event.request_id, []
                         ).append(attention)
-                        report.decode_attention_per_step.append(attention)
+                    report.decode_attention_per_step.extend(
+                        per_sequence[: len(decode_events)]
+                    )
             else:
                 cycles = attn_cycles = linear_cycles = 0.0
             report.total_cycles += (

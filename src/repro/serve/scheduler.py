@@ -713,6 +713,10 @@ class Scheduler:
         self._running = []  # SequenceState, admission order
         self._finished = []
         self._families = {}  # family id (root request id) -> _ForkFamily
+        #: The families with a branch not yet finished, submission order:
+        #: what the per-round family walks visit, so their cost follows
+        #: the live families, not every family ever submitted.
+        self._live_families = {}
         self._rejected = []  # Rejection records, submission order
         self._submit_count = 0
         #: Throwaway policy instance backing :meth:`prefix_probe` (the
@@ -818,7 +822,7 @@ class Scheduler:
         self._submit_count += 1
         if request.num_branches > 1:
             state.family = request.request_id
-            self._families[request.request_id] = _ForkFamily(
+            family = self._families[request.request_id] = _ForkFamily(
                 request=request,
                 mode="sample" if request.n > 1 else "beam",
                 width=request.num_branches,
@@ -829,6 +833,7 @@ class Scheduler:
                     self._budget_of(request),
                 ),
             )
+            self._live_families[request.request_id] = family
         self._enqueue(state)
         return state
 
@@ -1006,7 +1011,7 @@ class Scheduler:
 
         self._sample(record)
         beam_ready = None
-        if self._families:
+        if self._live_families:
             beam_ready = {id(s) for s in self._advance_beams(record)}
         active = [
             s
@@ -1409,7 +1414,7 @@ class Scheduler:
         # branches mid-round (after headroom was secured), each taking
         # an append step of its own; bound their demand by the widest
         # live branch's step demand.
-        for family in self._families.values():
+        for family in self._live_families.values():
             if family.mode != "beam":
                 continue
             live = self._family_live(family)
@@ -1769,7 +1774,7 @@ class Scheduler:
         branch's logits, so advancing a subset would change the search.
         """
         ready = []
-        for family in self._families.values():
+        for family in self._live_families.values():
             if family.mode != "beam":
                 continue
             live = self._family_live(family)
@@ -2035,6 +2040,10 @@ class Scheduler:
         if finished:
             self._finished.extend(finished)
             self._running = [s for s in self._running if s.status != FINISHED]
+            for state in finished:
+                family = self._live_families.get(state.family)
+                if family is not None and not self._family_live(family):
+                    del self._live_families[state.family]
 
     # ------------------------------------------------------------------
     # Reporting

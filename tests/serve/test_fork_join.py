@@ -352,6 +352,49 @@ class TestBeamSearch:
         )
         assert dense.beam_result_for("b0") == paged.beam_result_for("b0")
 
+    @staticmethod
+    def family_checks_per_round(model, drained):
+        """Serve ``drained`` beam requests to completion, then one live
+        beam family beside a plain request; returns how many times each
+        of the latter rounds asked for a family's live branches."""
+        vocab = model.config.vocab_size
+        rng = np.random.default_rng(10)
+        scheduler = Scheduler(model, max_batch_size=4, paged=True, block_size=4)
+        for i in range(drained):
+            scheduler.submit(
+                Request(f"d{i}", rng.integers(0, vocab, size=6),
+                        max_new_tokens=2, beam_width=2)
+            )
+        scheduler.run()
+        rng = np.random.default_rng(11)
+        scheduler.submit(
+            Request("live", rng.integers(0, vocab, size=8), max_new_tokens=4,
+                    beam_width=2)
+        )
+        scheduler.submit(Request("plain", rng.integers(0, vocab, size=8),
+                                 max_new_tokens=6))
+        checks = []
+        family_live = scheduler._family_live
+
+        def counted(family):
+            checks[-1] += 1
+            return family_live(family)
+
+        scheduler._family_live = counted
+        while not scheduler.done:
+            checks.append(0)
+            scheduler.run_round()
+        return checks, scheduler.samples_for("d0")
+
+    def test_family_walks_skip_drained_families(self, model):
+        """A round's family walks visit the families still live: the
+        checks per round are the same after 1 or 12 drained beam
+        requests, and a drained family's result stays readable."""
+        one, _ = self.family_checks_per_round(model, 1)
+        many, samples = self.family_checks_per_round(model, 12)
+        assert many == one
+        assert all(len(tokens) == 2 for tokens in samples)
+
 
 class TestSubmitValidation:
     def test_fork_family_rejects_draft_model(self, model, draft_inference):
