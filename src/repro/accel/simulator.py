@@ -403,6 +403,30 @@ class AcceleratorSimulator:
             for compute, macs, memory, weight_bytes in ops
         ]
 
+    def _weight_side(self, rows, head_rows, norm, layer_macs=(), layer_bytes=()):
+        """``(linear, nonlinear, macs, hbm, ic_cycles, ic_bytes)`` of a
+        pass: per layer, the weight ops over ``rows`` rows (with
+        ``layer_macs`` / ``layer_bytes`` after their MACs / bytes),
+        ``norm`` stall cycles and the all-reduces of ``rows`` rows, each
+        accumulator's ``n_layers`` layers summed by :func:`_layer_sum`;
+        then the LM head over ``head_rows`` rows."""
+        n_layers = self.model.n_layers
+        op_cycles, op_macs, op_bytes = zip(*self._linear_charges(self._layer_ops, rows))
+        linear = _layer_sum(op_cycles, n_layers)
+        macs = _layer_sum((*op_macs, *layer_macs), n_layers)
+        hbm = _layer_sum((*op_bytes, *layer_bytes), n_layers)
+        nonlinear = _layer_sum((norm,), n_layers)
+        ic_bytes = ic_cycles = 0.0
+        allreduce = self._allreduce(rows)
+        if allreduce is not None:
+            ic_bytes = _layer_sum(allreduce[:1], n_layers)
+            ic_cycles = _layer_sum(allreduce[1:], n_layers)
+        for op_cycles, op_macs, op_bytes in self._linear_charges(self._head_ops, head_rows):
+            linear += op_cycles
+            macs += op_macs
+            hbm += op_bytes
+        return linear, nonlinear, macs, hbm, ic_cycles, ic_bytes
+
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
@@ -486,27 +510,13 @@ class AcceleratorSimulator:
         # Weight ops: the prefill GEMMs of :func:`prefill_linear_ops`,
         # every row of the chunk reusing one weight fetch; only the last
         # row goes through the LM head.
-        op_cycles, op_macs, op_bytes = zip(
-            *self._linear_charges(self._layer_ops, prompt_length)
+        linear, nonlinear, macs, hbm, ic_cycles, ic_bytes = self._weight_side(
+            prompt_length, 1, norm, (attn_macs,), (kv_bytes, streamed_kv_bytes)
         )
-        allreduce = self._allreduce(prompt_length)
-
         n_layers = model.n_layers
-        linear = _layer_sum(op_cycles, n_layers)
-        macs = _layer_sum((*op_macs, attn_macs), n_layers)
-        hbm = _layer_sum((*op_bytes, kv_bytes, streamed_kv_bytes), n_layers)
         qk = _layer_sum((attn.qk,), n_layers)
         softmax = _layer_sum((attn.softmax,), n_layers)
         sv = _layer_sum((attn.sv,), n_layers)
-        nonlinear = _layer_sum((norm,), n_layers)
-        ic_bytes = ic_cycles = 0.0
-        if allreduce is not None:
-            ic_bytes = _layer_sum(allreduce[:1], n_layers)
-            ic_cycles = _layer_sum(allreduce[1:], n_layers)
-        for op_cycles, op_macs, op_bytes in self._linear_charges(self._head_ops, 1):
-            linear += op_cycles
-            macs += op_macs
-            hbm += op_bytes
         return _phase(
             PhaseStats,
             AttentionBreakdown(qk, softmax, sv),
@@ -527,21 +537,9 @@ class AcceleratorSimulator:
         model, hw = self.model, self.hw
         norm_stall = layernorm_stall_cycles(model.d_model, hw, hw.element_serial)
         norm = batch * (layer_norm_count(model) * norm_stall)
-        op_cycles, op_macs, op_bytes = zip(*self._linear_charges(self._layer_ops, batch))
-        allreduce = self._allreduce(batch)
-        n_layers = model.n_layers
-        linear = _layer_sum(op_cycles, n_layers)
-        macs = _layer_sum(op_macs, n_layers)
-        hbm = _layer_sum(op_bytes, n_layers)
-        nonlinear = _layer_sum((norm,), n_layers)
-        ic_bytes = ic_cycles = 0.0
-        if allreduce is not None:
-            ic_bytes = _layer_sum(allreduce[:1], n_layers)
-            ic_cycles = _layer_sum(allreduce[1:], n_layers)
-        for op_cycles, op_macs, op_bytes in self._linear_charges(self._head_ops, batch):
-            linear += op_cycles
-            macs += op_macs
-            hbm += op_bytes
+        linear, nonlinear, macs, hbm, ic_cycles, ic_bytes = self._weight_side(
+            batch, batch, norm
+        )
         # Whether decode_round may add its per-key MACs and KV bytes to
         # this snapshot in closed form.
         keys_integral = (
