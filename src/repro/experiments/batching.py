@@ -10,11 +10,8 @@ batch → amortized) and attention (per-user KV → no sharing).
 
 from __future__ import annotations
 
-import math
-
 from repro.accel.config import veda_config
-from repro.accel.llm_mapping import decode_linear_ops
-from repro.accel.scheduler import decode_attention
+from repro.accel.simulator import AcceleratorSimulator
 from repro.config import llama2_7b_shapes
 from repro.experiments.common import ExperimentResult
 
@@ -39,18 +36,16 @@ def run(batch_sizes=(1, 2, 4, 8, 16), cache_length=512, model=None, hw=None):
     """
     model = model or llama2_7b_shapes()
     hw = hw or veda_config(pe_arrays=32)
-    per_layer_ops, head_ops = decode_linear_ops(model)
-    attention = decode_attention(cache_length, model.head_dim, model.n_heads, hw)
-    attention_per_token = attention.total * model.n_layers
+    simulator = AcceleratorSimulator(hw, model)
 
     rows = []
     for batch in batch_sizes:
-        linear_cycles = 0.0
-        for op in list(per_layer_ops) * model.n_layers + head_ops:
-            compute = batch * op.compute_cycles(hw.tree_width)
-            memory = op.weight_bytes / hw.bytes_per_cycle  # fetched once
-            linear_cycles += max(compute, memory)
-        linear_per_token = linear_cycles / batch
+        # One batched decode round: every weight op is fetched once and
+        # serves all ``batch`` rows, while each row attends to its own
+        # cache.
+        stats = simulator.decode_round([cache_length] * batch)
+        linear_per_token = stats.linear_cycles / batch
+        attention_per_token = stats.per_sequence_attention[0]
         rows.append(
             {
                 "batch": batch,

@@ -62,7 +62,6 @@ from repro.serve.trace import (
     PrefillEvent,
     RoundTrace,
     SwapEvent,
-    VerifyEvent,
 )
 
 __all__ = [
@@ -107,7 +106,6 @@ __all__ = [
     "PrefillEvent",
     "RoundTrace",
     "SwapEvent",
-    "VerifyEvent",
     "KVResourceManager",
     "SwapImage",
     "PREEMPT_MODES",

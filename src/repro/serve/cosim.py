@@ -37,9 +37,10 @@ recompute-vs-swap crossover as sequence length grows (transfer bytes
 scale linearly with resident KV, re-prefill compute superlinearly).
 
 Speculative-decoding accounting: a ``draft_model`` scheduler records
-:class:`~repro.serve.trace.VerifyEvent` rows.  The target's verify
-window joins the round's ``mixed_round`` as extra *batched decode*
-entries at each verify row's exact causal width — the round's one
+decode windows that carry proposals
+(:attr:`~repro.serve.trace.DecodeEvent.proposed` > 0).  Every row of
+such a window joins the round's ``mixed_round`` as an extra *batched
+decode* entry at its exact causal width — the round's one
 linear weight fetch is amortized over every decode step *and* every
 verify row, while attention stays per-row — exactly how the scheduler's
 one ``CachedTransformer.step_batch`` per round computes them.  That
@@ -197,10 +198,6 @@ class ServingCoSimReport:
         return self.total_tokens / self.wall_seconds if self.total_cycles else 0.0
 
     @property
-    def mean_round_cycles(self):
-        return self.total_cycles / len(self.rounds) if self.rounds else 0.0
-
-    @property
     def max_round_cycles(self):
         """Worst single round — the head-of-line latency spike a whole
         long-prompt prefill causes (chunked prefill exists to cap it)."""
@@ -254,13 +251,11 @@ class ServingCoSimReport:
 
     @property
     def tokens_per_target_pass(self):
-        """Mean tokens committed per target decode-phase forward pass
-        (verify passes and plain decode steps); 1.0 without speculation,
-        up to ``spec_k + 1`` at full acceptance."""
-        passes = self.verify_passes + self.decode_steps
-        if not passes:
-            return 0.0
-        return (self.spec_tokens + self.decode_steps) / passes
+        """Mean tokens credited per verify pass — the speculative
+        amortization, the same quantity as
+        :attr:`repro.serve.scheduler.ServingReport.tokens_per_target_pass`
+        (1.0 would match plain decode; 0.0 without speculation)."""
+        return self.spec_tokens / self.verify_passes if self.verify_passes else 0.0
 
     def request_decode_attention(self, request_id):
         """Per-step attention cycle trace of one request."""
@@ -415,8 +410,12 @@ class ServingCoSimulator:
         swap_bytes_per_slot = self.simulator.swap_bytes_per_slot
         has_swaps = any(record.swaps for record in trace)
         has_forks = any(record.forks for record in trace)
-        has_verifies = any(record.verifies for record in trace)
-        if has_verifies and self.draft_simulator is None:
+        # Decided once per trace, so a non-speculative round does no
+        # per-window split below.
+        has_windows = any(
+            event.proposed for record in trace for event in record.decodes
+        )
+        if has_windows and self.draft_simulator is None:
             raise ValueError(
                 "trace contains speculative verify events but no draft-model "
                 "shapes are available; pass hw_draft_model= or attach the "
@@ -437,7 +436,7 @@ class ServingCoSimulator:
                 request_id = pending_arrivals[next_arrival][0]
                 arrival_cycles[request_id] = report.total_cycles
                 next_arrival += 1
-            prefills, verifies = record.prefills, record.verifies
+            prefills = record.prefills
             # Dead steps are recognized by their explicit flag, never by
             # which list they sit in; a misfiled event is a trace bug.
             for event in record.decodes:
@@ -456,34 +455,41 @@ class ServingCoSimulator:
                     )
             if not record.busy:
                 continue
-            decode_events = [*record.decodes, *record.dead_steps]
+            # Single-row steps (plain windows, then dead steps) are
+            # priced first and multi-row windows after them, in commit
+            # order: the decode pass's fractional sums depend on order.
+            if has_windows:
+                steps = [e for e in record.decodes if not e.proposed]
+                windows = [e for e in record.decodes if e.proposed]
+            else:
+                steps, windows = record.decodes, ()
+            decode_events = [*steps, *record.dead_steps]
             decode_lengths = [e.attention_length for e in decode_events]
             # Voting-engine vote counts live off-chip (paper Sec. V):
             # UINT16 per position, read + write per step per layer, for
-            # every budget-managed sequence.  Each verify row of a
+            # every budget-managed sequence.  Each window row of a
             # budgeted sequence observes at its own causal width.
             vote_bytes = 2 * 2 * n_layers * sum(
                 event.attention_length for event in decode_events if event.budgeted
             )
-            if verifies:
-                # Verify rows join the round's batched decode pass at
+            if windows:
+                # Window rows join the round's batched decode pass at
                 # their exact causal widths: the round's one linear
-                # weight fetch is amortized over every decode step and
-                # every verify row (the speculative win), while
-                # attention is per-row — exactly as they ride in the
-                # scheduler's one `step_batch` per round.  Verify
-                # entries ride along after the real decode events so
-                # the per-sequence attention zip below stays aligned.
+                # weight fetch is amortized over every row (the
+                # speculative win), while attention is per-row — exactly
+                # as they ride in the scheduler's one `step_batch` per
+                # round.  They ride after the single-row steps so the
+                # per-sequence attention zip below stays aligned.
                 decode_lengths += [
-                    v.prior + i + 1 for v in verifies for i in range(v.rows)
+                    w.attention_length + i for w in windows for i in range(w.rows)
                 ]
                 vote_bytes += 2 * 2 * n_layers * sum(
-                    v.prior + i + 1
-                    for v in verifies
-                    if v.budgeted
-                    for i in range(v.rows)
+                    w.attention_length + i
+                    for w in windows
+                    if w.budgeted
+                    for i in range(w.rows)
                 )
-            if prefills or decode_events or verifies:
+            if prefills or decode_lengths:
                 stats = self.simulator.mixed_round(
                     prefill_lengths=[e.computed_tokens for e in prefills],
                     decode_lengths=decode_lengths,
@@ -497,15 +503,15 @@ class ServingCoSimulator:
             # round: propose must finish before verify can start.
             round_draft_cycles = 0.0
             verify_rows = 0
-            if verifies:
+            if windows:
                 draft_prefills = [
-                    v.draft_prefill_rows for v in verifies if v.draft_prefill_rows
+                    w.draft_prefill_rows for w in windows if w.draft_prefill_rows
                 ]
                 draft_prefix = [
-                    v.draft_prefill_prior for v in verifies if v.draft_prefill_rows
+                    w.draft_prefill_prior for w in windows if w.draft_prefill_rows
                 ]
                 draft_decodes = [
-                    length for v in verifies for length in v.draft_decode_lengths
+                    length for w in windows for length in w.draft_decode_lengths
                 ]
                 if draft_prefills or draft_decodes:
                     draft_stats = self.draft_simulator.mixed_round(
@@ -520,12 +526,12 @@ class ServingCoSimulator:
                     report.hbm_bytes += draft_stats.hbm_bytes
                     report.interconnect_cycles += draft_stats.interconnect_cycles
                     report.interconnect_bytes += draft_stats.interconnect_bytes
-                verify_rows = sum(v.rows for v in verifies)
-                report.verify_passes += len(verifies)
+                verify_rows = sum(w.rows for w in windows)
+                report.verify_passes += len(windows)
                 report.verify_rows += verify_rows
-                report.spec_proposed += sum(v.proposed for v in verifies)
-                report.spec_accepted += sum(v.accepted for v in verifies)
-                report.spec_tokens += sum(v.tokens for v in verifies)
+                report.spec_proposed += sum(w.proposed for w in windows)
+                report.spec_accepted += sum(w.accepted for w in windows)
+                report.spec_tokens += sum(w.tokens for w in windows)
             # Fork traffic: a dense fork duplicates every copied slot's
             # keys and values within HBM (one read + one write pass over
             # the same bytes a swap would move once over the host link);
@@ -600,11 +606,11 @@ class ServingCoSimulator:
             # Tokens are recomputed here from the per-event flags so the
             # pricing loop itself guarantees dead rows yield zero tokens
             # (a `record.tokens` regression would trip this, not pass
-            # through silently): `decodes` holds live steps only, as
-            # checked above.
-            live_tokens = final_prefills + len(record.decodes)
-            if verifies:
-                live_tokens += sum(v.tokens for v in verifies)
+            # through silently): `decodes` holds live windows only, as
+            # checked above, and each single-row step yields one token.
+            live_tokens = final_prefills + len(steps)
+            if windows:
+                live_tokens += sum(w.tokens for w in windows)
             assert live_tokens == record.tokens, (
                 f"round {record.round_index}: dead steps priced as tokens "
                 f"({record.tokens} recorded vs {live_tokens} live)"
@@ -612,7 +618,7 @@ class ServingCoSimulator:
             report.total_tokens += live_tokens
             prefill_rows = record.computed_prefill_tokens
             report.prefill_tokens += prefill_rows
-            report.decode_steps += len(record.decodes)
+            report.decode_steps += len(steps)
             report.dead_steps += len(record.dead_steps)
             row = {
                 "round": record.round_index,
@@ -633,8 +639,8 @@ class ServingCoSimulator:
             if has_forks:
                 row["forks"] = record.num_forks
                 row["fork_cycles"] = round_fork_cycles
-            if has_verifies:
-                row["verifies"] = len(verifies)
+            if has_windows:
+                row["verifies"] = len(windows)
                 row["verify_rows"] = verify_rows
                 row["draft_cycles"] = round_draft_cycles
             report.rounds.append(row)

@@ -232,8 +232,8 @@ class ServingEngine:
         Forwarded unchanged to the :class:`Scheduler`: ``admission`` (a
         policy name or :class:`~repro.serve.request.AdmissionPolicy`,
         default ``"fifo"``), ``prefill_chunk``, ``max_batch_size``,
-        ``budget``, ``paged``, ``block_size``, ``num_blocks``,
-        ``prefix_caching``, ``preempt``, ...  With
+        ``paged``, ``block_size``, ``num_blocks``, ``prefix_caching``,
+        ``preempt``, ...  With
         ``preempt="recompute"`` or ``"swap"``, an arrived request that
         strictly outranks a running sequence under the admission policy
         (earlier deadline under EDF, higher effective priority under

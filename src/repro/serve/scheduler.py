@@ -131,9 +131,11 @@ the family's state wherever admission or the router reads free
 capacity; the resource manager keeps no copy of them.
 
 Every round is also recorded in :attr:`Scheduler.trace` (prefill row
-counts, per-sequence decode attention lengths, speculative verify
-windows, swaps, forks), which :class:`~repro.serve.cosim.ServingCoSimulator`
-prices on the accelerator cycle model after the run.  The trace is the
+counts; one decode window per running sequence — its rows, its first
+row's attention length and, when it speculated, its proposals, outcome
+and draft work; swaps; forks), which
+:class:`~repro.serve.cosim.ServingCoSimulator` prices on the accelerator
+cycle model after the run.  The trace is the
 one record of those events: :meth:`Scheduler.report` reads its verify,
 swap and fork counts from it too, so the scheduler keeps no second tally
 (only the token total and the running peaks are tracked per round).
@@ -196,7 +198,6 @@ from repro.serve.trace import (
     PrefillEvent,
     RoundTrace,
     SwapEvent,
-    VerifyEvent,
 )
 
 __all__ = ["Scheduler", "ServingReport"]
@@ -280,8 +281,8 @@ class ServingReport:
     # ---- speculative-decoding extras (defaults when no draft model) ----
     spec_decode: bool = False
     spec_k: int = 0
-    #: Multi-token target verify passes executed (the trace's
-    #: ``VerifyEvent`` rows; the ``spec_*`` counters sum their fields).
+    #: Multi-token target verify passes executed (the trace's decode
+    #: windows with proposals; the ``spec_*`` counters sum their fields).
     verify_passes: int = 0
     #: Draft tokens proposed / accepted over the run.
     spec_proposed: int = 0
@@ -498,9 +499,6 @@ class Scheduler:
         Default: a :class:`VotingPolicy` sized to the model.
     max_batch_size:
         Admission cap on concurrently running sequences.
-    budget:
-        Default per-sequence KV budget (``None`` = no eviction); a
-        request's own ``budget`` field overrides it.
     sampler:
         ``sampler(logits, rng) -> token`` (default greedy).
     paged:
@@ -606,7 +604,6 @@ class Scheduler:
         model,
         policy_factory=None,
         max_batch_size=8,
-        budget=None,
         sampler=greedy,
         paged=False,
         block_size=16,
@@ -643,8 +640,6 @@ class Scheduler:
                     f"target vocab {model.config.vocab_size}: speculative "
                     "proposals must share the target's token space"
                 )
-        if budget is not None and budget <= 0:
-            raise ValueError(f"budget must be positive, got {budget}")
         if prefill_chunk is not None and prefill_chunk <= 0:
             raise ValueError(
                 f"prefill_chunk must be positive, got {prefill_chunk}"
@@ -683,7 +678,6 @@ class Scheduler:
             lambda: VotingPolicy(model.config.n_layers)
         )
         self.max_batch_size = int(max_batch_size)
-        self.budget = budget
         self.sampler = sampler
         self.preempt = preempt
         self.draft_model = draft_model
@@ -805,7 +799,7 @@ class Scheduler:
             return self._reject(request, *problem, strict=strict)
         shortfall = self.manager.pool_shortfall(
             request.prompt.shape[0], request.max_new_tokens,
-            self._budget_of(request), request.num_branches,
+            request.budget, request.num_branches,
         )
         if shortfall is not None:
             worst, pool_blocks = shortfall
@@ -830,7 +824,7 @@ class Scheduler:
                 branch_worst=self.manager.sequence_worst_blocks(
                     request.prompt.shape[0],
                     request.max_new_tokens,
-                    self._budget_of(request),
+                    request.budget,
                 ),
             )
             self._live_families[request.request_id] = family
@@ -858,11 +852,6 @@ class Scheduler:
         self._waiting.sort(
             key=lambda s: (s.request.arrival_time, s.submit_index)
         )
-
-    def _budget_of(self, request):
-        """``request``'s effective KV budget: its own, else the
-        scheduler default (``None`` = no eviction)."""
-        return request.budget if request.budget is not None else self.budget
 
     def _reject(self, request, reason, detail, strict, **blocks):
         """Record a structured :class:`Rejection` of ``request``; raise it
@@ -942,7 +931,7 @@ class Scheduler:
         return prefix_cache.probe(
             np.asarray(request.prompt),
             policy.prefix_state_key(),
-            budgeted=self._budget_of(request) is not None,
+            budgeted=request.budget is not None,
         )
 
     # ------------------------------------------------------------------
@@ -1148,7 +1137,7 @@ class Scheduler:
                 )
             else:
                 request = state.request
-                budget = self._budget_of(request)
+                budget = request.budget
                 prompt_length = request.prompt.shape[0] + state.num_generated
                 remaining = request.max_new_tokens - state.num_generated
                 worst = manager.sequence_worst_blocks(
@@ -1309,7 +1298,7 @@ class Scheduler:
         go to swap (no recomputed logits to re-derive).
         """
         request = state.request
-        if self._budget_of(request) is not None:
+        if request.budget is not None:
             return "swap"
         cost = self.cost_model
         kv_slots = max((layer.length for layer in state.cache), default=0)
@@ -1397,7 +1386,7 @@ class Scheduler:
             demand += manager.prefill_block_demand(
                 state.cache,
                 rows,
-                self._budget_of(state.request) is not None,
+                state.request.budget is not None,
                 final=state.prefilled + rows >= state.prompt_tokens.shape[0],
             )
         for state in self._running:
@@ -1407,7 +1396,7 @@ class Scheduler:
                 # back to a one-token step.
                 demand += manager.decode_block_demand(
                     state.cache,
-                    self._budget_of(state.request) is not None,
+                    state.request.budget is not None,
                     tokens=self._step_rows,
                 )
         # A beam family about to advance may fork up to width - 1
@@ -1420,7 +1409,7 @@ class Scheduler:
             live = self._family_live(family)
             if not live or any(s.status != RUNNING for s in live):
                 continue
-            budgeted = self._budget_of(family.request) is not None
+            budgeted = family.request.budget is not None
             per_step = max(
                 manager.decode_block_demand(s.cache, budgeted) for s in live
             )
@@ -1433,7 +1422,7 @@ class Scheduler:
         plus generated tokens on a recompute resume), record the trace
         event, and complete the prefill when the last token lands."""
         request = state.request
-        budget = self._budget_of(request)
+        budget = request.budget
         total = state.prompt_tokens.shape[0]
         start = state.prefilled
         end = start + rows
@@ -1539,7 +1528,7 @@ class Scheduler:
         prefix_cache = self.manager.prefix_cache
         if prefix_cache is None or not policy.prefix_shareable:
             return
-        budget = self._budget_of(state.request)
+        budget = state.request.budget
         n_layers = self.model.config.n_layers
         hit = prefix_cache.match(
             state.prompt_tokens,
@@ -1604,8 +1593,9 @@ class Scheduler:
                     DecodeEvent(
                         request_id=request.request_id,
                         attention_length=int(state.cache[0].length + 1),
-                        budgeted=self._budget_of(request) is not None,
+                        budgeted=request.budget is not None,
                         dead=True,
+                        tokens=0,
                     )
                 )
             self._finish(state, "length")
@@ -1859,7 +1849,7 @@ class Scheduler:
         k_eff = min(self.spec_k, request.max_new_tokens - state.num_generated)
         if k_eff < 1:
             return 0
-        budget = self._budget_of(request)
+        budget = request.budget
         prior = state.cache[0].length
         if budget is not None and prior + k_eff + 1 > budget:
             return 0
@@ -1914,23 +1904,21 @@ class Scheduler:
 
     def _open_window(self, state):
         """``(event, proposals)`` for the window ``state`` adds to this
-        round's forward: its pending token plus the draft's proposals.
+        round's forward: its pending token plus the draft's proposals,
+        recorded as one :class:`~repro.serve.trace.DecodeEvent`.
 
-        A plain, beam or sample row is a zero-proposal window recorded as
-        a :class:`~repro.serve.trace.DecodeEvent` (the step appends then
-        attends, so attention runs against the pre-step length plus the
-        new token).  When :meth:`_can_speculate` allows a window, the
-        draft proposes and the window is a
-        :class:`~repro.serve.trace.VerifyEvent` that
-        :meth:`_commit_window` completes with the outcome."""
-        budgeted = self._budget_of(state.request) is not None
+        A plain, beam or sample row is a zero-proposal window (the step
+        appends then attends, so its row attends over the pre-step
+        length plus the new token).  When :meth:`_can_speculate` allows
+        a window, the draft proposes and the event carries its work;
+        :meth:`_commit_window` completes it with the outcome."""
+        event = DecodeEvent(
+            request_id=state.request_id,
+            attention_length=int(state.cache[0].length + 1),
+            budgeted=state.request.budget is not None,
+        )
         k_eff = self._can_speculate(state)
         if not k_eff:
-            event = DecodeEvent(
-                request_id=state.request_id,
-                attention_length=int(state.cache[0].length + 1),
-                budgeted=budgeted,
-            )
             return event, []
         lengths = set(state.cache.lengths)
         if len(lengths) != 1:
@@ -1941,18 +1929,11 @@ class Scheduler:
         proposals, draft_rows, draft_prior, draft_lengths = self._draft_propose(
             state, k_eff
         )
-        event = VerifyEvent(
-            request_id=state.request_id,
-            rows=k_eff + 1,
-            prior=lengths.pop(),
-            proposed=k_eff,
-            accepted=0,
-            tokens=0,
-            budgeted=budgeted,
-            draft_prefill_rows=draft_rows,
-            draft_prefill_prior=draft_prior,
-            draft_decode_lengths=draft_lengths,
-        )
+        event.rows = k_eff + 1
+        event.proposed = k_eff
+        event.draft_prefill_rows = draft_rows
+        event.draft_prefill_prior = draft_prior
+        event.draft_decode_lengths = draft_lengths
         return event, proposals
 
     def _commit_window(self, state, event, proposals, result, first_row, record):
@@ -1975,7 +1956,7 @@ class Scheduler:
         window is a plain decode step: its one row is bookkept and its
         logits become the pending logits.
         """
-        budget = self._budget_of(state.request)
+        budget = state.request.budget
         k = len(proposals)
 
         def bookkeep(row):
@@ -2017,19 +1998,16 @@ class Scheduler:
         finished = state.status == FINISHED
         if not finished:
             if pending < k:
-                state.cache.truncate(event.prior + pending + 1)
+                state.cache.truncate(event.attention_length + pending)
             state.logits = result.logits[first_row + pending]
             state.position += pending + 1
-        if not proposals:
-            record.decodes.append(event)
-            return
-        if not finished:
-            committed = state.request.prompt.shape[0] + state.num_generated
-            if state.draft_cache[0].length > committed:
-                state.draft_cache.truncate(committed)
+            if proposals:
+                committed = state.request.prompt.shape[0] + state.num_generated
+                if state.draft_cache[0].length > committed:
+                    state.draft_cache.truncate(committed)
         event.accepted = accepted
         event.tokens = accepted + (0 if finished else 1)
-        record.verifies.append(event)
+        record.decodes.append(event)
 
     def _finish(self, state, reason):
         self.manager.retire(state.request_id)
@@ -2109,7 +2087,12 @@ class Scheduler:
         round trace (verify windows, swaps, forks), the sequence states
         (preemptions, pruned branches) and the prefix trie (tokens hit,
         via the manager's usage report) — here, never kept per round."""
-        verifies = [event for record in self.trace for event in record.verifies]
+        windows = [
+            event
+            for record in self.trace
+            for event in record.decodes
+            if event.proposed
+        ]
         swaps = [event for record in self.trace for event in record.swaps]
         forks = [event for record in self.trace for event in record.forks]
         swap_outs = [event for event in swaps if event.direction == SWAP_OUT]
@@ -2137,7 +2120,7 @@ class Scheduler:
         ]
         if self.draft_model is not None:
             spec = {}  # request_id -> [verify rounds, proposed, accepted]
-            for event in verifies:
+            for event in windows:
                 counts = spec.setdefault(event.request_id, [0, 0, 0])
                 counts[0] += 1
                 counts[1] += event.proposed
@@ -2178,10 +2161,10 @@ class Scheduler:
             host_peak_kv_slots=manager.host_peak_kv_slots,
             spec_decode=self.draft_model is not None,
             spec_k=self.spec_k if self.draft_model is not None else 0,
-            verify_passes=len(verifies),
-            spec_proposed=sum(event.proposed for event in verifies),
-            spec_accepted=sum(event.accepted for event in verifies),
-            spec_tokens=sum(event.tokens for event in verifies),
+            verify_passes=len(windows),
+            spec_proposed=sum(event.proposed for event in windows),
+            spec_accepted=sum(event.accepted for event in windows),
+            spec_tokens=sum(event.tokens for event in windows),
             forks=len(forks),
             joins=sum(1 for s in self._finished if s.finish_reason == "beam_pruned"),
             fork_shared_blocks=sum(event.blocks for event in forks),

@@ -4,8 +4,8 @@ The :class:`~repro.serve.scheduler.Scheduler` records, for every round
 it executes, exactly the quantities the accelerator cycle model needs to
 price that round: which sequences prefilled (and how many prompt rows
 they actually computed, after prefix-cache hits), and which sequences
-took a decode step (and the cache length each one's attention ran
-against).  The :class:`~repro.serve.cosim.ServingCoSimulator` replays
+decoded a window (its rows, and the cache length its first row's
+attention ran against).  The :class:`~repro.serve.cosim.ServingCoSimulator` replays
 this trace through :class:`repro.accel.simulator.AcceleratorSimulator`
 without re-running the model.
 
@@ -21,11 +21,13 @@ records no dead step — the round's forward already computed (and the
 co-simulator already prices) the window rows past the final token, so a
 separate dead step would double-charge that work.
 
-Speculative decoding rounds are recorded as :class:`VerifyEvent` rows —
-one per speculating sequence per round — carrying both the draft model's
-propose work and the target's verify window, with the accept/reject
-outcome the co-simulator needs to relate modeled speedup to measured
-accept rate.
+A decode *window* is one record, whatever its shape: a
+:class:`DecodeEvent` carries the sequence's pending token plus any draft
+proposals it verified in the round's forward.  A plain, sampled or beam
+step is a one-row window with no proposals; a speculative window adds
+``proposed`` rows, the accept/reject outcome and the draft model's
+propose work, which the co-simulator needs to relate modeled speedup to
+measured accept rate.
 
 Worked example — a one-round trace priced by hand::
 
@@ -38,8 +40,20 @@ Worked example — a one-round trace priced by hand::
     >>> round0.decodes.append(
     ...     DecodeEvent("r1", attention_length=33, budgeted=False)
     ... )
+
+A speculative window of one proposal that the target accepted computes
+two rows, at causal widths 41 and 42, and is credited the accepted
+token plus the bonus token its last row leaves pending::
+
+    >>> round0.decodes.append(
+    ...     DecodeEvent("r2", attention_length=41, rows=2, proposed=1,
+    ...                 accepted=1, tokens=2, draft_prefill_rows=1,
+    ...                 draft_prefill_prior=40)
+    ... )
     >>> round0.num_prefills, round0.num_decodes, round0.computed_prefill_tokens
-    (1, 1, 12)
+    (1, 2, 12)
+    >>> sum(window.rows for window in round0.decodes), round0.tokens
+    (3, 4)
 """
 
 from __future__ import annotations
@@ -52,7 +66,6 @@ __all__ = [
     "PrefillEvent",
     "RoundTrace",
     "SwapEvent",
-    "VerifyEvent",
     "SWAP_OUT",
     "SWAP_IN",
 ]
@@ -103,75 +116,52 @@ class PrefillEvent:
 
 @dataclass
 class DecodeEvent:
-    """One sequence's decode step within a round.
+    """One sequence's decode window within a round.
+
+    A window is the sequence's pending token plus the draft proposals
+    (if any) it verified, computed as consecutive rows of the round's
+    one :meth:`~repro.models.inference.CachedTransformer.step_batch`.
+    The co-simulator prices every row as an entry of the round's batched
+    decode pass at its exact causal width (``attention_length + i`` for
+    row ``i``): linear weights are fetched once for the whole round and
+    amortized over every row — the speculative win — while attention
+    stays per-row.  Draft work is priced on a second simulator built
+    from the draft model's shapes.  Rejected rows are wasted work: they
+    are priced in full but contribute no tokens.
 
     Attributes
     ----------
     request_id:
         The decoding request.
     attention_length:
-        Entries the step's attention ran against: the cache length
-        before the step plus the appended token (append-then-evict).
+        Entries the window's first row attended over: the cache length
+        before the window plus the appended pending token
+        (append-then-evict).
     budgeted:
         Whether a KV budget is active for this sequence (prices the vote
-        read/write HBM traffic, paper Sec. V).
+        read/write HBM traffic per row, paper Sec. V).
     dead:
         True for the engine-compatibility dead step of a length-capped
         request (see module docstring); recorded under
         ``RoundTrace.dead_steps``, never under ``decodes``.
-    """
-
-    request_id: object
-    attention_length: int
-    budgeted: bool = False
-    dead: bool = False
-
-
-@dataclass
-class VerifyEvent:
-    """One sequence's speculative-decoding round within a scheduler round.
-
-    Covers both halves of the round: the draft model's propose work and
-    the target model's verify window.  The window's ``rows`` ride in the
-    round's one :meth:`~repro.models.inference.CachedTransformer.step_batch`
-    beside the plain decode rows, and the co-simulator prices them the
-    same way, as extra entries in the round's batched decode pass at
-    their exact causal widths (``prior + 1 .. prior + rows``): linear
-    weights are fetched once for the whole round and amortized over
-    every row — the speculative win — while attention stays per-row.
-    Draft work is priced on a second simulator built from the draft
-    model's shapes.  Rejected rows are wasted work: they are priced in
-    full but contribute no tokens.
-
-    Attributes
-    ----------
-    request_id:
-        The speculating request.
     rows:
-        Target verify rows computed: the pending committed token plus
-        every draft proposal (``proposed + 1``).
-    prior:
-        Cache entries resident before the window's rows appended (its
-        attention prefix).
+        Target rows computed: the pending token plus every draft
+        proposal (``proposed + 1``); 1 for a plain step.
     proposed:
-        Draft tokens proposed this round (``k_eff``).
+        Draft tokens proposed this round (``k_eff``); 0 for a plain step.
     accepted:
         Draft tokens the target accepted (greedy exact-match prefix).
     tokens:
-        Tokens this event's compute is credited with: the accepted
-        tokens appended this round, plus one for the pending bonus
-        logits the next round's sampling pass consumes (0 extra if the
-        sequence finished mid-window).  Summed over a request's rounds
-        this telescopes to exactly its generated-token count, keeping
-        :attr:`RoundTrace.tokens` consistent with the non-speculative
-        accounting.
-    budgeted:
-        Whether a KV budget is active for this sequence (prices the vote
-        read/write HBM traffic per accepted row, as decode steps do).
+        Tokens this window's compute is credited with: the accepted
+        tokens appended this round, plus one for the pending logits the
+        next round's sampling pass consumes (0 extra if the sequence
+        finished mid-window) — 1 for a plain step, 0 for a dead step.
+        Summed over a request's windows this telescopes to exactly its
+        generated-token count.
     draft_prefill_rows:
         Catch-up rows the draft model prefilled this round (tokens
         committed since its cache last ran ahead; at least 1 — the
-        pending token).
+        pending token — in a speculative window, 0 in a plain one).
     draft_prefill_prior:
         Draft-cache entries resident before the catch-up prefill.
     draft_decode_lengths:
@@ -180,12 +170,13 @@ class VerifyEvent:
     """
 
     request_id: object
-    rows: int
-    prior: int
-    proposed: int
-    accepted: int
-    tokens: int
+    attention_length: int
     budgeted: bool = False
+    dead: bool = False
+    rows: int = 1
+    proposed: int = 0
+    accepted: int = 0
+    tokens: int = 1
     draft_prefill_rows: int = 0
     draft_prefill_prior: int = 0
     draft_decode_lengths: tuple = ()
@@ -268,16 +259,14 @@ class RoundTrace:
     round_index: int
     #: Admissions prefilled this round.
     prefills: list = field(default_factory=list)
-    #: Batched decode steps taken this round (one per active sequence).
+    #: Decode windows taken this round, one per running sequence, in
+    #: commit order: plain steps and speculative windows alike.
     decodes: list = field(default_factory=list)
     #: Dead steps of requests that retired by ``max_new_tokens`` this
     #: round — work the solo engine performs but the scheduler skips.
     #: Every event here carries ``dead=True``; the co-simulator validates
     #: the flag instead of inferring deadness from list membership.
     dead_steps: list = field(default_factory=list)
-    #: Speculative propose/verify rounds taken this round (one per
-    #: speculating sequence; ``draft_model`` mode only).
-    verifies: list = field(default_factory=list)
     #: KV swap transfers performed this round (``preempt="swap"`` only).
     swaps: list = field(default_factory=list)
     #: Branch forks performed this round (``Request(n=)`` /
@@ -295,7 +284,6 @@ class RoundTrace:
             self.prefills
             or self.decodes
             or self.dead_steps
-            or self.verifies
             or self.swaps
             or self.forks
         )
@@ -307,10 +295,6 @@ class RoundTrace:
     @property
     def num_decodes(self):
         return len(self.decodes)
-
-    @property
-    def num_verifies(self):
-        return len(self.verifies)
 
     @property
     def num_swaps(self):
@@ -339,12 +323,10 @@ class RoundTrace:
     @property
     def tokens(self):
         """Tokens attributable to this round's compute: every *final*
-        prefill and every live (``dead=False``) decode step produces
-        logits that get sampled, and every verify pass is credited its
-        accepted-plus-bonus token count.  Non-final chunked-prefill
+        prefill produces logits that get sampled, and every live decode
+        window is credited its ``tokens`` (1 for a plain step, accepted
+        plus bonus for a speculative window).  Non-final chunked-prefill
         events and dead steps do work but yield no token."""
-        return (
-            sum(1 for event in self.prefills if event.final)
-            + sum(1 for event in self.decodes if not event.dead)
-            + sum(event.tokens for event in self.verifies)
+        return sum(1 for event in self.prefills if event.final) + sum(
+            event.tokens for event in self.decodes
         )

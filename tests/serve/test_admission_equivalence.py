@@ -65,8 +65,12 @@ def run_config(model, name):
         )
         return kwargs, shared_prefix_workload(model)
     if name == "dense":
-        kwargs = dict(policy_factory=voting(model), max_batch_size=3, budget=24)
-        return kwargs, shared_prefix_workload(model)
+        kwargs = dict(policy_factory=voting(model), max_batch_size=3)
+        requests = [
+            dataclasses.replace(request, budget=24)
+            for request in shared_prefix_workload(model)
+        ]
+        return kwargs, requests
     _, preempt, layout, seed = name.split("_")
     chunk = 8 if layout == "chunked" else None
     return overload_run(model, preempt, chunk, int(seed.removeprefix("seed")))

@@ -47,7 +47,7 @@ PINNED = {
         },
         free=[1, 1, 1, 0, 0, 3, 3, 1, 1, 0, 0, 0, 0, 2, 1, 2, 2, 2, 1, 1,
               1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 4],
-        digest="67da283e36cfc3a3",
+        digest="5dc191f3a3a04284",
     ),
     "paged_off": dict(
         admitted={
@@ -58,7 +58,7 @@ PINNED = {
         free=[38, 36, 28, 28, 28, 40, 38, 36, 34, 30, 28, 26, 22, 20, 22,
               18, 28, 24, 36, 34, 32, 28, 24, 22, 20, 18, 16, 14, 14, 14, 28,
               24, 22, 20, 18, 30, 28, 28, 28, 28, 26, 26, 26, 26, 40],
-        digest="ae5a057c9ca8902b",
+        digest="0f12652f3f34e8e7",
     ),
     "paged_swap": dict(
         admitted={
@@ -69,7 +69,7 @@ PINNED = {
         free=[28, 26, 18, 16, 14, 24, 20, 18, 16, 10, 6, 6, 10, 8, 4, 18,
               6, 14, 10, 8, 4, 2, 16, 14, 12, 8, 6, 6, 4, 18, 18, 18, 16, 16,
               16, 16, 30],
-        digest="921190aa92832e44",
+        digest="8ea92c10cc2901ef",
     ),
 }
 

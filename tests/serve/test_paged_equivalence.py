@@ -191,15 +191,15 @@ class TestSameRoundPrefixReuse:
                 ),
                 max_new_tokens=6,
                 seed=i,
+                budget=budget,
             )
             for i in range(2)
         ]
-        dense, _ = serve(model, requests, max_batch_size=2, budget=budget)
+        dense, _ = serve(model, requests, max_batch_size=2)
         paged, report = serve(
             model,
             requests,
             max_batch_size=2,
-            budget=budget,
             paged=True,
             block_size=4,
         )

@@ -217,7 +217,9 @@ def test_traces_exercise_every_event_kind(served):
         name: {
             "swaps": any(r.swaps for r in served(name).trace),
             "forks": any(r.forks for r in served(name).trace),
-            "verifies": any(r.verifies for r in served(name).trace),
+            "verifies": any(
+                e.proposed for r in served(name).trace for e in r.decodes
+            ),
             "prefix": any(
                 e.prefix_length for r in served(name).trace for e in r.prefills
             ),

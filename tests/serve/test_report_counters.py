@@ -1,7 +1,7 @@
 """Every serving event is counted once: the report's event counters equal
 what the round trace, the prefix trie and the sequence states record.
 
-The scheduler writes each verify window, swap transfer and fork to its
+The scheduler writes each decode window, swap transfer and fork to its
 round trace (:mod:`repro.serve.trace`), each prefix hit to the radix
 trie's ``tokens_hit``, and each preemption to the victim's
 ``SequenceState.preemptions``.  The :class:`ServingReport` counters must
@@ -9,6 +9,8 @@ agree with those records exactly — on every serving mode below, and on a
 report taken mid-run — and the event tallies the co-simulator's replay
 computes from the same trace must agree as well.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -29,7 +31,9 @@ def derived_counters(scheduler):
     """The report's event counters recomputed from the trace, the trie
     and the sequence states."""
     trace = scheduler.trace
-    verifies = [event for record in trace for event in record.verifies]
+    verifies = [
+        event for record in trace for event in record.decodes if event.proposed
+    ]
     swaps = [event for record in trace for event in record.swaps]
     forks = [event for record in trace for event in record.forks]
     swap_outs = [event for event in swaps if event.direction == SWAP_OUT]
@@ -63,10 +67,12 @@ def derived_counters(scheduler):
 
 def derived_spec_columns(scheduler):
     """``request_id -> (spec_rounds, spec_proposed, spec_accepted)`` from
-    the trace's verify events."""
+    the trace's decode windows that carried proposals."""
     columns = {}
     for record in scheduler.trace:
-        for event in record.verifies:
+        for event in record.decodes:
+            if not event.proposed:
+                continue
             rounds, proposed, accepted = columns.get(event.request_id, (0, 0, 0))
             columns[event.request_id] = (
                 rounds + 1,
@@ -266,6 +272,7 @@ class TestReportCountsEachEventOnce:
         assert hw.spec_proposed == report.spec_proposed
         assert hw.spec_accepted == report.spec_accepted
         assert hw.spec_tokens == report.spec_tokens
+        assert hw.tokens_per_target_pass == report.tokens_per_target_pass
         assert hw.fork_events == report.forks
         assert hw.swap_events == report.swap_outs + report.swap_ins
 
@@ -295,3 +302,29 @@ class TestMidRunReport:
         assert_counted_once(scheduler, scheduler.report())
         scheduler.run()
         assert_counted_once(scheduler, scheduler.report())
+
+
+def test_tokens_per_pass_agree_on_a_mixed_trace(model):
+    """Budgeted requests fall back to plain rows beside the unbudgeted
+    ones' verify windows; both reports' ``tokens/pass`` count tokens per
+    verify pass, never per plain row."""
+    requests = [
+        dataclasses.replace(request, budget=12) if i % 2 else request
+        for i, request in enumerate(
+            serving.make_workload(
+                n_requests=6,
+                compression_ratio=None,
+                vocab=model.config.vocab_size,
+                seed=3,
+            )
+        )
+    ]
+    scheduler = Scheduler(model, max_batch_size=4, draft_model=model, spec_k=3)
+    for request in requests:
+        scheduler.submit(request)
+    report = scheduler.run()
+    hw = ServingCoSimulator(scheduler).replay()
+    assert report.verify_passes and hw.decode_steps
+    assert report.tokens_per_target_pass == report.spec_tokens / report.verify_passes
+    assert hw.tokens_per_target_pass == report.tokens_per_target_pass
+    assert hw.summary()["tokens/pass"] == report.summary()["tokens/pass"]

@@ -32,14 +32,13 @@ def make_requests(rng, n=3, budget=10, prompt_range=(12, 30), max_new_range=(5, 
     return requests
 
 
-def serve(model, requests, max_batch_size, budget=None, paged=False):
+def serve(model, requests, max_batch_size, paged=False):
     scheduler = Scheduler(
         model,
         policy_factory=lambda: VotingPolicy(
             model.config.n_layers, reserved_length=2
         ),
         max_batch_size=max_batch_size,
-        budget=budget,
         paged=paged,
         block_size=4,
     )
@@ -139,12 +138,10 @@ class TestBudgetMonotonicity:
         steps = []
         for budget in (None, 14, 8):
             requests = [
-                Request(f"r{i}", prompt, max_new_tokens=8, seed=i)
+                Request(f"r{i}", prompt, max_new_tokens=8, seed=i, budget=budget)
                 for i, prompt in enumerate(prompts)
             ]
-            scheduler, _ = serve(
-                tiny_inference, requests, max_batch_size=4, budget=budget
-            )
+            scheduler, _ = serve(tiny_inference, requests, max_batch_size=4)
             report = ServingCoSimulator(scheduler).replay()
             means.append(report.mean_decode_attention_cycles)
             steps.append(report.decode_steps + report.dead_steps)
