@@ -37,7 +37,14 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-__all__ = ["EvictionPolicy", "register_policy", "make_policy", "available_policies"]
+__all__ = [
+    "EvictionPolicy",
+    "ScoredPolicy",
+    "AccumulatedScorePolicy",
+    "register_policy",
+    "make_policy",
+    "available_policies",
+]
 
 _REGISTRY = {}
 
@@ -202,6 +209,140 @@ class EvictionPolicy(ABC):
     def _check_layer(self, layer):
         if not 0 <= layer < self.n_layers:
             raise IndexError(f"layer {layer} out of range [0, {self.n_layers})")
+
+
+
+class ScoredPolicy(EvictionPolicy):
+    """A policy whose per-sequence state is one score per cache slot.
+
+    Scores live in one capacity-backed ``(n_layers, capacity)`` array of
+    ``score_dtype`` with an explicit logical length per layer, so a
+    stacked kernel updates every layer in one operation and eviction
+    compacts in place (mirroring ``LayerKVCache.evict``).  Growth doubles
+    capacity amortized, and slots in ``[length, capacity)`` are always
+    zero: a slot never observed scores zero.  The export/import pair
+    moves a layer's first ``length`` scores, which is the whole state.
+    """
+
+    #: Element type of the score store.
+    score_dtype = np.float64
+
+    def __init__(self, n_layers):
+        super().__init__(n_layers)
+        self.reset()
+
+    def reset(self):
+        self._scores = np.zeros((self.n_layers, 0), dtype=self.score_dtype)
+        self._lengths = [0] * self.n_layers
+
+    def _slot_scores(self, layer):
+        """Slot-aligned scores of ``layer`` (copy, for diagnostics)."""
+        self._check_layer(layer)
+        return self._scores[layer, : self._lengths[layer]].copy()
+
+    def _ensure_capacity(self, length):
+        """Grow every layer's store to at least ``length`` slots."""
+        capacity = self._scores.shape[1]
+        if length > capacity:
+            grown = np.zeros(
+                (self.n_layers, max(length, 2 * capacity)), dtype=self.score_dtype
+            )
+            grown[:, :capacity] = self._scores
+            self._scores = grown
+
+    def _ensure_length(self, layer, length):
+        """Layer ``layer``'s score row, at least ``length`` slots long."""
+        self._ensure_capacity(length)
+        if length > self._lengths[layer]:
+            self._lengths[layer] = length
+        return self._scores[layer]
+
+    def _padded(self, layer, length):
+        """View of the scores of ``layer``'s first ``length`` slots (slots
+        past the logical length read as zero)."""
+        self._ensure_capacity(length)
+        return self._scores[layer, :length]
+
+    def export_prefill_state(self, layer, length):
+        """Scores of slots ``[0, length)`` — at a prefill block boundary a
+        pure function of the first ``length`` prompt tokens (later rows
+        have not been observed yet)."""
+        self._check_layer(layer)
+        if length > self._lengths[layer]:
+            raise ValueError(
+                f"export length {length} beyond observed {self._lengths[layer]}"
+            )
+        return self._scores[layer, :length].copy()
+
+    def import_prefill_state(self, layer, state, length):
+        """Seed the scores from a snapshot, in place of observing the
+        first ``length`` prefill rows."""
+        self._check_layer(layer)
+        state = np.asarray(state, dtype=self.score_dtype)
+        if state.shape != (length,):
+            raise ValueError(f"state shape {state.shape} != ({length},)")
+        self._ensure_length(layer, length)[:length] = state
+
+    def on_evict(self, layer, slot):
+        self._check_layer(layer)
+        length = self._lengths[layer]
+        if not 0 <= slot < length:
+            raise IndexError(f"evict slot {slot} out of range [0, {length})")
+        scores = self._scores[layer]
+        scores[slot : length - 1] = scores[slot + 1 : length]
+        scores[length - 1] = 0
+        self._lengths[layer] = length - 1
+
+
+class AccumulatedScorePolicy(ScoredPolicy):
+    """Score-based eviction: accumulate, then evict the minimum.
+
+    Every observed row updates ``scores <- decay * scores + contribution(row)``
+    with ``row`` the head-mean attention row, and the victim is the
+    minimum-score slot outside the protected prefix (positions below
+    ``protected_prefix``) and the ``recent_window`` newest slots; the
+    newest slot goes when everything is protected, and the recent window
+    is waived when it would cover the whole cache.  A subclass fixes only
+    ``decay`` and :meth:`_contribution`.
+    """
+
+    #: Factor applied to every stored score before a row is added.
+    decay = 1.0
+
+    def __init__(self, n_layers, protected_prefix, recent_window):
+        super().__init__(n_layers)
+        if protected_prefix < 0 or recent_window < 0:
+            raise ValueError("protections must be non-negative")
+        self.protected_prefix = int(protected_prefix)
+        self.recent_window = int(recent_window)
+
+    @staticmethod
+    def _contribution(row):
+        """What one head-mean attention row adds to the slot scores."""
+        return row
+
+    def observe(self, layer, attn, positions, phase):
+        self._check_layer(layer)
+        attn = np.asarray(attn)
+        if attn.ndim != 2:
+            raise ValueError(f"attn must be (H, l), got shape {attn.shape}")
+        row = attn.mean(axis=0)
+        scores = self._ensure_length(layer, row.shape[0])
+        scores[: self._lengths[layer]] *= self.decay
+        scores[: row.shape[0]] += self._contribution(row)
+
+    def select_victim(self, layer, positions):
+        self._check_layer(layer)
+        positions = np.asarray(positions)
+        length = positions.shape[0]
+        scores = np.where(
+            positions < self.protected_prefix, np.inf, self._padded(layer, length)
+        )
+        if self.recent_window and length > self.recent_window:
+            scores[length - self.recent_window :] = np.inf
+        if not np.isfinite(scores).any():
+            return length - 1
+        return int(np.argmin(scores))
 
 
 def register_policy(cls):

@@ -22,65 +22,35 @@ policy-zoo comparison (``benchmarks/test_bench_policy_zoo.py``):
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.policies.base import EvictionPolicy, register_policy
+from repro.core.policies.base import AccumulatedScorePolicy, register_policy
 
 __all__ = ["TOVAPolicy", "ScissorhandsPolicy", "DecayedAccumulationPolicy"]
 
 
 @register_policy
-class TOVAPolicy(EvictionPolicy):
+class TOVAPolicy(AccumulatedScorePolicy):
     """Evicts the entry least attended by the newest token."""
 
     name = "tova"
-    # Accumulates observation state without an export/import pair, so a
-    # prefix-cache hit cannot reconstruct it; opt out of sharing.
+    # Not opted in to prefix-cache sharing (nor to swap restore): the
+    # serving suites exercise only voting's and H2O's snapshots.
     prefix_shareable = False
+    #: The newest row replaces the scores (exact: ``0 * s + r == r`` for
+    #: the nonnegative scores).
+    decay = 0.0
 
     def __init__(self, n_layers, protected_prefix=1, recent_window=8):
-        super().__init__(n_layers)
-        if protected_prefix < 0 or recent_window < 0:
-            raise ValueError("protections must be non-negative")
-        self.protected_prefix = int(protected_prefix)
-        self.recent_window = int(recent_window)
-        self._last_row = [np.zeros(0) for _ in range(self.n_layers)]
-
-    def reset(self):
-        self._last_row = [np.zeros(0) for _ in range(self.n_layers)]
-
-    def observe(self, layer, attn, positions, phase):
-        self._check_layer(layer)
-        attn = np.asarray(attn)
-        if attn.ndim != 2:
-            raise ValueError(f"attn must be (H, l), got shape {attn.shape}")
-        self._last_row[layer] = attn.mean(axis=0)
-
-    def select_victim(self, layer, positions):
-        self._check_layer(layer)
-        positions = np.asarray(positions)
-        length = positions.shape[0]
-        row = self._last_row[layer]
-        if row.shape[0] < length:
-            padded = np.zeros(length)
-            padded[: row.shape[0]] = row
-            row = padded
-        scores = row[:length].copy()
-        scores[positions < self.protected_prefix] = np.inf
-        if self.recent_window and length > self.recent_window:
-            scores[length - self.recent_window :] = np.inf
-        if not np.isfinite(scores).any():
-            return length - 1
-        return int(np.argmin(scores))
+        super().__init__(n_layers, protected_prefix, recent_window)
 
     def on_evict(self, layer, slot):
+        # Slots past the newest row have nothing stored to compact.
         self._check_layer(layer)
-        if self._last_row[layer].shape[0] > slot:
-            self._last_row[layer] = np.delete(self._last_row[layer], slot)
+        if slot < self._lengths[layer]:
+            super().on_evict(layer, slot)
 
 
 @register_policy
-class ScissorhandsPolicy(EvictionPolicy):
+class ScissorhandsPolicy(AccumulatedScorePolicy):
     """Persistence-of-importance eviction.
 
     An entry earns a *pivotal hit* every step its (head-averaged)
@@ -90,129 +60,40 @@ class ScissorhandsPolicy(EvictionPolicy):
     """
 
     name = "scissorhands"
-    # Accumulates observation state without an export/import pair, so a
-    # prefix-cache hit cannot reconstruct it; opt out of sharing.
+    # Not opted in to prefix-cache sharing (nor to swap restore): the
+    # serving suites exercise only voting's and H2O's snapshots.
     prefix_shareable = False
 
     def __init__(self, n_layers, history=64, protected_prefix=4, recent_window=8):
-        super().__init__(n_layers)
+        super().__init__(n_layers, protected_prefix, recent_window)
         if history <= 0:
             raise ValueError("history must be positive")
-        if protected_prefix < 0 or recent_window < 0:
-            raise ValueError("protections must be non-negative")
         self.history = int(history)
-        self.protected_prefix = int(protected_prefix)
-        self.recent_window = int(recent_window)
-        self._decay = 0.5 ** (1.0 / self.history)
-        self._hits = [np.zeros(0) for _ in range(self.n_layers)]
+        self.decay = 0.5 ** (1.0 / self.history)
 
-    def reset(self):
-        self._hits = [np.zeros(0) for _ in range(self.n_layers)]
+    @staticmethod
+    def _contribution(row):
+        return row >= row.mean()
 
-    def persistence(self, layer):
-        """Slot-aligned persistence scores (copy, for diagnostics)."""
-        self._check_layer(layer)
-        return self._hits[layer].copy()
-
-    def observe(self, layer, attn, positions, phase):
-        self._check_layer(layer)
-        attn = np.asarray(attn)
-        if attn.ndim != 2:
-            raise ValueError(f"attn must be (H, l), got shape {attn.shape}")
-        row = attn.mean(axis=0)
-        length = row.shape[0]
-        hits = self._hits[layer]
-        if length > hits.shape[0]:
-            grown = np.zeros(length)
-            grown[: hits.shape[0]] = hits
-            hits = grown
-        hits *= self._decay
-        hits[:length] += (row >= row.mean()).astype(np.float64)
-        self._hits[layer] = hits
-
-    def select_victim(self, layer, positions):
-        self._check_layer(layer)
-        positions = np.asarray(positions)
-        length = positions.shape[0]
-        hits = self._hits[layer]
-        if hits.shape[0] < length:
-            padded = np.zeros(length)
-            padded[: hits.shape[0]] = hits
-            hits = padded
-        scores = hits[:length].copy()
-        scores[positions < self.protected_prefix] = np.inf
-        if self.recent_window and length > self.recent_window:
-            scores[length - self.recent_window :] = np.inf
-        if not np.isfinite(scores).any():
-            return length - 1
-        return int(np.argmin(scores))
-
-    def on_evict(self, layer, slot):
-        self._check_layer(layer)
-        self._hits[layer] = np.delete(self._hits[layer], slot)
+    #: Slot-aligned persistence scores of a layer (copy, for diagnostics).
+    persistence = AccumulatedScorePolicy._slot_scores
 
 
 @register_policy
-class DecayedAccumulationPolicy(EvictionPolicy):
+class DecayedAccumulationPolicy(AccumulatedScorePolicy):
     """H2O with exponential forgetting of old attention mass."""
 
     name = "decayed_h2o"
-    # Accumulates observation state without an export/import pair, so a
-    # prefix-cache hit cannot reconstruct it; opt out of sharing.
+    # Not opted in to prefix-cache sharing (nor to swap restore): the
+    # serving suites exercise only voting's and H2O's snapshots.
     prefix_shareable = False
 
     def __init__(self, n_layers, half_life=128, protected_prefix=4, recent_window=8):
-        super().__init__(n_layers)
+        super().__init__(n_layers, protected_prefix, recent_window)
         if half_life <= 0:
             raise ValueError("half_life must be positive")
-        if protected_prefix < 0 or recent_window < 0:
-            raise ValueError("protections must be non-negative")
         self.half_life = int(half_life)
-        self.protected_prefix = int(protected_prefix)
-        self.recent_window = int(recent_window)
-        self._decay = 0.5 ** (1.0 / self.half_life)
-        self._scores = [np.zeros(0) for _ in range(self.n_layers)]
+        self.decay = 0.5 ** (1.0 / self.half_life)
 
-    def reset(self):
-        self._scores = [np.zeros(0) for _ in range(self.n_layers)]
-
-    def accumulated(self, layer):
-        self._check_layer(layer)
-        return self._scores[layer].copy()
-
-    def observe(self, layer, attn, positions, phase):
-        self._check_layer(layer)
-        attn = np.asarray(attn)
-        if attn.ndim != 2:
-            raise ValueError(f"attn must be (H, l), got shape {attn.shape}")
-        row = attn.mean(axis=0)
-        length = row.shape[0]
-        scores = self._scores[layer]
-        if length > scores.shape[0]:
-            grown = np.zeros(length)
-            grown[: scores.shape[0]] = scores
-            scores = grown
-        scores *= self._decay
-        scores[:length] += row
-        self._scores[layer] = scores
-
-    def select_victim(self, layer, positions):
-        self._check_layer(layer)
-        positions = np.asarray(positions)
-        length = positions.shape[0]
-        scores = self._scores[layer]
-        if scores.shape[0] < length:
-            padded = np.zeros(length)
-            padded[: scores.shape[0]] = scores
-            scores = padded
-        masked = scores[:length].copy()
-        masked[positions < self.protected_prefix] = np.inf
-        if self.recent_window and length > self.recent_window:
-            masked[length - self.recent_window :] = np.inf
-        if not np.isfinite(masked).any():
-            return length - 1
-        return int(np.argmin(masked))
-
-    def on_evict(self, layer, slot):
-        self._check_layer(layer)
-        self._scores[layer] = np.delete(self._scores[layer], slot)
+    #: Slot-aligned accumulated scores of a layer (copy, for diagnostics).
+    accumulated = AccumulatedScorePolicy._slot_scores

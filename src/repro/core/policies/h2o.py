@@ -20,15 +20,13 @@ The three biases the VEDA paper identifies live here by construction:
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.policies.base import EvictionPolicy, register_policy
+from repro.core.policies.base import AccumulatedScorePolicy, register_policy
 
 __all__ = ["H2OPolicy"]
 
 
 @register_policy
-class H2OPolicy(EvictionPolicy):
+class H2OPolicy(AccumulatedScorePolicy):
     """Accumulated-attention-score eviction with optional recency window."""
 
     name = "h2o"
@@ -36,86 +34,16 @@ class H2OPolicy(EvictionPolicy):
     #: layer), so the snapshot hooks restore a swapped sequence exactly.
     swap_restorable = True
 
-    def __init__(self, n_layers, recent_window=16, head_reduction="mean"):
-        super().__init__(n_layers)
+    def __init__(self, n_layers, recent_window=16):
         if recent_window < 0:
             raise ValueError("recent_window must be non-negative")
-        if head_reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown head_reduction {head_reduction!r}")
-        self.recent_window = int(recent_window)
-        self.head_reduction = head_reduction
-        self._scores = [np.zeros(0) for _ in range(self.n_layers)]
+        super().__init__(n_layers, protected_prefix=0, recent_window=recent_window)
 
-    def reset(self):
-        self._scores = [np.zeros(0) for _ in range(self.n_layers)]
+    #: The current importance vector for a layer (slot-aligned copy).
+    accumulated = AccumulatedScorePolicy._slot_scores
 
-    def accumulated(self, layer):
-        """The current importance vector for ``layer`` (slot-aligned)."""
-        self._check_layer(layer)
-        return self._scores[layer].copy()
-
-    def observe(self, layer, attn, positions, phase):
-        self._check_layer(layer)
-        attn = np.asarray(attn)
-        if attn.ndim != 2:
-            raise ValueError(f"attn must be (H, l), got shape {attn.shape}")
-        if self.head_reduction == "mean":
-            row = attn.mean(axis=0)
-        else:
-            row = attn.sum(axis=0)
-        length = row.shape[0]
-        scores = self._scores[layer]
-        if length > scores.shape[0]:
-            grown = np.zeros(length)
-            grown[: scores.shape[0]] = scores
-            scores = grown
-        scores[:length] += row
-        self._scores[layer] = scores
-
-    def select_victim(self, layer, positions):
-        self._check_layer(layer)
-        positions = np.asarray(positions)
-        length = positions.shape[0]
-        scores = self._scores[layer]
-        if scores.shape[0] < length:
-            # Slots observed zero times (possible if eviction is requested
-            # before any observation) count as zero importance.
-            padded = np.zeros(length)
-            padded[: scores.shape[0]] = scores
-            scores = padded
-        candidate_scores = scores[:length].copy()
-        if self.recent_window > 0 and length > self.recent_window:
-            # Protect the most recent slots (slots are position-sorted).
-            candidate_scores[length - self.recent_window :] = np.inf
-        elif self.recent_window >= length:
-            # Cannot protect everything; fall back to pure accumulation.
-            pass
-        return int(np.argmin(candidate_scores))
-
-    def on_evict(self, layer, slot):
-        self._check_layer(layer)
-        self._scores[layer] = np.delete(self._scores[layer], slot)
-
-    # ------------------------------------------------------------------
-    # Prefix-cache state sharing
-    # ------------------------------------------------------------------
     def export_prefill_state(self, layer, length):
-        """Accumulated scores of slots ``[0, length)`` — at a prefill
-        block boundary a pure function of the first ``length`` tokens
-        (rows are accumulated in order, so later rows have not yet
-        contributed)."""
+        """Accumulated scores of slots ``[0, length)``; slots never
+        observed export as zero."""
         self._check_layer(layer)
-        scores = self._scores[layer]
-        out = np.zeros(length)
-        out[: min(length, scores.shape[0])] = scores[:length]
-        return out
-
-    def import_prefill_state(self, layer, state, length):
-        self._check_layer(layer)
-        state = np.asarray(state, dtype=np.float64)
-        if state.shape != (length,):
-            raise ValueError(f"state shape {state.shape} != ({length},)")
-        self._scores[layer] = state.copy()
-
-    def prefix_state_key(self):
-        return (type(self).__name__, self.head_reduction)
+        return self._padded(layer, length).copy()

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.policies.base import GENERATION, EvictionPolicy, register_policy
+from repro.core.policies.base import GENERATION, ScoredPolicy, register_policy
 
 __all__ = ["VotingPolicy", "adaptive_threshold", "vote_mask"]
 
@@ -111,7 +111,7 @@ def vote_mask(row, positions, reserved_length, a=1.0, b=0.2):
 
 
 @register_policy
-class VotingPolicy(EvictionPolicy):
+class VotingPolicy(ScoredPolicy):
     """The VEDA voting eviction policy.
 
     Parameters
@@ -124,10 +124,9 @@ class VotingPolicy(EvictionPolicy):
     reserved_length:
         Attention-sink prefix R (paper: 32): those positions never vote,
         never receive votes, and are never evicted.
-    head_reduction:
-        How per-head rows are aggregated before voting; the paper
-        aggregates and averages across heads ("voting operates
-        layer-wise").
+
+    Per-head rows are averaged across heads before voting ("voting
+    operates layer-wise").
     """
 
     name = "voting"
@@ -135,61 +134,19 @@ class VotingPolicy(EvictionPolicy):
     #: layer, exactly what the snapshot hooks move — a swapped-out
     #: sequence's votes page out with its blocks and restore bit-exactly.
     swap_restorable = True
+    #: Vote counters are integers.
+    score_dtype = np.int64
 
-    def __init__(
-        self,
-        n_layers,
-        a=1.0,
-        b=0.2,
-        reserved_length=32,
-        head_reduction="mean",
-    ):
+    def __init__(self, n_layers, a=1.0, b=0.2, reserved_length=32):
         super().__init__(n_layers)
         if reserved_length < 0:
             raise ValueError("reserved_length must be non-negative")
-        if head_reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown head_reduction {head_reduction!r}")
         self.a = float(a)
         self.b = float(b)
         self.reserved_length = int(reserved_length)
-        self.head_reduction = head_reduction
-        self.reset()
 
-    def reset(self):
-        # Vote counters live in one capacity-backed (n_layers, capacity)
-        # array with an explicit logical length per layer, so the stacked
-        # decode kernel accumulates every layer in one add and eviction
-        # compacts in place (mirroring ``LayerKVCache.evict``) instead of
-        # reallocating via ``np.delete``.  Slots in [length, capacity) are
-        # always zero.
-        self._votes = np.zeros((self.n_layers, 0), dtype=np.int64)
-        self._lengths = [0] * self.n_layers
-
-    def vote_counts(self, layer):
-        """Slot-aligned vote counts for ``layer`` (copy, for diagnostics)."""
-        self._check_layer(layer)
-        return self._votes[layer, : self._lengths[layer]].copy()
-
-    def _ensure_capacity(self, length):
-        """Grow every layer's counters to at least ``length`` slots.
-
-        Capacity doubles amortized so per-token growth during generation
-        is O(1); newly exposed slots start at zero votes.
-        """
-        capacity = self._votes.shape[1]
-        if length > capacity:
-            grown = np.zeros(
-                (self.n_layers, max(length, 2 * capacity)), dtype=np.int64
-            )
-            grown[:, :capacity] = self._votes
-            self._votes = grown
-
-    def _ensure_length(self, layer, length):
-        """Layer ``layer``'s counter row, at least ``length`` slots long."""
-        self._ensure_capacity(length)
-        if length > self._lengths[layer]:
-            self._lengths[layer] = length
-        return self._votes[layer]
+    #: Slot-aligned vote counts of a layer (copy, for diagnostics).
+    vote_counts = ScoredPolicy._slot_scores
 
     # ------------------------------------------------------------------
     # Policy interface
@@ -209,10 +166,7 @@ class VotingPolicy(EvictionPolicy):
         if voter_position < self.reserved_length:
             return
 
-        if self.head_reduction == "mean":
-            row = attn.mean(axis=0)
-        else:
-            row = attn.sum(axis=0)
+        row = attn.mean(axis=0)
         mask = vote_mask(
             row, positions, self.reserved_length, a=self.a, b=self.b
         )
@@ -260,8 +214,7 @@ class VotingPolicy(EvictionPolicy):
         voters = eligible[:, -1]
 
         rows = np.add.reduce(attn, axis=1)
-        if self.head_reduction == "mean":
-            rows /= attn.shape[1]
+        rows /= attn.shape[1]
         means = np.add.reduce(rows, axis=1, keepdims=True) / length
         deviations = rows - means
         np.multiply(deviations, deviations, out=deviations)
@@ -279,7 +232,7 @@ class VotingPolicy(EvictionPolicy):
                 if voters[layer]:
                     scores = np.where(eligible[layer], rows[layer], np.inf)
                     mask[layer, np.argmin(scores)] = True
-        self._votes[:, :length] += mask
+        self._scores[:, :length] += mask
 
     def observe_block(self, layer, attn, positions, phase):
         """Vectorized prefill voting: all rows of a causal block at once.
@@ -332,11 +285,7 @@ class VotingPolicy(EvictionPolicy):
         offset = length - n_rows
         votes = self._ensure_length(layer, length)
 
-        if self.head_reduction == "mean":
-            rows = attn.mean(axis=0)
-        else:
-            rows = attn.sum(axis=0)
-        rows = rows.astype(np.float64, copy=False)
+        rows = attn.mean(axis=0).astype(np.float64, copy=False)
 
         # Row i is the attention of slot offset+i over slots 0..offset+i;
         # entries beyond are exactly zero (the causal-softmax contract:
@@ -370,61 +319,17 @@ class VotingPolicy(EvictionPolicy):
         vote_matrix[~voters] = False
         votes[:length] += vote_matrix.sum(axis=0, dtype=np.int64)
 
-    # ------------------------------------------------------------------
-    # Prefix-cache state sharing
-    # ------------------------------------------------------------------
-    def export_prefill_state(self, layer, length):
-        """Vote counts of slots ``[0, length)`` — at a prefill block
-        boundary these are a pure function of the first ``length`` prompt
-        tokens (later rows have not voted yet)."""
-        self._check_layer(layer)
-        if length > self._lengths[layer]:
-            raise ValueError(
-                f"export length {length} beyond observed {self._lengths[layer]}"
-            )
-        return self._votes[layer, :length].copy()
-
-    def import_prefill_state(self, layer, state, length):
-        """Seed vote counters from a snapshot, in place of observing the
-        first ``length`` prefill rows."""
-        self._check_layer(layer)
-        state = np.asarray(state, dtype=np.int64)
-        if state.shape != (length,):
-            raise ValueError(f"state shape {state.shape} != ({length},)")
-        votes = self._ensure_length(layer, length)
-        votes[:length] = state
-
     def prefix_state_key(self):
-        return (
-            type(self).__name__,
-            self.a,
-            self.b,
-            self.reserved_length,
-            self.head_reduction,
-        )
+        return (type(self).__name__, self.a, self.b, self.reserved_length)
 
     def select_victim(self, layer, positions):
         self._check_layer(layer)
         positions = np.asarray(positions)
         length = positions.shape[0]
-        votes = self._votes[layer]
-        if votes.shape[0] < length:
-            padded = np.zeros(length, dtype=np.int64)
-            padded[: votes.shape[0]] = votes
-            votes = padded
-        masked = np.where(positions >= self.reserved_length, votes[:length], -1)
+        votes = self._padded(layer, length)
+        masked = np.where(positions >= self.reserved_length, votes, -1)
         # argmax returns the first maximal index, implementing the paper's
         # earliest-position tie-break.  Counters are never negative, so a
         # -1 maximum means no slot was eligible.
         slot = int(masked.argmax())
         return slot if masked[slot] >= 0 else length - 1
-
-    def on_evict(self, layer, slot):
-        self._check_layer(layer)
-        length = self._lengths[layer]
-        if not 0 <= slot < length:
-            raise IndexError(f"evict slot {slot} out of range [0, {length})")
-        votes = self._votes[layer]
-        votes[slot : length - 1] = votes[slot + 1 : length]
-        votes[length - 1] = 0
-        self._lengths[layer] = length - 1

@@ -43,10 +43,12 @@ class TestTOVA:
         assert policy.select_victim(0, np.arange(2)) == 1  # 0.4 < 0.5
 
     def test_reset(self):
-        policy = TOVAPolicy(n_layers=1)
-        policy.observe(0, row([0.5, 0.5]), np.arange(2), GENERATION)
+        policy = TOVAPolicy(n_layers=1, protected_prefix=0, recent_window=0)
+        policy.observe(0, row([0.9, 0.1]), np.arange(2), GENERATION)
+        assert policy.select_victim(0, np.arange(2)) == 1
         policy.reset()
-        assert policy._last_row[0].size == 0
+        # Nothing observed since: every slot scores zero, the first goes.
+        assert policy.select_victim(0, np.arange(2)) == 0
 
 
 class TestScissorhands:

@@ -108,11 +108,6 @@ class TestH2O:
         policy.observe(0, uniform_attn(2, 4), np.arange(4), GENERATION)
         assert policy.accumulated(0).shape == (4,)
 
-    def test_sum_reduction(self):
-        policy = H2OPolicy(n_layers=1, head_reduction="sum", recent_window=0)
-        policy.observe(0, np.array([[0.5, 0.5], [0.5, 0.5]]), np.arange(2), GENERATION)
-        np.testing.assert_allclose(policy.accumulated(0), [1.0, 1.0])
-
     def test_reset(self):
         policy = H2OPolicy(n_layers=1)
         policy.observe(0, uniform_attn(1, 3), np.arange(3), GENERATION)

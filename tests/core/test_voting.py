@@ -175,7 +175,7 @@ class TestVotingPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             VotingPolicy(n_layers=1, reserved_length=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             VotingPolicy(n_layers=1, head_reduction="median")
         policy = VotingPolicy(n_layers=1)
         with pytest.raises(ValueError):
@@ -199,8 +199,7 @@ class TestObserveStep:
                 stacked.vote_counts(layer), scalar.vote_counts(layer)
             )
 
-    @pytest.mark.parametrize("head_reduction", ["mean", "sum"])
-    def test_thresholds_match_to_the_last_bit(self, head_reduction):
+    def test_thresholds_match_to_the_last_bit(self):
         """A uniform row puts every score within an ulp of ``T = mean``,
         so whether it votes hinges on the last bit of the stacked
         mean/std: over these lengths the reference votes for every slot
@@ -209,12 +208,9 @@ class TestObserveStep:
         outcomes = set()
         for heads in (1, 3, 7):
             for length in range(1, 200):
-                stacked, scalar = self._twins(
-                    2, reserved_length=0, b=0.0, head_reduction=head_reduction
-                )
+                stacked, scalar = self._twins(2, reserved_length=0, b=0.0)
                 uniform = np.full((heads, length), 1.0 / (heads * length))
-                if head_reduction == "mean":
-                    uniform *= heads
+                uniform *= heads
                 attention = [uniform, uniform[:, ::-1] * 1.0]
                 positions = [np.arange(length)] * 2
                 stacked.observe_step(attention, positions)

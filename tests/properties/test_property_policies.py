@@ -152,22 +152,6 @@ class TestObserveBlockEquivalence:
                 scalar.vote_counts(0), vectorized.vote_counts(0)
             )
 
-    @given(causal_block(), st.integers(0, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_sum_head_reduction_matches(self, attn, reserved):
-        positions = np.arange(attn.shape[1])
-        scalar = VotingPolicy(
-            n_layers=1, reserved_length=reserved, head_reduction="sum"
-        )
-        vectorized = VotingPolicy(
-            n_layers=1, reserved_length=reserved, head_reduction="sum"
-        )
-        EvictionPolicy.observe_block(scalar, 0, attn, positions, PREFILL)
-        vectorized.observe_block(0, attn, positions, PREFILL)
-        np.testing.assert_array_equal(
-            scalar.vote_counts(0), vectorized.vote_counts(0)
-        )
-
 
 @st.composite
 def decode_episode(draw):
@@ -179,11 +163,11 @@ def decode_episode(draw):
     Sampled to hit every branch of the stacked kernel: voters still in
     the reserved stage, reserved slots among the vote targets, sharp
     rows (scale 30) and large ``b`` that push ``T <= 0`` into the
-    arg-min fallback, both head reductions, a mid-episode snapshot
-    round trip, and layers drifting to different lengths (ragged), which
-    must take the per-layer loop.  Uniform rows (scale 0) put every
-    score within an ulp of the threshold, so a last-bit difference in a
-    mean or a standard deviation flips votes.
+    arg-min fallback, a mid-episode snapshot round trip, and layers
+    drifting to different lengths (ragged), which must take the
+    per-layer loop.  Uniform rows (scale 0) put every score within an
+    ulp of the threshold, so a last-bit difference in a mean or a
+    standard deviation flips votes.
     """
     n_layers = draw(st.integers(1, 4))
     heads = draw(st.integers(1, 9))
@@ -195,7 +179,6 @@ def decode_episode(draw):
         reserved_length=draw(st.integers(0, 48)),
         a=draw(st.sampled_from([0.5, 1.0, 1.5])),
         b=draw(st.sampled_from([0.0, 0.2, 1.0, 5.0])),
-        head_reduction=draw(st.sampled_from(["mean", "sum"])),
     )
     live = [list(range(start)) for _ in range(n_layers)]
     next_position = start
