@@ -14,7 +14,7 @@ from repro.accel.gpu_model import (
     decode_energy_per_token,
     decode_tokens_per_second,
 )
-from repro.accel.memory import HBMModel, SRAMModel, TrafficCounter
+from repro.accel.memory import HBMModel, SRAMModel
 from repro.accel.pe import PEMode, ProcessingElement
 from repro.accel.rtl_array import RTLArray
 from repro.accel.pe_array import (
@@ -86,7 +86,6 @@ __all__ = [
     "attention_timeline",
     "HBMModel",
     "SRAMModel",
-    "TrafficCounter",
     "VotingEngine",
     "AcceleratorSimulator",
     "TilePlan",

@@ -78,8 +78,8 @@ class AreaPowerModel:
     POWER_VOTE_LOGIC_MW = 24.1
     POWER_SFU_CTRL_MW = 3.6
     POWER_SCHEDULE_MW = 11.2
-    #: Off-chip DRAM access energy, pJ per *bit* (matches the
-    #: :class:`repro.accel.memory.HBMModel` default).
+    #: Off-chip DRAM access energy, pJ per *bit* (HBM2E-class devices are
+    #: ~2-4 pJ/bit); the one value every DRAM energy estimate reads.
     ENERGY_HBM_PJ_PER_BIT = 2.0
 
     def __init__(self, hw: HardwareConfig = None):

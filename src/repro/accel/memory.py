@@ -4,46 +4,24 @@
 The paper attaches a 256 GB/s HBM through Ramulator and sizes a 256 KB
 on-chip buffer with CACTI.  For the reproduction, two behaviours matter:
 
-1. **Streaming vs strided bandwidth.**  The flexible-product dataflow's
-   whole point (paper Sec. IV-A, "memory access irregularity") is that K
-   and V stay in the row-major ``(l, d)`` layout and are always walked
-   row-by-row — every burst hits an open DRAM row.  A fixed inner-product
-   dataflow must walk V column-wise (a transpose pattern), which breaks
-   row-buffer locality; Ramulator shows this as a bandwidth derate.  The
-   :class:`HBMModel` exposes both access patterns with a calibrated
-   ``strided_derate``.
-2. **Capacity/area/energy of SRAM.**  :class:`SRAMModel` is a small
-   CACTI-style analytic model — area and per-access energy as power-law
-   functions of capacity — calibrated so the paper's Table I macro sizes
-   come out right (see :mod:`repro.accel.area_power`).
+1. **Streaming bandwidth.**  :class:`HBMModel` converts a sequential
+   (row-major) walk's bytes to cycles at peak bandwidth.  The fixed
+   inner-product dataflow's transpose walk of V, which breaks row-buffer
+   locality, is priced in :mod:`repro.accel.scheduler` with the
+   configuration's ``dram_strided_derate``.
+2. **Area/energy of SRAM.**  :class:`SRAMModel` is a small CACTI-style
+   analytic model — area and per-access energy as power-law functions of
+   capacity — calibrated so the paper's Table I macro sizes come out
+   right (see :mod:`repro.accel.area_power`).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-__all__ = ["HBMModel", "SRAMModel", "TrafficCounter"]
-
-
-@dataclass
-class TrafficCounter:
-    """Byte counters for energy accounting."""
-
-    streamed_bytes: float = 0.0
-    strided_bytes: float = 0.0
-
-    @property
-    def total_bytes(self):
-        return self.streamed_bytes + self.strided_bytes
-
-    def merge(self, other):
-        self.streamed_bytes += other.streamed_bytes
-        self.strided_bytes += other.strided_bytes
+__all__ = ["HBMModel", "SRAMModel"]
 
 
 class HBMModel:
-    """Bandwidth/latency model of the off-chip HBM.
+    """Bandwidth model of the off-chip HBM.
 
     Parameters
     ----------
@@ -51,56 +29,23 @@ class HBMModel:
         Peak sequential bandwidth (paper: 256 GB/s).
     clock_ghz:
         Accelerator clock, to convert bytes to cycles.
-    strided_derate:
-        Fraction of peak bandwidth achieved by transpose-pattern access
-        (row-buffer miss behaviour).
-    energy_pj_per_bit:
-        DRAM access energy; HBM2E-class devices are ~2-4 pJ/bit.
     """
 
-    def __init__(
-        self,
-        bandwidth_gb_s=256.0,
-        clock_ghz=1.0,
-        strided_derate=0.6,
-        energy_pj_per_bit=2.0,
-    ):
+    def __init__(self, bandwidth_gb_s=256.0, clock_ghz=1.0):
         if bandwidth_gb_s <= 0:
             raise ValueError("bandwidth must be positive")
-        if not 0.0 < strided_derate <= 1.0:
-            raise ValueError("strided_derate must be in (0, 1]")
         self.bandwidth_gb_s = float(bandwidth_gb_s)
         self.clock_ghz = float(clock_ghz)
-        self.strided_derate = float(strided_derate)
-        self.energy_pj_per_bit = float(energy_pj_per_bit)
-        self.traffic = TrafficCounter()
 
     @property
     def bytes_per_cycle(self):
         return self.bandwidth_gb_s / self.clock_ghz
 
-    def stream_cycles(self, num_bytes, record=True):
+    def stream_cycles(self, num_bytes):
         """Cycles to stream ``num_bytes`` sequentially (row-major walk)."""
         if num_bytes < 0:
             raise ValueError("negative byte count")
-        if record:
-            self.traffic.streamed_bytes += num_bytes
         return num_bytes / self.bytes_per_cycle
-
-    def strided_cycles(self, num_bytes, record=True):
-        """Cycles for a transpose-pattern walk (derated bandwidth)."""
-        if num_bytes < 0:
-            raise ValueError("negative byte count")
-        if record:
-            self.traffic.strided_bytes += num_bytes
-        return num_bytes / (self.bytes_per_cycle * self.strided_derate)
-
-    def energy_joules(self):
-        """DRAM energy for all recorded traffic."""
-        return self.traffic.total_bytes * 8.0 * self.energy_pj_per_bit * 1e-12
-
-    def reset_traffic(self):
-        self.traffic = TrafficCounter()
 
 
 class SRAMModel:
@@ -129,12 +74,7 @@ class SRAMModel:
             raise ValueError("width_bits must be a positive multiple of 8")
         self.capacity_bytes = int(capacity_bytes)
         self.width_bits = int(width_bits)
-        self.reads = 0
-        self.writes = 0
 
-    # ------------------------------------------------------------------
-    # CACTI-like estimates
-    # ------------------------------------------------------------------
     @property
     def area_mm2(self):
         density = self._DENSITY_A * self.capacity_bytes**self._DENSITY_B
@@ -143,29 +83,6 @@ class SRAMModel:
     @property
     def energy_pj_per_byte(self):
         return self._ENERGY_A * self.capacity_bytes**self._ENERGY_B
-
-    # ------------------------------------------------------------------
-    # Access tracking
-    # ------------------------------------------------------------------
-    def fits(self, num_bytes):
-        return num_bytes <= self.capacity_bytes
-
-    def read(self, num_bytes):
-        """Record a read; returns the cycles it occupies the port."""
-        if num_bytes < 0:
-            raise ValueError("negative byte count")
-        self.reads += int(math.ceil(num_bytes * 8 / self.width_bits))
-        return math.ceil(num_bytes * 8 / self.width_bits)
-
-    def write(self, num_bytes):
-        if num_bytes < 0:
-            raise ValueError("negative byte count")
-        self.writes += int(math.ceil(num_bytes * 8 / self.width_bits))
-        return math.ceil(num_bytes * 8 / self.width_bits)
-
-    def energy_joules(self):
-        bytes_moved = (self.reads + self.writes) * self.width_bits / 8
-        return bytes_moved * self.energy_pj_per_byte * 1e-12
 
     def __repr__(self):
         return (

@@ -33,8 +33,8 @@ accumulator's ``n_layers`` repeated adds become one multiply-add only
 where every partial sum of that loop is an exactly representable
 integer (nonnegative integer terms, a total below 2**53), so no add
 rounds and their order cannot matter; an accumulator with a fractional
-term keeps the loop, the same adds in the same order.  Pricing records
-no HBM traffic: it has no side effects (``docs/ARCHITECTURE.md``,
+term keeps the loop, the same adds in the same order.  Pricing has no
+side effects beyond its caches (``docs/ARCHITECTURE.md``,
 "Accumulation contract").  ``tests/properties/test_property_predictor.py``
 pins both against a test-local transcription of the uncached loops.
 
@@ -330,9 +330,7 @@ class AcceleratorSimulator:
         self.model = model
         self.tp = tp
         self.hbm = HBMModel(
-            bandwidth_gb_s=hw.hbm_bandwidth_gb_s,
-            clock_ghz=hw.clock_ghz,
-            strided_derate=hw.dram_strided_derate,
+            bandwidth_gb_s=hw.hbm_bandwidth_gb_s, clock_ghz=hw.clock_ghz
         )
         #: (rows, prefix, mapping) -> PhaseStats of one prefill pass.
         self._prefill_cache = {}
@@ -355,7 +353,7 @@ class AcceleratorSimulator:
                 (
                     op.compute_cycles(width),
                     op.macs,
-                    self.hbm.stream_cycles(op.weight_bytes, record=False),
+                    self.hbm.stream_cycles(op.weight_bytes),
                     op.weight_bytes,
                 )
                 for op in ops
@@ -379,15 +377,6 @@ class AcceleratorSimulator:
         )
         return 2 * per_reduce, 2 * per_reduce / self.hw.interconnect_bytes_per_cycle
 
-    def _allreduce_charge(self, stats, rows):
-        """Add one layer's :meth:`_allreduce` terms to ``stats``.  The
-        pricing loops accumulate the terms directly; this per-stats form
-        is what the property suite's uncached reference loops call."""
-        terms = self._allreduce(rows)
-        if terms is not None:
-            stats.interconnect_bytes += terms[0]
-            stats.interconnect_cycles += terms[1]
-
     # ------------------------------------------------------------------
     # Linear layers
     # ------------------------------------------------------------------
@@ -396,8 +385,7 @@ class AcceleratorSimulator:
         ``(cycles, macs, hbm_bytes)`` one pass over ``rows`` rows adds:
         each op fetches its weights once per pass and reuses them for
         every row (a decode batch's rows, a prefill chunk's rows), so it
-        costs ``max(rows * compute, memory)``.  Pricing records no HBM
-        traffic: the returned bytes are what callers accumulate."""
+        costs ``max(rows * compute, memory)``."""
         return [
             (max(rows * compute, memory), rows * macs, weight_bytes)
             for compute, macs, memory, weight_bytes in ops

@@ -19,7 +19,6 @@ from repro.accel.area_power import AreaPowerModel
 from repro.accel.baselines import published_accelerators
 from repro.accel.config import veda_config
 from repro.accel.gpu_model import RTX4090, decode_tokens_per_second
-from repro.accel.memory import HBMModel
 from repro.accel.scaling import scale_area, scale_energy_efficiency
 from repro.accel.simulator import AcceleratorSimulator
 from repro.config import llama2_7b_shapes
@@ -92,11 +91,13 @@ def run(prompt_length=512, gen_length=256, kv_budget=256):
     )
     gpu_energy_per_token = RTX4090.board_power_w / gpu_tps
 
-    hbm = HBMModel(bandwidth_gb_s=hw.hbm_bandwidth_gb_s, clock_ghz=hw.clock_ghz)
     run_stats = sim.run(prompt_length, gen_length, kv_budget=kv_budget)
     decode_seconds = run_stats.decode.cycles / (hw.clock_ghz * 1e9)
     hbm_energy = (
-        run_stats.decode.hbm_bytes * 8.0 * hbm.energy_pj_per_bit * 1e-12
+        run_stats.decode.hbm_bytes
+        * 8.0
+        * AreaPowerModel.ENERGY_HBM_PJ_PER_BIT
+        * 1e-12
     )
     veda_energy_per_token = (
         veda_power_w * decode_seconds + hbm_energy

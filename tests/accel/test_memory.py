@@ -1,6 +1,5 @@
 """HBM and SRAM models."""
 
-import numpy as np
 import pytest
 
 from repro.accel.memory import HBMModel, SRAMModel
@@ -12,43 +11,9 @@ class TestHBM:
         assert hbm.stream_cycles(256) == 1.0
         assert hbm.stream_cycles(2560) == 10.0
 
-    def test_strided_derate(self):
-        hbm = HBMModel(bandwidth_gb_s=256, strided_derate=0.5)
-        assert hbm.strided_cycles(256) == pytest.approx(2.0)
-        assert hbm.strided_cycles(256) > hbm.stream_cycles(256)
-
-    def test_traffic_accounting(self):
-        hbm = HBMModel()
-        hbm.stream_cycles(1000)
-        hbm.strided_cycles(500)
-        assert hbm.traffic.streamed_bytes == 1000
-        assert hbm.traffic.strided_bytes == 500
-        assert hbm.traffic.total_bytes == 1500
-
-    def test_energy(self):
-        hbm = HBMModel(energy_pj_per_bit=2.5)
-        hbm.stream_cycles(1e9)  # 1 GB
-        assert hbm.energy_joules() == pytest.approx(1e9 * 8 * 2.5e-12)
-
-    def test_default_energy_is_hbm2e_class(self):
-        assert HBMModel().energy_pj_per_bit == pytest.approx(2.0)
-
-    def test_reset(self):
-        hbm = HBMModel()
-        hbm.stream_cycles(100)
-        hbm.reset_traffic()
-        assert hbm.traffic.total_bytes == 0
-
-    def test_unrecorded_access(self):
-        hbm = HBMModel()
-        hbm.stream_cycles(100, record=False)
-        assert hbm.traffic.total_bytes == 0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             HBMModel(bandwidth_gb_s=0)
-        with pytest.raises(ValueError):
-            HBMModel(strided_derate=1.5)
         hbm = HBMModel()
         with pytest.raises(ValueError):
             hbm.stream_cycles(-1)
@@ -75,29 +40,8 @@ class TestSRAM:
             > SRAMModel(8 * 1024).energy_pj_per_byte
         )
 
-    def test_access_tracking(self):
-        sram = SRAMModel(1024, width_bits=128)
-        cycles = sram.read(64)
-        assert cycles == 4  # 64 B = 512 bits / 128-bit port
-        sram.write(16)
-        assert sram.reads == 4
-        assert sram.writes == 1
-
-    def test_fits(self):
-        sram = SRAMModel(1024)
-        assert sram.fits(1024)
-        assert not sram.fits(1025)
-
-    def test_energy_joules(self):
-        sram = SRAMModel(1024, width_bits=8)
-        sram.read(100)
-        expected = 100 * sram.energy_pj_per_byte * 1e-12
-        assert sram.energy_joules() == pytest.approx(expected)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SRAMModel(0)
         with pytest.raises(ValueError):
             SRAMModel(64, width_bits=7)
-        with pytest.raises(ValueError):
-            SRAMModel(64).read(-1)

@@ -48,6 +48,14 @@ class ReferenceModel:
         )
         return stats
 
+    def _allreduce_charge(self, stats, rows):
+        """Add one layer's two ring all-reduces of ``rows`` activation
+        vectors to ``stats`` (there are none at ``tp=1``)."""
+        terms = self.sim._allreduce(rows)
+        if terms is not None:
+            stats.interconnect_bytes += terms[0]
+            stats.interconnect_cycles += terms[1]
+
     def _linear(self, stats, op, batch=1):
         compute = batch * op.compute_cycles(self.hw.tree_width)
         memory = self.sim.hbm.stream_cycles(op.weight_bytes)
@@ -89,7 +97,7 @@ class ReferenceModel:
                 if not hw.element_serial
                 else layer_norm_count(model) * prompt_length * hw.element_serial_drain
             )
-            self.sim._allreduce_charge(stats, prompt_length)
+            self._allreduce_charge(stats, prompt_length)
         for op in head_ops:
             self._linear(stats, op)
         return self._finish(stats)
@@ -112,7 +120,7 @@ class ReferenceModel:
             stats.hbm_bytes += 2 * cache_length * kv_width * hw.bytes_per_element
             stats.hbm_bytes += 2 * kv_width * hw.bytes_per_element
             stats.nonlinear_cycles += layer_norm_count(model) * norm_stall
-            self.sim._allreduce_charge(stats, 1)
+            self._allreduce_charge(stats, 1)
         for op in head_ops:
             self._linear(stats, op)
         return self._finish(stats)
@@ -129,7 +137,7 @@ class ReferenceModel:
             for op in per_layer_ops:
                 self._linear(stats, op, batch)
             stats.nonlinear_cycles += batch * (layer_norm_count(model) * norm_stall)
-            self.sim._allreduce_charge(stats, batch)
+            self._allreduce_charge(stats, batch)
         for op in head_ops:
             self._linear(stats, op, batch)
         for length in cache_lengths:

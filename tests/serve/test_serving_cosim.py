@@ -195,16 +195,6 @@ class TestDataflowSelection:
             ).replay()
             assert report == cold
 
-    def test_pricing_records_no_hbm_traffic(self, tiny_inference, rng):
-        """Pricing is side-effect free: neither a cold nor a warm replay
-        leaves bytes on the simulator's HBM traffic counter."""
-        requests = make_requests(rng, n=3)
-        scheduler, _ = serve(tiny_inference, requests, max_batch_size=2)
-        cosim = ServingCoSimulator(scheduler, hw_model=llama2_7b_shapes())
-        for _ in range(2):  # cold, then warm
-            cosim.replay()
-            assert cosim.simulator.hbm.traffic.total_bytes == 0
-
     def test_fixed_hardware_comparison_degrades_gracefully(
         self, tiny_inference, rng
     ):
