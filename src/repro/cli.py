@@ -49,6 +49,8 @@ the benchmark suite saves (``ExperimentResult.render``).
 from __future__ import annotations
 
 import argparse
+import copy
+import inspect
 import json
 import sys
 from functools import partial
@@ -237,6 +239,21 @@ def _workload_file(path):
 # sets, so each command calls its run_* with exactly the flags it
 # declares: a flag the function does not read cannot be declared.
 # ----------------------------------------------------------------------
+def _defaults_from(parser, function, *cli_only):
+    """Default every flag ``parser`` declares to ``function``'s keyword
+    default of the same name, so ``serve-bench MODE`` with no flags and
+    a plain Python call of its run_* serve the same benchmark.  Flags in
+    ``cli_only`` keep their declared default."""
+    parameters = inspect.signature(function).parameters
+    parser.set_defaults(
+        **{
+            action.dest: parameters[action.dest].default
+            for action in parser._actions
+            if action.dest in parameters and action.dest not in cli_only
+        }
+    )
+
+
 def _kwargs(args):
     return {
         name: value
@@ -304,12 +321,14 @@ def _serve_fleet(args, error):
 def _command(commands, name, summary, *parents):
     """Add subcommand ``name``.  Abbreviations are off, so a prefix of a
     flag another command reads (``--cosim`` of ``--cosim-shapes``) is
-    never taken for one this command reads."""
+    never taken for one this command reads.  The command gets its own
+    copy of each shared parent's flags, so :func:`_defaults_from` sets
+    defaults for this command alone."""
     return commands.add_parser(
         name,
         help=summary,
         description=summary,
-        parents=parents,
+        parents=[copy.deepcopy(parent) for parent in parents],
         allow_abbrev=False,
     )
 
@@ -318,58 +337,53 @@ def _parent(*parents):
     return argparse.ArgumentParser(add_help=False, parents=parents)
 
 
-def _workload(requests=8, block_size=4):
-    """Flags every serving command reads, at the command's defaults."""
+def _workload():
+    """Flags every serving command reads."""
     parent = _parent()
     parent.add_argument(
         "--requests",
         dest="n_requests",
         type=_positive_int,
-        default=requests,
         help="number of requests (conversations, in multi-turn workloads)",
     )
     parent.add_argument(
-        "--seed", type=_nonnegative_int, default=0, help="workload seed"
+        "--seed", type=_nonnegative_int, help="workload seed"
     )
     parent.add_argument(
         "--block-size",
         type=_positive_int,
-        default=block_size,
         help="KV slots per pool block (paged serving)",
     )
     return parent
 
 
-def _batch_cap(default):
+def _batch_cap():
     parent = _parent()
     parent.add_argument(
         "--batch-size",
         dest="max_batch_size",
         type=_positive_int,
-        default=default,
         help="cap on concurrently running sequences",
     )
     return parent
 
 
-def _shared_prefix(default=0):
+def _shared_prefix():
     parent = _parent()
     parent.add_argument(
         "--shared-prefix",
         type=_nonnegative_int,
-        default=default,
         help="prepend the same N-token system prompt to every request "
         "(the cross-request prefix-sharing workload)",
     )
     return parent
 
 
-def _turns(default):
+def _turns():
     parent = _parent()
     parent.add_argument(
         "--turns",
         type=_positive_int,
-        default=default,
         help="turns per conversation; later turns re-extend earlier "
         "prompts and re-hit the prefix cache",
     )
@@ -384,14 +398,12 @@ def _add_serve_commands(commands):
         "--interarrival",
         dest="mean_interarrival",
         type=_mean_gap,
-        default=2.0,
         help="mean request inter-arrival gap in scheduler rounds (>= 1)",
     )
     shapes = _parent()
     shapes.add_argument(
         "--cosim-shapes",
         choices=("7b", "served"),
-        default="7b",
         help="model shapes priced by the co-simulator: Llama-2 7B (the "
         "paper's hardware evaluation model) or the tiny model actually "
         "served (default: 7b)",
@@ -411,7 +423,6 @@ def _add_serve_commands(commands):
     overload.add_argument(
         "--pool-fraction",
         type=_fraction,
-        default=0.4,
         help="pool size as a fraction of the overload burst's aggregate "
         "worst-case block demand",
     )
@@ -457,7 +468,6 @@ def _add_serve_commands(commands):
     batch.add_argument(
         "--batch-sizes",
         type=_comma_list(_positive_int),
-        default=(1, 2, 4, 8),
         help="comma-separated batch-size caps to sweep",
     )
     batch.add_argument(
@@ -469,7 +479,6 @@ def _add_serve_commands(commands):
     batch.add_argument(
         "--compression-ratio",
         type=_ratio_or_none,
-        default=0.5,
         metavar="R",
         help="per-request KV budget ratio r (budget = Round(r * P)), or "
         "'none' to serve unbudgeted (default: 0.5)",
@@ -478,13 +487,13 @@ def _add_serve_commands(commands):
         "--chunk-prefill",
         dest="prefill_chunk",
         type=_zero_is_none(_nonnegative_int),
-        default=None,
         help="per-round prompt-token budget for Sarathi-style chunked "
         "prefill (0 = whole-prompt admission); tokens are bit-identical "
         "either way, but chunking caps the per-round prefill work — "
         "with --cosim, watch max_round_cyc drop",
     )
     batch.set_defaults(run=_bench_batch)
+    _defaults_from(batch, serving.run)
 
     prefix = _command(
         modes,
@@ -493,20 +502,20 @@ def _add_serve_commands(commands):
         "full-block and token-granular (radix-trie) prefix matching.",
         _workload(),
         arrivals,
-        _batch_cap(8),
-        _shared_prefix(30),
-        _turns(2),
+        _batch_cap(),
+        _shared_prefix(),
+        _turns(),
         json_out,
     )
     prefix.add_argument(
         "--compression-ratio",
         type=_ratio_or_none,
-        default=None,
         metavar="R",
         help="per-request KV budget ratio, or 'none' (default): only "
         "unbudgeted sequences share partial-block tails",
     )
     prefix.set_defaults(run=_bench_prefix)
+    _defaults_from(prefix, serving.run_prefix)
 
     preempt = _command(
         modes,
@@ -514,7 +523,7 @@ def _add_serve_commands(commands):
         "The overload burst served against an undersized block pool "
         "under each preemption mode.",
         _workload(),
-        _batch_cap(8),
+        _batch_cap(),
         overload,
         priced,
         json_out,
@@ -523,7 +532,6 @@ def _add_serve_commands(commands):
         "--preempt",
         dest="modes",
         type=_comma_list(_one_of("off", "recompute", "swap", "model")),
-        default=("off", "recompute", "swap"),
         metavar="MODES",
         help="comma-separated modes: off, recompute, swap, or model "
         "(per-victim swap-vs-recompute by modeled cycle cost) "
@@ -533,12 +541,12 @@ def _add_serve_commands(commands):
     preempt.add_argument(
         "--length-scales",
         type=_comma_list(_positive_int),
-        default=(1,),
         help="comma-separated prompt-length multipliers; sweeping them "
         "with --cosim exposes the recompute-vs-swap crossover as "
         "sequences grow",
     )
     preempt.set_defaults(run=_bench_preempt)
+    _defaults_from(preempt, serving.run_preempt)
 
     schedule = _command(
         modes,
@@ -547,7 +555,7 @@ def _add_serve_commands(commands):
         "mode) pair plus the cost-model-guided controller, each trace "
         "priced per dataflow.",
         _workload(),
-        _batch_cap(8),
+        _batch_cap(),
         overload,
         shapes,
         json_out,
@@ -555,7 +563,6 @@ def _add_serve_commands(commands):
     schedule.add_argument(
         "--static-chunks",
         type=_comma_list(_positive_int),
-        default=(4, 8, 16),
         metavar="CHUNKS",
         help="comma-separated static prefill chunk budgets forming the "
         "baseline grid",
@@ -564,18 +571,17 @@ def _add_serve_commands(commands):
         "--chunk-prefill",
         dest="base_chunk",
         type=_positive_int,
-        default=8,
         help="the controller's base prefill chunk (its rungs span "
         "base/4 .. 4*base)",
     )
     schedule.add_argument(
         "--objective",
         choices=("cycles", "energy"),
-        default="cycles",
         help="pick each row's dataflow by total cycles or modeled joules "
         "(default: cycles)",
     )
     schedule.set_defaults(run=_bench_schedule)
+    _defaults_from(schedule, serving.run_cosim_schedule)
 
     spec = _command(
         modes,
@@ -584,21 +590,19 @@ def _add_serve_commands(commands):
         "target-verify speculative decoding, priced on the cycle model.",
         _workload(),
         arrivals,
-        _batch_cap(4),
+        _batch_cap(),
         paged,
         shapes,
         json_out,
     )
     spec.add_argument(
         "--target",
-        default="small",
         help="target model: a zoo checkpoint name ('small', 'micro', "
         "'draft'; trained and cached on first use) or 'tiny' for an "
         "untrained tiny model (fast smoke) (default: small)",
     )
     spec.add_argument(
         "--draft",
-        default="draft",
         help="draft model: a zoo checkpoint name or 'self' to use the "
         "target as its own draft — accept rate 1.0 by construction "
         "(default: 'draft', distilled from the small target's greedy "
@@ -608,20 +612,19 @@ def _add_serve_commands(commands):
         "--spec-k",
         dest="spec_ks",
         type=_comma_list(_positive_int),
-        default=(1, 2, 4),
         metavar="KS",
         help="comma-separated draft window sizes to sweep (default: 1,2,4)",
     )
     spec.add_argument(
         "--hbm-gb-s",
         type=_positive_float,
-        default=32.0,
         help="HBM bandwidth of the priced hardware in GB/s (default: 32 — "
         "a bandwidth-starved operating point; at the paper's 256 GB/s the "
         "array is exactly compute/memory balanced for decode linears, so "
         "weight-fetch amortization has nothing to win)",
     )
     spec.set_defaults(run=_bench_spec)
+    _defaults_from(spec, serving.run_spec)
 
     fork = _command(
         modes,
@@ -630,7 +633,7 @@ def _add_serve_commands(commands):
         "single, forked/paged (CoW prompt blocks) and forked/dense.",
         _workload(),
         arrivals,
-        _batch_cap(None),
+        _batch_cap(),
         _shared_prefix(),
         priced,
         json_out,
@@ -647,12 +650,12 @@ def _add_serve_commands(commands):
     width.add_argument(
         "--beam-width",
         type=_at_least(int, 2),
-        default=0,
         help="width-W beam search with per-round joint scoring over "
         "forked KV blocks; pruned beams release their divergent tail "
         "back to the pool",
     )
     fork.set_defaults(run=_bench_fork)
+    _defaults_from(fork, serving.run_fork, "n_samples")
 
     engine = _command(
         commands,
@@ -661,53 +664,48 @@ def _add_serve_commands(commands):
         "engine for every (admission policy, prefill chunk) combination; "
         "per-request tokens are asserted identical across all rows, so "
         "TTFT / deadline-miss differences are pure scheduling.",
-        _workload(block_size=8),
+        _workload(),
         arrivals,
-        _batch_cap(4),
-        _turns(1),
+        _batch_cap(),
+        _turns(),
         paged,
         priced,
     )
     engine.add_argument(
         "--chunk-sizes",
         type=_comma_list(_zero_is_none(_nonnegative_int)),
-        default=(None, 8),
         help="comma-separated prefill chunk budgets to sweep "
         "(0 = whole-prompt admission) (default: 0,8)",
     )
     engine.add_argument(
         "--admissions",
         type=_comma_list(_one_of("fifo", "edf", "priority")),
-        default=("fifo", "edf"),
         help="comma-separated admission policies: fifo, edf, priority",
     )
     engine.add_argument(
         "--arrival",
         choices=("geometric", "poisson", "bursty"),
-        default="poisson",
         help="arrival process of the workload",
     )
     engine.add_argument(
         "--prompt-dist",
         choices=("uniform", "lognormal", "zipf"),
-        default="lognormal",
         help="prompt-length distribution (heavy tails are where chunked "
         "prefill matters)",
     )
     engine.add_argument(
         "--deadline-slack",
         type=_zero_is_none(_at_least(float, 0.0)),
-        default=1.5,
         help="per-request deadline = arrival + slack * service estimate "
         "(0 disables deadlines)",
     )
     engine.add_argument(
         "--priority-levels",
         type=_positive_int,
-        default=1,
         help="draw request priorities in [0, N) (for the priority policy)",
     )
     engine.set_defaults(run=_serve_engine)
+    _defaults_from(engine, serving.run_engine)
 
     fleet = _command(
         commands,
@@ -716,11 +714,11 @@ def _add_serve_commands(commands):
         "replicas under each placement policy; per-request tokens are "
         "asserted identical to a single engine, so TTFT / imbalance / "
         "prefix-hit differences are pure routing.",
-        _workload(requests=6),
+        _workload(),
         arrivals,
-        _batch_cap(4),
+        _batch_cap(),
         _shared_prefix(),
-        _turns(3),
+        _turns(),
         priced,
         replay,
         json_out,
@@ -728,21 +726,18 @@ def _add_serve_commands(commands):
     fleet.add_argument(
         "--replicas",
         type=_positive_int,
-        default=2,
         help="number of engine replicas in the fleet",
     )
     fleet.add_argument(
         "--placement",
         dest="placements",
         type=_comma_list(_one_of(*available_placements())),
-        default=("round_robin", "least_loaded", "prefix_affinity"),
         help="comma-separated placement policies: "
         + ", ".join(available_placements()),
     )
     fleet.add_argument(
         "--tp",
         type=_positive_int,
-        default=1,
         help="tensor-parallel degree priced by the co-simulator "
         "(tp=1 is bit-identical to the single-device cycle model; "
         "requires --cosim)",
@@ -755,6 +750,7 @@ def _add_serve_commands(commands):
         "tensor-parallel pricing (requires --cosim)",
     )
     fleet.set_defaults(run=partial(_serve_fleet, error=fleet.error))
+    _defaults_from(fleet, serving.run_fleet)
 
 
 def _run_experiments(names, args):

@@ -410,7 +410,7 @@ def run(
     model=None,
     seed=0,
     paged=False,
-    block_size=8,
+    block_size=4,
     shared_prefix=0,
     prefix_caching=True,
     prompt_range=(12, 48),
@@ -624,11 +624,11 @@ def run(
 
 
 def run_prefix(
-    n_requests=6,
+    n_requests=8,
     turns=2,
     shared_prefix=30,
     block_size=4,
-    max_batch_size=4,
+    max_batch_size=8,
     mean_interarrival=2.0,
     turn_gap=8.0,
     reserved_length=4,
@@ -900,7 +900,7 @@ def run_spec(
     compression_ratio=None,
     reserved_length=4,
     paged=False,
-    block_size=8,
+    block_size=4,
     seed=0,
     cosim=True,
     cosim_shapes="7b",
@@ -1091,8 +1091,8 @@ def run_spec(
         "every row (greedy verification is exact-match), so all "
         "differences are pure scheduling/compute. accept_rate is the "
         "fraction of draft proposals the target accepted; tok/pass is "
-        "tokens committed per target forward pass (1.0 without "
-        "speculation, up to k+1 at full acceptance)."
+        "tokens committed per verify pass (0.0 without speculation, at "
+        "most k+1 at full acceptance)."
     )
     if cosim:
         notes += (
@@ -1460,8 +1460,8 @@ def run_cosim_schedule(
 def run_fork(
     n_samples=4,
     beam_width=0,
-    n_requests=4,
-    mean_interarrival=4.0,
+    n_requests=8,
+    mean_interarrival=2.0,
     reserved_length=4,
     model=None,
     seed=0,

@@ -8,6 +8,7 @@ mode is smoke-run at its CI size — each run already asserts per-request
 token identity across its rows in-run.
 """
 
+import inspect
 import json
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 
 import repro.cli as cli
 from repro.cli import main
+from repro.experiments import serving
 
 BENCH = Path(__file__).resolve().parents[2] / "BENCH_serving.json"
 RECORDS = {
@@ -224,3 +226,38 @@ def test_interconnect_bandwidth_must_be_positive(capsys):
     assert exit_info.value.code == 2
     assert "--interconnect-gb-s" in _error_line(capsys)
 
+
+
+class _Parsed(Exception):
+    """Carries the keyword arguments a command would call its run_* with."""
+
+
+@pytest.mark.parametrize(
+    "argv, function",
+    [
+        (("serve-bench", "batch"), serving.run),
+        (("serve-bench", "prefix"), serving.run_prefix),
+        (("serve-bench", "preempt"), serving.run_preempt),
+        (("serve-bench", "schedule"), serving.run_cosim_schedule),
+        (("serve-bench", "spec"), serving.run_spec),
+        # The width group is required; 4 is run_fork's own n_samples.
+        (("serve-bench", "fork", "--n-samples", "4"), serving.run_fork),
+        (("serve-engine",), serving.run_engine),
+        (("serve-fleet",), serving.run_fleet),
+    ],
+)
+def test_unflagged_command_runs_the_function_defaults(argv, function, monkeypatch):
+    """A command given no optional flag calls its run_* with that
+    function's own defaults, so the CLI and a Python call serve the same
+    benchmark."""
+    kwargs = cli._kwargs
+
+    def capture(args):
+        raise _Parsed(kwargs(args))
+
+    monkeypatch.setattr(cli, "_kwargs", capture)
+    with pytest.raises(_Parsed) as parsed:
+        main(list(argv))
+    passed = parsed.value.args[0]
+    parameters = inspect.signature(function).parameters
+    assert passed == {name: parameters[name].default for name in passed}
