@@ -212,11 +212,6 @@ class ServingCoSimReport:
         return sum(self.ttft_cycles.values()) / len(self.ttft_cycles)
 
     @property
-    def max_ttft_cycles(self):
-        """Worst-case TTFT in cycles (0.0 when no prefill completed)."""
-        return max(self.ttft_cycles.values(), default=0.0)
-
-    @property
     def p95_ttft_cycles(self):
         """95th-percentile TTFT in accelerator cycles — the tail-latency
         number cost-guided chunking is judged on (0.0 when empty)."""
@@ -228,15 +223,6 @@ class ServingCoSimReport:
     def joules_per_token(self):
         """Modeled energy per produced token (0.0 on an empty trace)."""
         return self.energy_joules / self.total_tokens if self.total_tokens else 0.0
-
-    @property
-    def mean_decode_attention_cycles(self):
-        """Mean all-layer attention cycles per priced decode step."""
-        if not self.decode_attention_per_step:
-            raise ValueError("no decode steps priced")
-        return sum(self.decode_attention_per_step) / len(
-            self.decode_attention_per_step
-        )
 
     @property
     def utilization(self):
@@ -256,10 +242,6 @@ class ServingCoSimReport:
         :attr:`repro.serve.scheduler.ServingReport.tokens_per_target_pass`
         (1.0 would match plain decode; 0.0 without speculation)."""
         return self.spec_tokens / self.verify_passes if self.verify_passes else 0.0
-
-    def request_decode_attention(self, request_id):
-        """Per-step attention cycle trace of one request."""
-        return list(self.per_request_attention[request_id])
 
     def summary(self):
         """Flat dict of the aggregate metrics (for experiment tables)."""

@@ -8,12 +8,13 @@ scheduler's per-request working state while the request is live: its own
 (votes are per-sequence state), its sampling RNG, and the pending logits
 from which the next token will be sampled.
 
-The state machine is ``QUEUED -> [PREFILLING ->] RUNNING -> FINISHED``
-(the ``PREFILLING`` stage only exists under chunked prefill, where a
-prompt spans several scheduler rounds before its first token can be
-sampled); the per-phase timestamps it records (arrival, admission, first
-token, completion) are what the scheduler's latency statistics — TTFT,
-per-token latency, deadline misses — are computed from.
+The state machine is ``QUEUED -> PREFILLING -> RUNNING -> FINISHED``
+(a whole-prompt prefill passes through ``PREFILLING`` within its
+admission round; under chunked prefill a prompt stays there for several
+rounds before its first token can be sampled); the per-phase timestamps
+it records (arrival, admission, first token, completion) are what the
+scheduler's latency statistics — TTFT, per-token latency, deadline
+misses — are computed from.
 
 Two-way scheduling (``Scheduler(preempt=...)``) adds the preempted
 states: ``PREEMPTED`` (device state dropped; the sequence re-admits by
@@ -23,6 +24,23 @@ re-admits by swapping the saved blocks back in).  Both return to
 ``PREFILLING``/``RUNNING`` through the ordinary admission queue; see
 :class:`repro.serve.resources.KVResourceManager` for the resource side
 of the lifecycle.
+
+What each step of that lifecycle keeps is one table.  Every
+:class:`SequenceState` field declares a lifetime — ``identity`` (who the
+sequence is), ``record`` (the result so far: status, tokens, logs,
+timestamps, RNG stream), ``device`` (KV cache and eviction policy),
+``host`` (pending logits, draft cache) or ``derived`` (effective prompt,
+prefill progress, decode position, prefix-trie cursor) — and
+:data:`LIFECYCLE` lists, per transition (``admit``, ``prefill_done``,
+``swap_out``, ``swap_in``, ``recompute``, ``fork``, ``finish``), the
+statuses it leaves from, the status it enters, the lifetimes it drops
+and the fields its caller sets.  :func:`transition` applies a row; the
+scheduler changes a sequence's lifecycle stage only through it, and the
+resource manager returns caches, policies and swap images without
+touching the sequence.  One field has a rule beyond the table:
+``prefix_node`` reads back ``None`` once the trie has evicted the node
+(:func:`prefix_cursor`), so a sequence restored from a swap stops
+registering prompt blocks instead of inserting under a dead node.
 
 Which arrived request the scheduler admits next is an
 :class:`AdmissionPolicy` — a ``key(request, now)`` rank over the fields
@@ -57,7 +75,8 @@ Worked example — requests validate their inputs up front::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -72,6 +91,7 @@ __all__ = [
     "available_admissions",
     "Rejection",
     "SequenceState",
+    "transition",
     "QUEUED",
     "PREFILLING",
     "RUNNING",
@@ -393,65 +413,92 @@ class Rejection:
         }
 
 
+#: Field lifetimes: every :class:`SequenceState` field declares one, and
+#: the lifecycle table below says which lifetimes each transition drops.
+#: Who the sequence is: fixed at submission (a fork names its branch).
+IDENTITY = "identity"
+#: The result so far (status, sampled tokens, logs, timestamps, the RNG
+#: stream): every transition keeps it.
+RECORD = "record"
+#: Device-resident working state (KV cache, eviction policy): dropped
+#: whenever the sequence leaves the batch (swap-out, recompute, finish).
+DEVICE = "device"
+#: Host-side pending-step state (next-token logits, draft cache): it
+#: survives a swap and is dropped by recompute and finish.
+HOST = "host"
+#: Derived from this admission's prefill (effective prompt, prefill
+#: progress, decode position, prefix-trie cursor): only recompute drops
+#: it, to re-derive it by re-prefilling; a finished sequence keeps it.
+DERIVED = "derived"
+
+
+def _field(lifetime, default=MISSING, factory=MISSING):
+    metadata = {"lifetime": lifetime}
+    return field(default=default, default_factory=factory, metadata=metadata)
+
+
 @dataclass
 class SequenceState:
-    """Scheduler-side working state of one live request."""
+    """Scheduler-side working state of one live request.
 
-    request: Request
-    policy: object = None
-    cache: object = None
-    rng: object = None
-    status: str = QUEUED
+    Every field declares its lifetime; fields change lifecycle stage
+    only through :func:`transition`."""
+
+    request: Request = _field(IDENTITY)
+    policy: object = _field(DEVICE, None)
+    cache: object = _field(DEVICE, None)
+    rng: object = _field(RECORD, None)
+    status: str = _field(RECORD, QUEUED)
     #: Next-token logits pending a sampling decision.
-    logits: np.ndarray | None = None
+    logits: np.ndarray | None = _field(HOST, None)
     #: Absolute position of the next token to be decoded.
-    position: int = 0
-    tokens: list = field(default_factory=list)
-    cache_lengths: list = field(default_factory=list)
-    evictions: list = field(default_factory=list)
-    admitted_at: int | None = None
-    finished_at: int | None = None
-    finish_reason: str | None = None
+    position: int = _field(DERIVED, 0)
+    tokens: list = _field(RECORD, factory=list)
+    cache_lengths: list = _field(RECORD, factory=list)
+    evictions: list = _field(RECORD, factory=list)
+    admitted_at: int | None = _field(RECORD, None)
+    finished_at: int | None = _field(RECORD, None)
+    finish_reason: str | None = _field(RECORD, None)
     #: Round the first generated token was sampled (TTFT anchor); under
     #: chunked prefill this trails ``admitted_at`` by the prefill rounds.
-    first_token_round: int | None = None
+    first_token_round: int | None = _field(RECORD, None)
     #: Prompt tokens resident in the cache so far (prefix-cache hits plus
     #: prefilled chunks); equals the prompt length once prefill is done.
-    prefilled: int = 0
+    prefilled: int = _field(DERIVED, 0)
     #: Tokens this admission actually prefills: the request prompt for a
     #: fresh admission, the prompt *plus the tokens generated so far* for
     #: a ``PREEMPTED`` sequence being re-admitted (recompute preemption).
     #: Set by the scheduler at admission; ``None`` while queued.
-    prompt_tokens: np.ndarray | None = None
+    prompt_tokens: np.ndarray | None = _field(DERIVED, None)
     #: Times this sequence was preempted (either mode).
-    preemptions: int = 0
+    preemptions: int = _field(RECORD, 0)
     #: Prefix-trie node of the last full prompt block this sequence
     #: registered/adopted (chunked paged prefill resumes insertion here;
     #: a :class:`~repro.serve.prefix_cache.PrefixNode`, or ``None``).
-    prefix_node: object = None
+    #: Read through :func:`prefix_cursor` while registering.
+    prefix_node: object = _field(DERIVED, None)
     #: True when a partial/unsnapshotted prefix hit made this sequence's
     #: eviction-policy state impure (rows were adopted without their vote
     #: contributions): its own boundary exports are no longer pure
     #: functions of the prefix and are registered as ``policy_state=None``.
     #: Only ever set on unbudgeted sequences, which never consult the
     #: votes, so generated tokens stay bit-identical to a cold prefill.
-    prefix_tainted: bool = False
+    prefix_tainted: bool = _field(DERIVED, False)
     #: Monotone submission index (admission-policy tie-breaker).
-    submit_index: int = 0
+    submit_index: int = _field(IDENTITY, 0)
     #: Draft-model KV cache (speculative decoding).  Modeled as
     #: host-resident: it holds no device pool blocks, survives a swap
     #: (its contents are committed tokens, still valid at resume), and is
-    #: dropped with the rest of the derived state on recompute
-    #: preemption.  ``None`` until the sequence's first speculative
-    #: round, or when speculation is off.
-    draft_cache: object = None
+    #: dropped on recompute preemption.  ``None`` until the sequence's
+    #: first speculative round, or when speculation is off.
+    draft_cache: object = _field(HOST, None)
     #: Family id (the root request's id) when this sequence belongs to a
     #: fork family (parallel sampling or beam search); ``None`` otherwise.
-    family: object = None
+    family: object = _field(IDENTITY, None)
     #: Branch index within the family (0 = the root sequence).
-    branch_index: int = 0
+    branch_index: int = _field(IDENTITY, 0)
     #: Cumulative log-probability of the generated tokens (beam scoring).
-    cum_logprob: float = 0.0
+    cum_logprob: float = _field(RECORD, 0.0)
 
     @property
     def request_id(self):
@@ -492,13 +539,78 @@ class SequenceState:
             and self.finished_at > self.request.deadline
         )
 
-    def finish(self, round_index, reason):
-        self.status = FINISHED
-        self.finished_at = round_index
-        self.finish_reason = reason
-        # Release references to the heavyweight per-sequence state; the
-        # result fields (tokens, stats, eviction log) stay.
-        self.cache = None
-        self.policy = None
-        self.logits = None
-        self.draft_cache = None
+
+#: The lifecycle table: ``kind -> (source statuses, target status,
+#: dropped, set)``.  ``dropped`` names lifetimes (or single fields) the
+#: transition resets to their defaults; ``set`` names the fields the
+#: caller passes; every other field is kept.  A ``None`` target takes
+#: ``status`` from the caller.
+LIFECYCLE = {
+    # A recompute resume re-admits too; it keeps its RNG (tokens already
+    # sampled never consume the stream twice).
+    "admit": ("queued preempted", "prefilling", "", "prompt_tokens policy cache"),
+    "prefill_done": ("prefilling", "running", "", "logits position"),
+    # Pending logits, the draft cache and the trie cursor survive.
+    "swap_out": ("prefilling running", "swapped", "device", ""),
+    # Back to the status the swap image recorded.
+    "swap_in": ("swapped", None, "", "status cache policy"),
+    "recompute": ("prefilling running", "preempted", "device host derived", ""),
+    # A new branch: a copy of the parent (its logs copied, not shared)
+    # with its own request, a fresh RNG, a deep-copied policy and a
+    # forked cache; its preemption count restarts at 0.
+    "fork": (
+        "running", "running", "preemptions",
+        "request submit_index branch_index rng policy cache",
+    ),
+    "finish": ("running", "finished", "device host", "finished_at finish_reason"),
+}
+
+
+def _compile(sources, target, dropped, sets):
+    dropped = set(dropped.split())
+    writes = [
+        (f.name, f.default)
+        for f in fields(SequenceState)
+        if {f.name, f.metadata.get("lifetime")} & dropped
+    ]
+    if target is not None:
+        writes.append(("status", target))
+    return frozenset(sources.split()), writes, frozenset(sets.split())
+
+
+#: Each transition's ``(sources, writes, set)``, built once at import:
+#: ``writes`` are the dropped fields' defaults and the target status.
+_COMPILED = {kind: _compile(*row) for kind, row in LIFECYCLE.items()}
+#: Fields a fork copies instead of sharing (the per-sequence logs).
+_COPIED = [f.name for f in fields(SequenceState) if f.default_factory is not MISSING]
+
+
+def transition(state, kind, **values):
+    """Apply lifecycle transition ``kind`` (a :data:`LIFECYCLE` row) to
+    ``state`` and return it — for ``"fork"``, the new branch state,
+    leaving the parent untouched.
+
+    Raises ``ValueError`` when ``state`` is not in one of the row's
+    source statuses or ``values`` are not exactly the row's set fields.
+    """
+    sources, writes, sets = _COMPILED[kind]
+    if state.status not in sources or values.keys() != sets:
+        raise ValueError(f"illegal {kind} from {state.status!r}: {sorted(values)}")
+    if kind == "fork":
+        parent, state = state, copy.copy(state)
+        for name in _COPIED:
+            setattr(state, name, list(getattr(parent, name)))
+    for name, value in (*writes, *values.items()):
+        setattr(state, name, value)
+    return state
+
+
+def prefix_cursor(state):
+    """``state.prefix_node`` under the field's one rule: the trie may
+    evict a node whose blocks the sequence does not hold (a swapped-in
+    sequence restored into private blocks), and a registrant whose node
+    is ``detached`` stops registering — the field drops to ``None``."""
+    node = state.prefix_node
+    if node is not None and node.detached:
+        node = state.prefix_node = None
+    return node

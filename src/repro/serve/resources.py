@@ -70,25 +70,30 @@ Worked example — admit, swap out, swap in, retire against a fixed pool::
 
     >>> import numpy as np
     >>> from repro.config import tiny_config
-    >>> from repro.serve.request import Request, SequenceState, RUNNING
+    >>> from repro.serve.request import Request, SequenceState, transition
     >>> from repro.serve.resources import KVResourceManager
     >>> config = tiny_config()
     >>> manager = KVResourceManager(config, max_batch_size=2, paged=True,
     ...                             block_size=4, num_blocks=32,
     ...                             preempt="swap")
-    >>> state = SequenceState(Request("r0", np.arange(6), max_new_tokens=4))
-    >>> state.cache = manager.admit("r0", capacity=12)
+    >>> state = transition(
+    ...     SequenceState(Request("r0", np.arange(6), max_new_tokens=4)),
+    ...     "admit", prompt_tokens=np.arange(6), policy=None,
+    ...     cache=manager.admit("r0", capacity=12))
     >>> for position in range(6):            # prefill writes 6 slots/layer
     ...     for layer in state.cache:
     ...         layer.append(np.ones((config.n_heads, config.head_dim)),
     ...                      np.ones((config.n_heads, config.head_dim)),
     ...                      position)
-    >>> state.status = RUNNING
+    >>> _ = transition(state, "prefill_done", logits=None, position=6)
     >>> used_before = manager.block_pool.num_used
     >>> image = manager.swap_out(state)       # blocks freed, bytes saved
+    >>> _ = transition(state, "swap_out")
     >>> manager.block_pool.num_used, manager.slots_used, image.kv_slots
     (0, 0, 6)
-    >>> _ = manager.swap_in(state)            # bit-exact restore
+    >>> image = manager.swap_in(state)        # bit-exact restore
+    >>> _ = transition(state, "swap_in", status=image.resume_status,
+    ...                cache=image.cache, policy=image.policy)
     >>> manager.block_pool.num_used == used_before, state.cache[0].length
     (True, 6)
     >>> manager.retire("r0"); manager.block_pool.num_free
@@ -120,11 +125,13 @@ class SwapImage:
     retained live object (``policy``) when the policy is not
     ``swap_restorable``.  Copies are independent of the pool: blocks
     freed at swap-out may be handed to other sequences without
-    corrupting the image.
+    corrupting the image.  Swap-in returns the consumed image carrying
+    the restored ``cache`` and ``policy``; the scheduler hands them back
+    to the sequence through the ``swap_in`` lifecycle transition.
     """
 
     __slots__ = (
-        "status",
+        "resume_status",
         "capacity",
         "lengths",
         "keys",
@@ -132,34 +139,34 @@ class SwapImage:
         "positions",
         "policy",
         "policy_state",
+        "cache",
         "kv_slots",
         "blocks_out",
         "blocks_in",
     )
 
-    def __init__(self, status, capacity, lengths, keys, values, positions):
+    def __init__(self, resume_status, capacity, lengths, keys, values, positions):
         #: Sequence status at swap-out (``RUNNING`` or ``PREFILLING``),
-        #: restored verbatim at swap-in.
-        self.status = status
+        #: the status swap-in resumes.
+        self.resume_status = resume_status
         self.capacity = capacity
         #: Per-layer cache lengths at swap-out.
         self.lengths = lengths
         self.keys = keys
         self.values = values
         self.positions = positions
+        #: The policy to resume with: the retained live object until
+        #: swap-in, which rebuilds a snapshotted one here.
         self.policy = None
         self.policy_state = None
+        #: The restored device cache (set by ``swap_in``).
+        self.cache = None
         #: Per-layer KV slots moved (max over layers) — the trace unit.
         self.kv_slots = max(lengths) if lengths else 0
         #: Pool blocks the sequence dropped references to at swap-out.
         self.blocks_out = 0
         #: Pool blocks allocated at swap-in (set by ``swap_in``).
         self.blocks_in = 0
-
-    @property
-    def total_slots(self):
-        """KV slots held host-side, summed over layers."""
-        return sum(self.lengths)
 
 
 class KVResourceManager:
@@ -409,14 +416,20 @@ prefix_match_mode:
             demand += fresh
         return demand
 
-    def admission_block_demand(self, rows, budgeted, step_tokens=1):
+    def admission_block_demand(self, rows, prompt_length, budgeted, step_tokens=1):
         """Pool blocks a newly admitted sequence may claim in its
-        admission round: its first ``rows``-row prefill chunk into an
-        empty cache, plus either the copy-on-write of the full blocks
-        that chunk registers in the prefix cache (budgeted: the
-        shrink-to-budget eviction copies them) or the fresh tail blocks
-        the same-round first step of ``step_tokens`` appended slots
-        crosses into (unbudgeted: no eviction frees slack)."""
+        admission round: its first ``rows``-row prefill chunk (of a
+        ``prompt_length``-row effective prompt) into an empty cache,
+        plus either the copy-on-write of every full prompt block the
+        prefix cache shares (budgeted: the shrink-to-budget eviction
+        copies them) or the fresh tail blocks the same-round first step
+        of ``step_tokens`` appended slots crosses into (unbudgeted: no
+        eviction frees slack).
+
+        The copy-on-write term covers the whole prompt, not just the
+        first chunk: a prefix hit can leave so few rows to compute that
+        the first chunk is also the final one, and its shrink then
+        copies the adopted blocks as well as the ones it registers."""
         if not self.paged:
             return 0
         block_size = self.block_pool.block_size
@@ -427,7 +440,7 @@ prefix_match_mode:
             )
             demand += fresh * self.config.n_layers
         elif self.prefix_cache is not None:
-            demand += (rows // block_size) * self.config.n_layers
+            demand += (prompt_length // block_size) * self.config.n_layers
         return demand
 
     def swap_in_blocks_needed(self, request_id):
@@ -591,14 +604,14 @@ prefix_match_mode:
         reused by other sequences immediately.  Policy state goes with
         it: per-layer ``export_prefill_state`` snapshots when the policy
         is ``swap_restorable`` (the off-chip-vote-storage model), the
-        live object otherwise.  ``state.policy`` is cleared either way —
-        a swapped sequence holds no schedulable state.
+        live object otherwise.  ``state`` is only read: the ``swap_out``
+        lifecycle transition drops its device state.
         """
         request_id = state.request_id
         cache = self._admitted[request_id]
         lengths = [layer.length for layer in cache]
         image = SwapImage(
-            status=state.status,
+            resume_status=state.status,
             capacity=cache[0].capacity,
             lengths=lengths,
             keys=[np.array(layer.keys, copy=True) for layer in cache],
@@ -616,13 +629,11 @@ prefix_match_mode:
                 ]
             else:
                 image.policy = policy
-        state.policy = None
-        state.cache = None
 
         self.retire(request_id)
         self._swapped[request_id] = image
 
-        self.host_kv_slots += image.total_slots
+        self.host_kv_slots += sum(image.lengths)
         self.host_peak_kv_slots = max(self.host_peak_kv_slots, self.host_kv_slots)
         return image
 
@@ -630,8 +641,8 @@ prefix_match_mode:
         """Page a swapped sequence back onto the device: allocate a fresh
         cache, replay the saved slots, restore the eviction policy, and
         hand the slot back (a physical-slot check, as in :meth:`admit`).
-        Returns the consumed :class:`SwapImage` (``blocks_in`` filled
-        in)."""
+        Returns the consumed :class:`SwapImage` with ``cache``,
+        ``policy`` and ``blocks_in`` filled in; ``state`` is only read."""
         request_id = state.request_id
         image = self._swapped.pop(request_id)
         if self.slots_free <= 0:
@@ -643,9 +654,7 @@ prefix_match_mode:
                 cache[layer].append_block(
                     image.keys[layer], image.values[layer], image.positions[layer]
                 )
-        if image.policy is not None:
-            state.policy = image.policy
-        elif image.policy_state is not None:
+        if image.policy is None and image.policy_state is not None:
             if self.policy_factory is None:
                 raise RuntimeError(
                     "swap_in needs a policy_factory to rebuild a "
@@ -655,15 +664,13 @@ prefix_match_mode:
             policy.reset()
             for layer, snapshot in enumerate(image.policy_state):
                 policy.import_prefill_state(layer, snapshot, image.lengths[layer])
-            state.policy = policy
-
-        state.cache = cache
-        state.status = image.status
+            image.policy = policy
+        image.cache = cache
         self._reservations[request_id] = self.worst_case_blocks(image.capacity)
         if self.paged:
             image.blocks_in = cache.num_blocks
 
-        self.host_kv_slots -= image.total_slots
+        self.host_kv_slots -= sum(image.lengths)
         return image
 
     # ------------------------------------------------------------------

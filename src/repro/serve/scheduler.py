@@ -180,7 +180,6 @@ from repro.core.sampling import greedy
 from repro.core.policies.voting import VotingPolicy
 from repro.serve.request import (
     FINISHED,
-    PREEMPTED,
     PREFILLING,
     RUNNING,
     SWAPPED,
@@ -188,8 +187,10 @@ from repro.serve.request import (
     Request,
     SequenceState,
     make_admission,
+    prefix_cursor,
+    transition,
 )
-from repro.serve.resources import PREEMPT_MODES, KVResourceManager
+from repro.serve.resources import KVResourceManager
 from repro.serve.trace import (
     SWAP_IN,
     SWAP_OUT,
@@ -619,12 +620,7 @@ class Scheduler:
         draft_model=None,
         spec_k=4,
     ):
-        if max_batch_size <= 0:
-            raise ValueError("max_batch_size must be positive")
-        if preempt not in PREEMPT_MODES:
-            raise ValueError(
-                f"preempt must be one of {PREEMPT_MODES}, got {preempt!r}"
-            )
+        # max_batch_size and preempt are validated by KVResourceManager.
         if spec_k <= 0:
             raise ValueError(f"spec_k must be positive, got {spec_k}")
         if draft_model is not None:
@@ -812,7 +808,11 @@ class Scheduler:
                 needed_blocks=worst,
                 pool_blocks=pool_blocks,
             )
-        state = SequenceState(request=request, submit_index=self._submit_count)
+        state = SequenceState(
+            request=request,
+            submit_index=self._submit_count,
+            rng=np.random.default_rng(request.seed),
+        )
         self._submit_count += 1
         if request.num_branches > 1:
             state.family = request.request_id
@@ -1013,6 +1013,10 @@ class Scheduler:
         if record.busy:
             self.trace.append(record)
         self._retire()
+        # No live sequence keeps a trie node the round's allocations
+        # reclaimed (see prefix_cursor).
+        for state in self._running:
+            prefix_cursor(state)
         self.round_index += 1
 
     # ------------------------------------------------------------------
@@ -1149,7 +1153,7 @@ class Scheduler:
                     else min(chunk_budget, prompt_length)
                 )
                 need = manager.admission_block_demand(
-                    rows_now, budget is not None, self._step_rows
+                    rows_now, prompt_length, budget is not None, self._step_rows
                 )
             if not self._make_room(state, worst, need, record):
                 break
@@ -1157,6 +1161,10 @@ class Scheduler:
 
             if swapped:
                 image = manager.swap_in(state)
+                transition(
+                    state, "swap_in", status=image.resume_status,
+                    cache=image.cache, policy=image.policy,
+                )
                 record.swaps.append(
                     SwapEvent(
                         state.request_id,
@@ -1168,19 +1176,13 @@ class Scheduler:
                 self._running.append(state)
                 continue  # no prefill rows: chunk budget untouched
 
-            state.prompt_tokens = self._effective_prompt(state)
-            state.policy = self.policy_factory()
-            state.policy.reset()
-            if state.status != PREEMPTED:
-                # A recompute resume keeps its RNG: tokens already
-                # sampled never consume the stream twice.
-                state.rng = np.random.default_rng(request.seed)
-            state.cache = manager.admit(
-                request.request_id,
-                sequence_capacity(prompt_length, remaining, budget),
-                worst,
+            policy = self.policy_factory()
+            policy.reset()
+            capacity = sequence_capacity(prompt_length, remaining, budget)
+            transition(
+                state, "admit", prompt_tokens=self._effective_prompt(state),
+                policy=policy, cache=manager.admit(request.request_id, capacity, worst),
             )
-            state.status = PREFILLING
             if state.admitted_at is None:
                 state.admitted_at = self.round_index
 
@@ -1237,10 +1239,18 @@ class Scheduler:
                 worst + reserved_blocks, immediate(), slots=1 + reserved_slots
             ):
                 return True
-            if not manager.preemptible:
+            candidates = manager.preemptible and self._victim_candidates()
+            if not candidates:
                 return False
-            victim = self._select_victim()
-            if victim is None or not self._outranks(state, victim):
+            victim = min(candidates, key=self._victim_rank)
+            # Only a candidate that strictly outranks the victim under the
+            # admission policy preempts it (deadline pressure under EDF,
+            # priority under priority-with-aging; under FIFO only an
+            # older arrival, e.g. a previously preempted sequence).
+            # Strictness keeps two equal ranks from trading one slot
+            # forever.
+            key, now = self.admission.key, self.round_index
+            if not key(state.request, now) < key(victim.request, now):
                 return False
             self._preempt(victim, record)
 
@@ -1262,28 +1272,6 @@ class Scheduler:
     def _victim_candidates(self):
         """Resident sequences preemption may evict."""
         return [s for s in self._running if s.status in (RUNNING, PREFILLING)]
-
-    def _select_victim(self):
-        """The running sequence two-way scheduling would evict next."""
-        candidates = self._victim_candidates()
-        if not candidates:
-            return None
-        return min(candidates, key=self._victim_rank)
-
-    def _admission_key(self, request):
-        return self.admission.key(request, self.round_index)
-
-    def _outranks(self, candidate, victim):
-        """Whether ``candidate`` strictly outranks ``victim`` under the
-        admission policy — the gate on admission-pressure preemption
-        (deadline pressure under EDF, priority pressure under
-        priority-with-aging; under FIFO only an older arrival — e.g. a
-        previously preempted sequence — outranks).  Strictness prevents
-        two equally-ranked requests from trading the same slot forever.
-        """
-        return self._admission_key(candidate.request) < self._admission_key(
-            victim.request
-        )
 
     def _choose_preempt_mode(self, state):
         """Pick recompute or swap for this victim from predicted cost.
@@ -1324,7 +1312,7 @@ class Scheduler:
             mode = self._choose_preempt_mode(state)
         if mode == "swap":
             image = self.manager.swap_out(state)
-            state.status = SWAPPED
+            transition(state, "swap_out")
             record.swaps.append(
                 SwapEvent(
                     state.request_id,
@@ -1335,19 +1323,7 @@ class Scheduler:
             )
         else:
             self.manager.retire(state.request_id)
-            state.status = PREEMPTED
-            state.cache = None
-            state.policy = None
-            state.logits = None
-            state.position = 0
-            state.prefilled = 0
-            state.prompt_tokens = None
-            state.prefix_node = None
-            state.prefix_tainted = False
-            # Recompute drops *all* derived state, the (host-resident)
-            # draft cache included; a swap victim keeps its draft cache —
-            # its contents are committed tokens, still valid at resume.
-            state.draft_cache = None
+            transition(state, "recompute")
         self._enqueue(state)
 
     def _ensure_headroom(self, record):
@@ -1447,9 +1423,7 @@ class Scheduler:
                 log=state.evictions,
             )
             state.cache_lengths.append(state.cache[0].length)
-            state.logits = logits
-            state.position = total
-            state.status = RUNNING
+            transition(state, "prefill_done", logits=logits, position=total)
             if state.family is not None:
                 family = self._families[state.family]
                 if family.mode == "sample" and not family.spawned:
@@ -1482,7 +1456,9 @@ class Scheduler:
             prompt[start:end], state.cache, start_position=start
         )
         positions = np.arange(end)
-        registering = state.prefix_node is not None
+        # After the forward: this chunk's own allocations may have made
+        # the trie reclaim the node (see prefix_cursor).
+        registering = prefix_cursor(state) is not None
         bounds = [start, end]
         if registering:
             block = self.manager.prefix_cache.block_size
@@ -1709,29 +1685,13 @@ class Scheduler:
             n=1,
             beam_width=1,
         )
-        child = SequenceState(
-            request=child_request,
+        child = transition(
+            parent, "fork", request=child_request, submit_index=self._submit_count,
+            branch_index=branch_index, rng=np.random.default_rng(child_request.seed),
             policy=copy.deepcopy(parent.policy),
-            rng=np.random.default_rng(child_request.seed),
-            status=RUNNING,
-            logits=parent.logits,
-            position=parent.position,
-            tokens=list(parent.tokens),
-            cache_lengths=list(parent.cache_lengths),
-            evictions=list(parent.evictions),
-            admitted_at=parent.admitted_at,
-            first_token_round=parent.first_token_round,
-            prefilled=parent.prefilled,
-            prompt_tokens=parent.prompt_tokens,
-            submit_index=self._submit_count,
-            prefix_node=parent.prefix_node,
-            prefix_tainted=parent.prefix_tainted,
-            family=parent.family,
-            branch_index=branch_index,
-            cum_logprob=parent.cum_logprob,
+            cache=self.manager.fork(parent.request_id, child_id),
         )
         self._submit_count += 1
-        child.cache = self.manager.fork(parent.request_id, child_id)
         family.branches.append(child)
         self._running.append(child)
         kv_slots = max((layer.length for layer in child.cache), default=0)
@@ -1746,13 +1706,6 @@ class Scheduler:
             )
         )
         return child
-
-    def _prune(self, state):
-        """Beam pruning: retire a losing branch, releasing its cache tail
-        back to the pool immediately (blocks still shared with siblings
-        just drop a refcount)."""
-        self.manager.retire(state.request_id)
-        state.finish(self.round_index, "beam_pruned")
 
     def _advance_beams(self, record):
         """Jointly advance every beam family that has all live branches
@@ -1809,7 +1762,10 @@ class Scheduler:
             by_branch.setdefault(order, []).append((raw, token))
         for order, state in enumerate(live):
             if order not in by_branch:
-                self._prune(state)
+                # Beam pruning: the losing branch's cache tail goes back
+                # to the pool now (blocks shared with siblings just drop
+                # a refcount).
+                self._finish(state, "beam_pruned")
         for order, state in enumerate(live):
             successors = by_branch.get(order)
             if not successors:
@@ -2011,7 +1967,7 @@ class Scheduler:
 
     def _finish(self, state, reason):
         self.manager.retire(state.request_id)
-        state.finish(self.round_index, reason)
+        transition(state, "finish", finished_at=self.round_index, finish_reason=reason)
 
     def _retire(self):
         finished = [s for s in self._running if s.status == FINISHED]

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from repro.config import tiny_config
 from repro.core.policies.voting import VotingPolicy
-from repro.serve.request import PREFILLING, RUNNING, SWAPPED, Request, SequenceState
+from repro.serve.request import (
+    PREFILLING,
+    RUNNING,
+    Request,
+    SequenceState,
+    transition,
+)
 from repro.serve.resources import KVResourceManager
 
 
@@ -48,6 +54,28 @@ def assert_image_matches(state):
         np.testing.assert_array_equal(layer.keys, pattern[:, :length])
         np.testing.assert_array_equal(layer.values, -pattern[:, :length])
         np.testing.assert_array_equal(layer.positions, np.arange(length))
+
+
+def swap_out(manager, state):
+    """Swap ``state`` out as the scheduler does: the manager pages it to
+    the host pool, the lifecycle transition drops its device state."""
+    image = manager.swap_out(state)
+    transition(state, "swap_out")
+    return image
+
+
+def swap_in(manager, state):
+    """Swap ``state`` back in: the manager restores the cache and policy,
+    the lifecycle transition hands them to the sequence."""
+    image = manager.swap_in(state)
+    transition(
+        state,
+        "swap_in",
+        status=image.resume_status,
+        cache=image.cache,
+        policy=image.policy,
+    )
+    return image
 
 
 @st.composite
@@ -108,8 +136,7 @@ class TestManagerConservation:
                 request_id = admitted[pick % len(admitted)]
                 state = states[request_id]
                 if preempt == "swap":
-                    manager.swap_out(state)
-                    state.status = SWAPPED
+                    swap_out(manager, state)
                     swapped.add(request_id)
                 else:
                     manager.retire(request_id)
@@ -123,7 +150,7 @@ class TestManagerConservation:
                     manager.swap_in_blocks_needed(request_id)
                 ):
                     continue
-                manager.swap_in(state)
+                swap_in(manager, state)
                 swapped.discard(request_id)
                 # Restored bit-exactly, even though the blocks freed at
                 # swap-out may have been scribbled over by other
@@ -171,7 +198,7 @@ class TestManagerConservation:
                 victim = sorted(set(states) - swapped)[0]
                 manager.retire(victim)
                 del states[victim]
-            manager.swap_in(state)
+            swap_in(manager, state)
             assert_image_matches(state)
         for request_id in sorted(states):
             manager.retire(request_id)
@@ -205,9 +232,10 @@ class TestManagerConservation:
         expected = [policy.vote_counts(layer) for layer in range(CONFIG.n_layers)]
         state.policy = policy
 
-        manager.swap_out(state)
-        assert state.policy is None  # snapshot path pages the votes out
-        manager.swap_in(state)
+        image = swap_out(manager, state)
+        # The snapshot path pages the votes out; no live object retained.
+        assert image.policy is None and image.policy_state is not None
+        swap_in(manager, state)
         assert isinstance(state.policy, VotingPolicy)
         assert state.policy is not policy  # rebuilt, not retained
         for layer in range(CONFIG.n_layers):
@@ -243,9 +271,9 @@ class TestManagerConservation:
             pool.release(block)  # drop the allocation refs; cache + entry remain
         assert all(pool.refcount(b) == 2 for b in shared)
 
-        manager.swap_out(state)
+        swap_out(manager, state)
         assert all(pool.refcount(b) == 1 for b in shared)  # entry's ref only
-        manager.swap_in(state)
+        swap_in(manager, state)
         # Swap-in restores into private blocks; the shared originals
         # keep exactly the prefix cache's reference.
         assert all(pool.refcount(b) == 1 for b in shared)

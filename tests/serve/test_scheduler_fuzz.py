@@ -18,7 +18,16 @@ import pytest
 
 from repro.core.engine import budget_from_ratio
 from repro.core.policies import VotingPolicy
-from repro.serve import Request, Scheduler
+from repro.serve import (
+    PREEMPTED,
+    PREFILLING,
+    QUEUED,
+    RUNNING,
+    SWAPPED,
+    KVResourceManager,
+    Request,
+    Scheduler,
+)
 
 
 def fuzz_trace(model, seed):
@@ -94,36 +103,86 @@ def test_fuzzed_traces_leak_free_and_output_stable(model, seed, block_size):
     assert pool.num_free == pool.num_blocks
 
 
+def check_lifecycle(scheduler):
+    """Round-boundary lifecycle invariants: each live state's status
+    matches the one collection holding it (the waiting queue, the running
+    batch, or the manager's swap images), and every live registrant's
+    prefix-trie node is ``None`` or still attached."""
+    swapped = scheduler.manager._swapped
+    waiting = scheduler._waiting
+    running = scheduler._running
+    assert not {id(s) for s in waiting} & {id(s) for s in running}
+    for state in waiting:
+        assert state.status in (QUEUED, PREEMPTED, SWAPPED)
+        assert (state.status == SWAPPED) == (state.request_id in swapped)
+    for state in running:
+        assert state.status in (PREFILLING, RUNNING)
+        assert state.request_id not in swapped
+        node = state.prefix_node
+        if state.status == PREFILLING and node is not None:
+            assert not node.detached, f"{state.request_id} registers under a detached node"
+    assert len(swapped) == sum(s.status == SWAPPED for s in waiting)
+
+
+def step_to_completion(scheduler, max_rounds=5000):
+    """Drive ``scheduler`` one ``run_round`` at a time, checking the
+    lifecycle invariants after every round."""
+    for _ in range(max_rounds):
+        if scheduler.done:
+            return
+        scheduler.run_round()
+        check_lifecycle(scheduler)
+    raise AssertionError(f"not drained after {max_rounds} rounds")
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_fixed_pool_completes_with_admission_gating(model, seed):
-    """An adequately sized fixed pool serves the whole trace; admission
-    stalls under block pressure instead of overflowing, and outputs stay
-    bit-identical (tokens are batch-composition invariant)."""
+@pytest.mark.parametrize("preempt", ["off", "swap", "recompute"])
+def test_fixed_pool_completes_with_admission_gating(model, seed, preempt):
+    """A fixed pool serves the whole trace.  One-way scheduling gets room
+    for two worst-case sequences: admission stalls under block pressure
+    instead of overflowing.  Two-way scheduling, with chunked prefill, gets
+    room for one: sequences are swapped or recomputed through the prefix
+    trie.  Outputs stay bit-identical to dense (tokens are batch-
+    composition invariant) — under recompute only for sequences whose
+    eviction state a re-prefill re-derives exactly (unbudgeted or never
+    preempted)."""
     requests = fuzz_trace(model, seed + 100)
     dense, _ = serve(model, requests)
     block_size = 4
     n_layers = model.config.n_layers
-    worst = max(
-        -(-(max(r.prompt.shape[0], r.budget or 0) + r.max_new_tokens + 1)
-          // block_size)
-        for r in requests
-    )
-    # Room for two worst-case sequences: forces real admission stalls on
-    # most traces while staying serviceable.
-    num_blocks = 2 * worst * n_layers + n_layers
-    paged, report = serve(
+    if preempt == "off":
+        worst = max(
+            -(-(max(r.prompt.shape[0], r.budget or 0) + r.max_new_tokens + 1)
+              // block_size)
+            for r in requests
+        )
+        # Room for two worst-case sequences: forces real admission stalls
+        # on most traces while staying serviceable.
+        num_blocks = 2 * worst * n_layers + n_layers
+    else:
+        sizing = KVResourceManager(model.config, 1, paged=True, block_size=block_size)
+        num_blocks = n_layers + max(
+            sizing.sequence_worst_blocks(r.prompt.shape[0], r.max_new_tokens, r.budget)
+            for r in requests
+        )
+    paged = Scheduler(
         model,
-        requests,
+        policy_factory=lambda: VotingPolicy(model.config.n_layers, reserved_length=4),
+        max_batch_size=4,
         paged=True,
         block_size=block_size,
         num_blocks=num_blocks,
-        max_batch_size=4,
+        preempt=preempt,
+        prefill_chunk=None if preempt == "off" else 8,
     )
-    assert len(paged.results()) == len(requests)
     for request in requests:
-        assert paged.tokens_for(request.request_id) == dense.tokens_for(
-            request.request_id
-        )
+        paged.submit(request)
+    step_to_completion(paged)
+    assert len(paged.results()) == len(requests)
+    for state in paged.results():
+        if preempt == "recompute" and state.request.budget and state.preemptions:
+            continue
+        assert state.tokens == dense.tokens_for(state.request_id)
     paged.manager.clear_prefix_cache()
     assert paged.manager.block_pool.num_free == paged.manager.block_pool.num_blocks
 
