@@ -328,7 +328,8 @@ class AccumulatedScorePolicy(ScoredPolicy):
             raise ValueError(f"attn must be (H, l), got shape {attn.shape}")
         row = attn.mean(axis=0)
         scores = self._ensure_length(layer, row.shape[0])
-        scores[: self._lengths[layer]] *= self.decay
+        if self.decay != 1.0:  # x * 1.0 == x: H2O's unit decay is a no-op
+            scores[: self._lengths[layer]] *= self.decay
         scores[: row.shape[0]] += self._contribution(row)
 
     def select_victim(self, layer, positions):
