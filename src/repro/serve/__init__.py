@@ -1,6 +1,8 @@
 """Batched serving subsystem: requests and admission policies, sequence
 state, the continuous-batching scheduler (with Sarathi-style chunked
-prefill and two-way preemption/swap scheduling), the unified resource
+prefill and two-way preemption/swap scheduling) and the two stage units
+it calls (fork families; prompt prefill through the prefix trie), the
+unified resource
 manager (batch slots, pool blocks, prefix reservations, the modeled host
 swap pool), the async serving engine (streaming submission, per-request
 handles), the paged KV memory layer (block pool, paged caches,

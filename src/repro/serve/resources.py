@@ -732,20 +732,8 @@ prefix_match_mode:
         return fields
 
     # ------------------------------------------------------------------
-    # Prefix cache: registration and teardown
+    # Prefix cache teardown
     # ------------------------------------------------------------------
-    def register_prefix_block(self, parent, tokens, cache, block_index, policy_state):
-        """Register ``cache``'s freshly prefilled full block
-        ``block_index`` (holding ``tokens``) under trie node ``parent``;
-        returns the node to register the next block under."""
-        return self.prefix_cache.insert(
-            parent,
-            tokens,
-            [layer.block_ids[block_index] for layer in cache],
-            policy_state,
-            self.block_pool,
-        )
-
     def clear_prefix_cache(self):
         """Drop every prefix-cache entry, returning its blocks to the
         pool (end-of-trace teardown)."""

@@ -30,35 +30,16 @@ one sampling pass, one batched decode step).  Request arrival times are
 expressed in rounds.
 
 Paged mode (``paged=True``) swaps the dense per-sequence slabs for
-fixed-size blocks from a shared :class:`~repro.serve.paging.BlockPool`
-and shares full prompt-prefix blocks across requests through a
-:class:`~repro.serve.prefix_cache.PrefixCache` (copy-on-write, with
-eviction-policy state snapshots).  The scheduler itself never branches
-on the layout: the :class:`~repro.serve.resources.KVResourceManager`
-answers every block and pool question (demand, capacity, fork
-footprint, KV usage), and there is one prefill path — model
-continuation over the range, one ``observe_continuation`` per layer —
-which splits observation at block boundaries only while the sequence
-registers its prompt blocks in the prefix trie (each boundary needs a
-policy snapshot).  The equivalence guarantee extends to paging: tokens
-are bit-identical dense vs paged, at any block size, with or without
-prefix hits — ``tests/serve/test_paged_equivalence.py`` and the fuzz
-suite lock this in.
-
-Chunked prefill (``prefill_chunk=N``) bounds the prompt rows computed
-per round, Sarathi-style: an admitted prompt is prefilled in N-token
-chunks interleaved with the running batch's decode rounds (the sequence
-sits in the ``PREFILLING`` state, holding a batch slot but not sampling,
-until its last chunk lands).  A chunk is one segment of the model's
-forward (row-count-invariant linear layers, width-invariant softmax),
-so every prompt token's keys, values, attention rows and the final
-logits are bitwise those of the whole-prompt prefill — the hidden state
-is exact, not only the tokens — and every policy's
-``observe_continuation`` is chunk-invariant, so generated tokens and
-eviction logs are bit-identical at any chunk budget.  The win is
-latency shape only: no single round carries a whole long prompt, so
-decode rounds never stall behind one (the head-of-line cycle spike
-visible in ``serve-bench batch --cosim``).
+fixed-size blocks from a shared :class:`~repro.serve.paging.BlockPool`.
+The scheduler itself never branches on the layout: the
+:class:`~repro.serve.resources.KVResourceManager` answers every block and
+pool question (demand, capacity, fork footprint, KV usage), and every
+prompt range — a whole prompt or, with ``prefill_chunk=N``, one
+Sarathi-style chunk interleaved with decode rounds — is one call into
+:class:`~repro.serve.prefill.PrefixPrefill`, which runs the prefix-trie
+protocol (copy-on-write attach, snapshot import, block registration) and
+keeps tokens bit-identical dense vs paged and at any chunk budget.  The
+scheduler keeps the round's chunk-budget accounting.
 
 Admission order is an :class:`~repro.serve.request.AdmissionPolicy`
 (``admission``, a policy or its name): FIFO by arrival by default, or
@@ -122,13 +103,10 @@ modeled host-resident: it consumes no pool blocks, survives a swap, and
 is dropped with the rest of the device state on a recompute preemption.
 
 Fork families (``Request(n=)`` parallel sampling, ``Request(beam_width=)``
-beam search) fork branches that adopt the parent's KV state —
-copy-on-write blocks when paged, a slab copy when dense — and decode
-through the same windows.  A family is admitted against the slots (and,
-one-way, the worst-case blocks) of every branch it may still fork, and
-while any branch is resident those branches' claims are computed from
-the family's state wherever admission or the router reads free
-capacity; the resource manager keeps no copy of them.
+beam search) decode through the same windows.  Their records and
+decisions — branch namespace, claims, spawns, beam steps, results — are
+:class:`~repro.serve.families.ForkFamilies`; the scheduler applies the
+effects (forking a branch, committing its tokens, finishing it).
 
 Every round is also recorded in :attr:`Scheduler.trace` (prefill row
 counts; one decode window per running sequence — its rows, its first
@@ -165,7 +143,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -175,9 +153,10 @@ from repro.core.engine import (
     sequence_capacity,
     unservable_reason,
 )
-from repro.core.policies.base import PREFILL
 from repro.core.sampling import greedy
 from repro.core.policies.voting import VotingPolicy
+from repro.serve.families import ForkFamilies
+from repro.serve.prefill import PrefixPrefill, effective_prompt
 from repro.serve.request import (
     FINISHED,
     PREFILLING,
@@ -187,7 +166,6 @@ from repro.serve.request import (
     Request,
     SequenceState,
     make_admission,
-    prefix_cursor,
     transition,
 )
 from repro.serve.resources import KVResourceManager
@@ -452,41 +430,6 @@ class ServingReport:
         return summary
 
 
-@dataclass
-class _ForkFamily:
-    """Book-keeping for one multi-branch request (``n`` or ``beam_width``).
-
-    The family's root sequence is ``branches[0]``; spawned branches are
-    appended in creation order and keep ids ``<root_id>#<branch_index>``.
-    Pruned/finished branches stay in ``branches`` (results are read from
-    them); liveness is judged by their status.
-    """
-
-    #: The originally submitted multi-branch :class:`Request`.
-    request: object
-    #: ``"sample"`` (``n > 1``) or ``"beam"`` (``beam_width > 1``).
-    mode: str
-    #: Target branch count (``n`` or ``beam_width``).
-    width: int
-    #: Every :class:`SequenceState` ever in the family, creation order.
-    branches: list = field(default_factory=list)
-    #: Next branch index to assign (the root is branch 0).
-    next_branch: int = 1
-    #: Worst-case pool blocks of one branch over its life (scales the
-    #: family's block-side claim under one-way mode).
-    branch_worst: int = 0
-    #: Sample mode: True once the root has spawned its ``n - 1``
-    #: siblings (a one-shot event, unlike beam's rolling forks).
-    spawned: bool = False
-
-
-def _namespace_owner(request_id):
-    """The family id (as a string) whose ``<family id>#<int>`` branch
-    namespace holds ``request_id``, else ``None``."""
-    family, sep, index = str(request_id).rpartition("#")
-    return family if sep and index.isdigit() else None
-
-
 class Scheduler:
     """Continuous-batching serving loop over one model.
 
@@ -686,7 +629,7 @@ class Scheduler:
         #: The one owner of every device resource a sequence can hold:
         #: batch slots, pool blocks, prefix-cache reservations, and the
         #: modeled host swap pool.
-        self.manager = KVResourceManager(
+        manager = self.manager = KVResourceManager(
             model.config,
             max_batch_size=self.max_batch_size,
             paged=paged,
@@ -699,19 +642,19 @@ class Scheduler:
             policy_factory=self.policy_factory,
         )
 
+        #: Every prompt range's prefill, through the prefix trie.
+        self.prefiller = PrefixPrefill(
+            model, manager.prefix_cache, manager.block_pool, self.policy_factory
+        )
+        self.families = ForkFamilies()
         self._waiting = []  # SequenceState, sorted by (arrival, submit order)
         self._running = []  # SequenceState, admission order
         self._finished = []
-        self._families = {}  # family id (root request id) -> _ForkFamily
-        #: The families with a branch not yet finished, submission order:
-        #: what the per-round family walks visit, so their cost follows
-        #: the live families, not every family ever submitted.
-        self._live_families = {}
+        #: Every accepted id (submissions and forked branches) -> its
+        #: state, in submission order: ids are never reused within one
+        #: scheduler, and a state's ``submit_index`` is its position here.
+        self._states = {}
         self._rejected = []  # Rejection records, submission order
-        self._submit_count = 0
-        #: Throwaway policy instance backing :meth:`prefix_probe` (the
-        #: probe only needs its ``prefix_state_key``); built lazily.
-        self._probe_policy = None
         #: Per-round hardware trace (:class:`~repro.serve.trace.RoundTrace`
         #: per non-empty round), consumed by
         #: :class:`~repro.serve.cosim.ServingCoSimulator`.
@@ -766,26 +709,9 @@ class Scheduler:
             raise TypeError(f"expected Request, got {type(request).__name__}")
         # Finished ids stay reserved too: results are keyed by request id
         # (``tokens_for``, report rows), so reuse would make them ambiguous.
-        seen = {
-            s.request_id
-            for s in self._waiting + self._running + self._finished
-        }
-        if request.request_id in seen or self._namespace_clash(request, seen):
+        if request.request_id in self._states or self.families.clashes(request):
             raise KeyError(f"duplicate request id {request.request_id!r}")
-        if request.num_branches > 1:
-            if self.draft_model is not None:
-                raise ValueError(
-                    "fork families (n > 1 / beam_width > 1) are incompatible "
-                    "with speculative decoding: a branch's provisional verify "
-                    "window would be shared copy-on-write with its siblings, "
-                    "so rollback could not stay per-branch exact"
-                )
-            if request.num_branches > self.max_batch_size:
-                raise ValueError(
-                    f"request {request.request_id!r} needs "
-                    f"{request.num_branches} batch slots for its branches "
-                    f"but max_batch_size is {self.max_batch_size}"
-                )
+        self.families.check(request, self.max_batch_size, self.draft_model)
         problem = unservable_reason(
             self.model.config,
             request.prompt,
@@ -810,40 +736,19 @@ class Scheduler:
             )
         state = SequenceState(
             request=request,
-            submit_index=self._submit_count,
+            submit_index=len(self._states),
             rng=np.random.default_rng(request.seed),
         )
-        self._submit_count += 1
+        self._states[request.request_id] = state
+        self.families.note(request.request_id)
         if request.num_branches > 1:
             state.family = request.request_id
-            family = self._families[request.request_id] = _ForkFamily(
-                request=request,
-                mode="sample" if request.n > 1 else "beam",
-                width=request.num_branches,
-                branches=[state],
-                branch_worst=self.manager.sequence_worst_blocks(
-                    request.prompt.shape[0],
-                    request.max_new_tokens,
-                    request.budget,
-                ),
+            worst = self.manager.sequence_worst_blocks(
+                request.prompt.shape[0], request.max_new_tokens, request.budget
             )
-            self._live_families[request.request_id] = family
+            self.families.open(state, worst)
         self._enqueue(state)
         return state
-
-    def _namespace_clash(self, request, seen):
-        """Whether ``request`` collides with a fork family's
-        ``<family id>#<int>`` branch namespace: its id lies in a known
-        family's, or it opens a family whose namespace already holds one
-        of the ``seen`` ids.  The whole namespace is checked, not just
-        ``1..width-1``: beam families mint branch ids past their width."""
-        owner = _namespace_owner(request.request_id)
-        if owner is not None and any(str(f) == owner for f in self._families):
-            return True
-        if request.num_branches > 1:
-            family = str(request.request_id)
-            return any(_namespace_owner(rid) == family for rid in seen)
-        return False
 
     def _enqueue(self, state):
         """Put ``state`` in the waiting queue, kept sorted by (arrival,
@@ -908,7 +813,7 @@ class Scheduler:
         """Free KV capacity for the router's tie-breaks: free pool
         blocks when paged, free batch slots when dense (less the slots
         resident fork families hold for their unforked branches)."""
-        return self.manager.free_kv_capacity(self._family_reserved()[0])
+        return self.manager.free_kv_capacity(self.families.claims()[0])
 
     def prefix_probe(self, request):
         """Longest cached prefix (in tokens) this scheduler's radix trie
@@ -920,19 +825,7 @@ class Scheduler:
         placement decision cannot perturb any replica's cache behavior.
         Returns 0 when prefix sharing cannot apply (dense mode, prefix
         caching off, or a non-shareable eviction policy)."""
-        prefix_cache = self.manager.prefix_cache
-        if prefix_cache is None:
-            return 0
-        policy = self._probe_policy
-        if policy is None:
-            policy = self._probe_policy = self.policy_factory()
-        if not policy.prefix_shareable:
-            return 0
-        return prefix_cache.probe(
-            np.asarray(request.prompt),
-            policy.prefix_state_key(),
-            budgeted=request.budget is not None,
-        )
+        return self.prefiller.probe(request)
 
     # ------------------------------------------------------------------
     # Scheduling loop
@@ -995,28 +888,26 @@ class Scheduler:
         self._ensure_headroom(record)
         chunk_budget = self._continue_prefills(record)
         self._admit(record, chunk_budget)
-        self._peak_concurrency = max(self._peak_concurrency, len(self._running))
         self.manager.sample_usage()
 
         self._sample(record)
-        beam_ready = None
-        if self._live_families:
-            beam_ready = {id(s) for s in self._advance_beams(record)}
+        # A beam branch decodes only in a round its family advanced.
+        beam_ready = {id(s) for s in self._advance_beams(record)}
+        # Nothing leaves the batch between admission and here; beam
+        # advances only add forked branches to it.
+        self._peak_concurrency = max(self._peak_concurrency, len(self._running))
         active = [
             s
             for s in self._running
             if s.status == RUNNING
-            and (beam_ready is None or not self._is_beam(s) or id(s) in beam_ready)
+            and (not self.families.is_beam(s) or id(s) in beam_ready)
         ]
         if active:
             self._decode(active, record)
         if record.busy:
             self.trace.append(record)
         self._retire()
-        # No live sequence keeps a trie node the round's allocations
-        # reclaimed (see prefix_cursor).
-        for state in self._running:
-            prefix_cursor(state)
+        self.prefiller.sweep(self._running)
         self.round_index += 1
 
     # ------------------------------------------------------------------
@@ -1180,29 +1071,18 @@ class Scheduler:
             policy.reset()
             capacity = sequence_capacity(prompt_length, remaining, budget)
             transition(
-                state, "admit", prompt_tokens=self._effective_prompt(state),
+                state, "admit", prompt_tokens=effective_prompt(state),
                 policy=policy, cache=manager.admit(request.request_id, capacity, worst),
             )
             if state.admitted_at is None:
                 state.admitted_at = self.round_index
 
-            self._attach_prefix(state)
+            self.prefiller.attach(state)
             rows = self._chunk_rows(state, chunk_budget)
             self._prefill_state(state, rows, record)
             if chunk_budget is not None:
                 chunk_budget -= rows
             self._running.append(state)
-
-    def _effective_prompt(self, state):
-        """The tokens this admission must prefill: the request prompt,
-        extended with the already-generated tokens for a recompute
-        resume (their KV entries are rebuilt by prefilling them — exact
-        when no eviction budget reshaped the cache)."""
-        prompt = state.request.prompt
-        if not state.tokens:
-            return prompt
-        generated = np.asarray(state.tokens, dtype=prompt.dtype)
-        return np.concatenate([prompt, generated])
 
     # ------------------------------------------------------------------
     # Two-way scheduling (preemption)
@@ -1214,7 +1094,7 @@ class Scheduler:
         (what two-way scheduling checks, on top of the resident batch's
         round demand).  The claims of fork families on the branches they
         may still fork — the resident families' and the candidate's own
-        (:meth:`_family_reserved`) — are set aside first.  Under two-way
+        (:meth:`ForkFamilies.claims`) — are set aside first.  Under two-way
         scheduling this may preempt running victims the candidate
         strictly outranks.  Returns False when the candidate must keep
         waiting."""
@@ -1234,7 +1114,7 @@ class Scheduler:
         while True:
             # Recomputed per check too: a victim may take its family's
             # residency, and with it the family's claim, along.
-            reserved_slots, reserved_blocks = self._family_reserved(state)
+            reserved_slots, reserved_blocks = self.families.claims(state)
             if manager.can_admit(
                 worst + reserved_blocks, immediate(), slots=1 + reserved_slots
             ):
@@ -1379,12 +1259,7 @@ class Scheduler:
         # branches mid-round (after headroom was secured), each taking
         # an append step of its own; bound their demand by the widest
         # live branch's step demand.
-        for family in self._live_families.values():
-            if family.mode != "beam":
-                continue
-            live = self._family_live(family)
-            if not live or any(s.status != RUNNING for s in live):
-                continue
+        for family, live in self.families.ready_beams():
             budgeted = family.request.budget is not None
             per_step = max(
                 manager.decode_block_demand(s.cache, budgeted) for s in live
@@ -1397,24 +1272,22 @@ class Scheduler:
         remainder) of ``state``'s effective prompt (the request prompt,
         plus generated tokens on a recompute resume), record the trace
         event, and complete the prefill when the last token lands."""
-        request = state.request
-        budget = request.budget
+        budget = state.request.budget
         total = state.prompt_tokens.shape[0]
         start = state.prefilled
-        end = start + rows
-        logits = self._prefill_range(state, start, end)
-        state.prefilled = end
+        logits = self.prefiller.forward(state, rows)
+        final = state.prefilled == total
         record.prefills.append(
             PrefillEvent(
-                request_id=request.request_id,
+                request_id=state.request_id,
                 prompt_length=int(total),
-                computed_tokens=int(end - start),
+                computed_tokens=int(rows),
                 prefix_length=int(start),
                 budgeted=budget is not None,
-                final=end == total,
+                final=final,
             )
         )
-        if end == total:
+        if final:
             enforce_budget(
                 state.policy,
                 state.cache,
@@ -1424,114 +1297,8 @@ class Scheduler:
             )
             state.cache_lengths.append(state.cache[0].length)
             transition(state, "prefill_done", logits=logits, position=total)
-            if state.family is not None:
-                family = self._families[state.family]
-                if family.mode == "sample" and not family.spawned:
-                    self._fork_family(state, family, record)
-
-    def _prefill_range(self, state, start, end):
-        """Prefill effective-prompt rows ``[start, end)`` against the
-        populated cache (adopted prefix blocks and earlier chunks) and
-        feed their attention rows to the policy; returns the logits.
-
-        The model's exact continuation (the range is one forward
-        segment) plus every policy's chunk-invariant
-        ``observe_continuation`` make the logits and the policy state
-        bitwise equal to a one-shot prefill at any split.
-        Observation is one call per layer over the whole range, except
-        while the sequence registers its prompt blocks in the prefix
-        trie (``state.prefix_node`` set by :meth:`_attach_prefix`): then
-        it is split at block boundaries, so the policy state at each
-        boundary is a pure function of the tokens before it, and every
-        freshly written full block is registered — before eviction can
-        mutate it — with that snapshot.  A tainted sequence
-        (partial/unsnapshotted adoption) registers its blocks without
-        snapshots: their KV is still pure, its vote state is not.
-        Registration covers *prompt* rows only, so provisional
-        speculative tokens never enter the trie.
-        """
-        prompt = state.prompt_tokens
-        policy = state.policy
-        prefill = self.model.prefill(
-            prompt[start:end], state.cache, start_position=start
-        )
-        positions = np.arange(end)
-        # After the forward: this chunk's own allocations may have made
-        # the trie reclaim the node (see prefix_cursor).
-        registering = prefix_cursor(state) is not None
-        bounds = [start, end]
-        if registering:
-            block = self.manager.prefix_cache.block_size
-            bounds[1:1] = range((start // block + 1) * block, end, block)
-        for lo, hi in zip(bounds, bounds[1:]):
-            for layer, attn in enumerate(prefill.attention):
-                rows = attn[:, lo - start : hi - start, :hi]
-                policy.observe_continuation(layer, rows, positions[:hi], PREFILL)
-            if registering and hi % block == 0:
-                snapshot = None
-                if not state.prefix_tainted:
-                    snapshot = [
-                        policy.export_prefill_state(layer, hi)
-                        for layer in range(self.model.config.n_layers)
-                    ]
-                state.prefix_node = self.manager.register_prefix_block(
-                    state.prefix_node,
-                    prompt[hi - block : hi],
-                    state.cache,
-                    hi // block - 1,
-                    snapshot,
-                )
-        return prefill.logits
-
-    def _attach_prefix(self, state):
-        """Adopt the longest cached prefix of the prompt (admission,
-        before the first prefill chunk; a no-op without a prefix trie or
-        for a non-shareable policy): a radix-trie lookup
-        returns full-block coverage plus — for unbudgeted sequences — a
-        partial mid-block tail.  The matched blocks attach copy-on-write,
-        the deepest pure policy snapshot within the coverage is imported,
-        and the trie node is remembered so the prefill keeps registering
-        blocks from it.
-
-        Budgeted sequences stop at the deepest snapshot-bearing node
-        (the shrink-to-budget eviction consults the votes, which must be
-        bit-exact).  An unbudgeted sequence may outrun its snapshot —
-        rows adopted without their vote contributions taint the policy
-        state, which is harmless for its own tokens (the votes are never
-        consulted without a budget) but makes its later boundary exports
-        impure, so they are registered without snapshots."""
-        policy = state.policy
-        prefix_cache = self.manager.prefix_cache
-        if prefix_cache is None or not policy.prefix_shareable:
-            return
-        budget = state.request.budget
-        n_layers = self.model.config.n_layers
-        hit = prefix_cache.match(
-            state.prompt_tokens,
-            policy.prefix_state_key(),
-            budgeted=budget is not None,
-        )
-        state.prefix_node = hit.parent
-        if not hit.shared_length:
-            return
-        nodes = list(hit.nodes)
-        if hit.tail_node is not None:
-            nodes.append(hit.tail_node)
-        state.cache.attach_prefix(
-            [
-                [node.layer_block_ids[layer] for node in nodes]
-                for layer in range(n_layers)
-            ],
-            hit.shared_length,
-        )
-        if hit.policy_length:
-            for layer in range(n_layers):
-                policy.import_prefill_state(
-                    layer, hit.policy_state[layer], hit.policy_length
-                )
-        state.prefix_tainted = hit.tainted
-        assert not (state.prefix_tainted and budget is not None)
-        state.prefilled = hit.shared_length
+            for _ in range(self.families.spawn(state)):
+                self._fork_branch(state, record)
 
     def _sample(self, record):
         """Sample one token per running sequence from its pending logits
@@ -1539,10 +1306,9 @@ class Scheduler:
         per-step prologue.  Beam branches take their tokens from the
         joint advance instead."""
         for state in self._running:
-            if state.status != RUNNING:
-                continue  # chunked prefill still in flight: no logits yet
-            if self._is_beam(state):
-                continue  # beam branches take tokens from the joint advance
+            # A chunked prefill still in flight has no logits yet.
+            if state.status != RUNNING or self.families.is_beam(state):
+                continue
             self._commit_token(state, self.sampler(state.logits, state.rng), record)
 
     def _commit_token(self, state, token, record, stepped=False):
@@ -1607,100 +1373,28 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Fork/join (parallel sampling and beam search)
     # ------------------------------------------------------------------
-    def _is_beam(self, state):
-        """Whether ``state`` belongs to a beam-search family (its tokens
-        come from the joint per-round advance, never from ``_sample``)."""
-        if state.family is None:
-            return False
-        return self._families[state.family].mode == "beam"
-
-    def _family_live(self, family):
-        """The family's unfinished branches, creation order."""
-        return [s for s in family.branches if s.status != FINISHED]
-
-    def _family_unspawned(self, family):
-        """Branches the family may still fork (the claim's size).
-
-        Sample mode spawns exactly once, so after the spawn the answer
-        is 0 regardless of later branch deaths; beam mode refills its
-        width whenever a branch finishes, so every missing live branch
-        is a potential future fork."""
-        if family.mode == "sample" and family.spawned:
-            return 0
-        return max(0, family.width - len(self._family_live(family)))
-
-    def _family_reserved(self, candidate=None):
-        """``(batch slots, one-way worst-case blocks)`` held for the
-        branches fork families may still fork.  A family holds them while
-        any of its branches is in the running batch (prefilling or
-        decoding), so no later admission can starve it of the room its
-        forks were admitted against; an admission ``candidate``'s own
-        family is counted too, since admitting it makes the family
-        resident.  A family with no resident branch holds nothing, and
-        its next (re-)admission secures the whole claim again."""
-        if not self._families:
-            return 0, 0
-        resident = {
-            s.family
-            for s in self._running
-            if s.family is not None and s.status in (PREFILLING, RUNNING)
-        }
-        if candidate is not None and candidate.family is not None:
-            resident.add(candidate.family)
-        slots = blocks = 0
-        for family_id in resident:
-            family = self._families[family_id]
-            unspawned = self._family_unspawned(family)
-            slots += unspawned
-            blocks += unspawned * family.branch_worst
-        return slots, blocks
-
-    def _fork_family(self, state, family, record):
-        """Spawn a parallel-sampling family's ``n - 1`` sibling branches
-        off the freshly prefilled root (one-shot).
-
-        Each branch adopts the root's KV state (CoW blocks when paged, a
-        slab copy when dense), a deep copy of its eviction-policy state,
-        and a *fresh* RNG seeded ``seed + branch_index`` — the root's own
-        RNG, seeded ``seed`` and still unconsumed at this point, makes
-        branch 0 the root itself, so branch ``i`` is bit-identical to an
-        independent request with seed ``seed + i``."""
-        for _ in range(family.width - 1):
-            self._fork_branch(state, family, record)
-        family.spawned = True
-
-    def _fork_branch(self, parent, family, record):
+    def _fork_branch(self, parent, record):
         """Fork one branch off ``parent``: duplicate its scheduler-side
-        state, let the resource manager duplicate its device state (on
-        one of the slots the family's claim set aside), and record the
+        state under the id its family mints, let the resource manager
+        duplicate its device state (on one of the slots the family's
+        claim set aside), and record the
         :class:`~repro.serve.trace.ForkEvent`.  Returns the branch."""
-        root = family.request
-        branch_index = family.next_branch
-        family.next_branch += 1
-        child_id = f"{root.request_id}#{branch_index}"
-        child_request = replace(
-            root,
-            request_id=child_id,
-            seed=root.seed + branch_index,
-            n=1,
-            beam_width=1,
-        )
+        request, branch_index = self.families.mint(parent)
         child = transition(
-            parent, "fork", request=child_request, submit_index=self._submit_count,
-            branch_index=branch_index, rng=np.random.default_rng(child_request.seed),
+            parent, "fork", request=request, submit_index=len(self._states),
+            branch_index=branch_index, rng=np.random.default_rng(request.seed),
             policy=copy.deepcopy(parent.policy),
-            cache=self.manager.fork(parent.request_id, child_id),
+            cache=self.manager.fork(parent.request_id, request.request_id),
         )
-        self._submit_count += 1
-        family.branches.append(child)
+        self._states[request.request_id] = child
+        self.families.adopt(child)
         self._running.append(child)
-        kv_slots = max((layer.length for layer in child.cache), default=0)
         blocks, copied_slots = self.manager.fork_footprint(child.cache)
         record.forks.append(
             ForkEvent(
                 request_id=parent.request_id,
-                child_id=child_id,
-                kv_slots=int(kv_slots),
+                child_id=request.request_id,
+                kv_slots=int(max((layer.length for layer in child.cache), default=0)),
                 blocks=blocks,
                 copied_slots=int(copied_slots),
             )
@@ -1708,81 +1402,25 @@ class Scheduler:
         return child
 
     def _advance_beams(self, record):
-        """Jointly advance every beam family that has all live branches
-        holding fresh logits this round; returns the states whose
-        appended token still needs a decode step.
-
-        A family with any branch mid-prefill, preempted, or swapped
-        stalls wholesale — beam selection is a joint decision over every
-        branch's logits, so advancing a subset would change the search.
-        """
+        """Apply one beam step (:meth:`ForkFamilies.beam_step`) to every
+        ready beam family; returns the states whose appended token still
+        needs a decode step.  Pruning runs before forking so a fixed pool
+        can fund the forks with the pruned branches' slots and blocks;
+        forks happen before appending, since children must adopt the
+        cache state *without* this round's token."""
         ready = []
-        for family in self._live_families.values():
-            if family.mode != "beam":
-                continue
-            live = self._family_live(family)
-            if not live:
-                continue
-            if any(s.status != RUNNING or s.logits is None for s in live):
-                continue
-            self._advance_one_beam(family, live, record, ready)
-        return ready
-
-    def _advance_one_beam(self, family, live, record, ready):
-        """One beam round: score every (branch, token) successor, keep
-        the global top ``width`` by cumulative log-probability, prune
-        branches left with no successor, and fork branches keeping
-        several.  Ties break deterministically by (score, branch
-        creation order, token id).  Pruning runs before forking so a
-        fixed pool can fund the forks with the pruned branches' slots
-        and blocks.  Branches still running go on ``ready``.
-
-        Scoring ranks candidates by their *length-normalized* cumulative
-        log-probability ``raw / len ** alpha`` (GNMT length penalty,
-        ``alpha = Request.length_penalty``); the branch keeps
-        accumulating the raw sum, so normalization is purely a rank-time
-        transform and ``alpha = 0`` is bit-identical to raw scoring."""
-        width = family.width
-        alpha = family.request.length_penalty
-        candidates = []
-        for order, state in enumerate(live):
-            logits = state.logits
-            peak = logits.max()
-            logprobs = logits - (peak + np.log(np.exp(logits - peak).sum()))
-            vocab = logprobs.shape[0]
-            top = np.lexsort((np.arange(vocab), -logprobs))[: min(width, vocab)]
-            length = state.num_generated + 1
-            for token in top:
-                raw = float(state.cum_logprob + logprobs[token])
-                rank = raw if alpha == 0 else raw / length**alpha
-                candidates.append((rank, raw, order, int(token)))
-        candidates.sort(key=lambda c: (-c[0], c[2], c[3]))
-        by_branch = {}
-        for _, raw, order, token in candidates[:width]:
-            by_branch.setdefault(order, []).append((raw, token))
-        for order, state in enumerate(live):
-            if order not in by_branch:
-                # Beam pruning: the losing branch's cache tail goes back
-                # to the pool now (blocks shared with siblings just drop
-                # a refcount).
+        for family, live in self.families.ready_beams():
+            pruned, kept = self.families.beam_step(family, live)
+            for state in pruned:
                 self._finish(state, "beam_pruned")
-        for order, state in enumerate(live):
-            successors = by_branch.get(order)
-            if not successors:
-                continue
-            # Fork before appending: children must adopt the cache state
-            # *without* this round's token, which they replace with their
-            # own successor.
-            children = [
-                self._fork_branch(state, family, record)
-                for _ in successors[1:]
-            ]
-            for branch, (score, token) in zip([state, *children], successors):
-                branch.cum_logprob = score
-                self._commit_token(branch, token, record)
-                if branch.status == RUNNING:
-                    ready.append(branch)
-        self._peak_concurrency = max(self._peak_concurrency, len(self._running))
+            for state, successors in kept:
+                children = [self._fork_branch(state, record) for _ in successors[1:]]
+                for branch, (score, token) in zip([state, *children], successors):
+                    branch.cum_logprob = score
+                    self._commit_token(branch, token, record)
+                    if branch.status == RUNNING:
+                        ready.append(branch)
+        return ready
 
     # ------------------------------------------------------------------
     # Speculative decoding (draft-propose / target-verify)
@@ -1974,10 +1612,7 @@ class Scheduler:
         if finished:
             self._finished.extend(finished)
             self._running = [s for s in self._running if s.status != FINISHED]
-            for state in finished:
-                family = self._live_families.get(state.family)
-                if family is not None and not self._family_live(family):
-                    del self._live_families[state.family]
+            self.families.retire(finished)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -1988,51 +1623,26 @@ class Scheduler:
 
     def tokens_for(self, request_id):
         """Generated tokens of a retired request."""
-        for state in self._finished:
-            if state.request_id == request_id:
-                return list(state.tokens)
-        raise KeyError(f"request {request_id!r} has not finished")
+        state = self._states.get(request_id)
+        if state is None or state.status != FINISHED:
+            raise KeyError(f"request {request_id!r} has not finished")
+        return list(state.tokens)
 
     def samples_for(self, request_id):
         """The generated token lists of every branch of a fork family,
         in branch order — for ``Request(n=k)`` the ``k`` independent
         continuations; branch ``i`` carries effective seed
         ``seed + i``."""
-        family = self._families.get(request_id)
-        if family is None:
-            raise KeyError(f"request {request_id!r} is not a fork family")
-        branches = sorted(family.branches, key=lambda s: s.branch_index)
-        return [list(s.tokens) for s in branches]
+        return self.families.samples_for(request_id)
 
     def beam_result_for(self, request_id):
         """``(tokens, cum_logprob)`` of the best completed hypothesis of
         a ``Request(beam_width=k)`` family (pruned branches excluded);
-        ties break toward the earliest-created branch.
-
-        With ``Request.length_penalty = alpha > 0`` hypotheses compete
-        on ``cum_logprob / len(tokens) ** alpha``; the returned score is
+        ties break toward the earliest-created branch.  Hypotheses
+        compete on the length-normalized score
+        (:func:`~repro.serve.families.beam_score`); the returned score is
         always the raw cumulative log-probability of the winner."""
-        family = self._families.get(request_id)
-        if family is None or family.mode != "beam":
-            raise KeyError(f"request {request_id!r} is not a beam request")
-        done = [
-            s
-            for s in family.branches
-            if s.status == FINISHED and s.finish_reason != "beam_pruned"
-        ]
-        if not done:
-            raise KeyError(
-                f"beam request {request_id!r} has no finished hypothesis yet"
-            )
-        alpha = family.request.length_penalty
-
-        def normalized(state):
-            if alpha == 0 or not state.tokens:
-                return state.cum_logprob
-            return state.cum_logprob / len(state.tokens) ** alpha
-
-        best = max(done, key=lambda s: (normalized(s), -s.branch_index))
-        return list(best.tokens), best.cum_logprob
+        return self.families.beam_result_for(request_id)
 
     def report(self, wall_seconds=0.0):
         """Snapshot :class:`ServingReport` over the requests retired (and
@@ -2087,14 +1697,8 @@ class Scheduler:
                 row["spec_proposed"] = proposed
                 row["spec_accepted"] = accepted
                 row["accept_rate"] = accepted / proposed if proposed else 0.0
-        if self._families:
-            for row, s in zip(rows, self._finished):
-                row["family"] = s.family
-                row["branch"] = s.branch_index
-                if self._is_beam(s):
-                    row["cum_logprob"] = s.cum_logprob
-        states = self._finished + self._running + self._waiting
-        preemptions = sum(s.preemptions for s in states)
+        self.families.add_columns(rows, self._finished)
+        preemptions = sum(s.preemptions for s in self._states.values())
         # Under preempt="model" every swap-out is a cost-model choice.
         modeled = self.preempt == "model"
         manager = self.manager

@@ -374,13 +374,13 @@ class TestBeamSearch:
         scheduler.submit(Request("plain", rng.integers(0, vocab, size=8),
                                  max_new_tokens=6))
         checks = []
-        family_live = scheduler._family_live
+        family_live = scheduler.families.live
 
         def counted(family):
             checks[-1] += 1
             return family_live(family)
 
-        scheduler._family_live = counted
+        scheduler.families.live = counted
         while not scheduler.done:
             checks.append(0)
             scheduler.run_round()
