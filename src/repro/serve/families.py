@@ -107,15 +107,15 @@ class ForkFamilies:
             return True
         return request.num_branches > 1 and str(request.request_id) in self._owners
 
-    def check(self, request, max_batch_size, draft_model):
+    def check(self, request, max_batch_size, speculative):
         """Refuse (``ValueError``) a multi-branch ``request`` that cannot
-        be served: wider than the batch, or beside a draft model (a
-        branch's provisional verify window would be shared
+        be served: wider than the batch, or under speculative decoding
+        (a branch's provisional verify window would be shared
         copy-on-write with its siblings, so rollback could not stay
         per-branch exact)."""
         if request.num_branches <= 1:
             return
-        if draft_model is not None:
+        if speculative:
             raise ValueError(
                 "fork families (n > 1 / beam_width > 1) are incompatible "
                 "with speculative decoding: a branch's provisional verify "

@@ -711,7 +711,7 @@ class Scheduler:
         # (``tokens_for``, report rows), so reuse would make them ambiguous.
         if request.request_id in self._states or self.families.clashes(request):
             raise KeyError(f"duplicate request id {request.request_id!r}")
-        self.families.check(request, self.max_batch_size, self.draft_model)
+        self.families.check(request, self.max_batch_size, self.draft_model is not None)
         problem = unservable_reason(
             self.model.config,
             request.prompt,
