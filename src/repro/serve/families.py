@@ -176,26 +176,29 @@ class ForkFamilies:
             return 0
         return max(0, family.width - len(live))
 
-    def claims(self, candidate=None):
+    def claims(self, running, candidate=None):
         """``(batch slots, one-way worst-case blocks)`` held for the
         branches fork families may still fork.  A family holds them while
-        any of its branches is resident (prefilling or decoding), so no
-        later admission can starve it of the room its forks were
-        admitted against; an admission ``candidate``'s own family is
-        counted too, since admitting it makes the family resident.  A
-        family with no resident branch holds nothing, and its next
-        (re-)admission secures the whole claim again."""
+        any of its branches is in the ``running`` batch (prefilling or
+        decoding), so no later admission can starve it of the room its
+        forks were admitted against; an admission ``candidate``'s own
+        family is counted too, since admitting it makes the family
+        resident.  A family with no resident branch holds nothing, and
+        its next (re-)admission secures the whole claim again.  The walk
+        is over the batch, not over every queued family."""
         if not self._live:
             return 0, 0
-        own = candidate.family if candidate is not None else None
+        resident = {
+            s.family
+            for s in running
+            if s.family is not None and s.status in (PREFILLING, RUNNING)
+        }
+        if candidate is not None and candidate.family is not None:
+            resident.add(candidate.family)
         slots = blocks = 0
-        for family_id, family in self._live.items():
-            live = self.live(family)
-            if family_id != own and not any(
-                s.status in (PREFILLING, RUNNING) for s in live
-            ):
-                continue
-            unspawned = self._unspawned(family, live)
+        for family_id in resident:
+            family = self._families[family_id]
+            unspawned = self._unspawned(family, self.live(family))
             slots += unspawned
             blocks += unspawned * family.branch_worst
         return slots, blocks

@@ -813,7 +813,7 @@ class Scheduler:
         """Free KV capacity for the router's tie-breaks: free pool
         blocks when paged, free batch slots when dense (less the slots
         resident fork families hold for their unforked branches)."""
-        return self.manager.free_kv_capacity(self.families.claims()[0])
+        return self.manager.free_kv_capacity(self.families.claims(self._running)[0])
 
     def prefix_probe(self, request):
         """Longest cached prefix (in tokens) this scheduler's radix trie
@@ -1114,7 +1114,7 @@ class Scheduler:
         while True:
             # Recomputed per check too: a victim may take its family's
             # residency, and with it the family's claim, along.
-            reserved_slots, reserved_blocks = self.families.claims(state)
+            reserved_slots, reserved_blocks = self.families.claims(self._running, state)
             if manager.can_admit(
                 worst + reserved_blocks, immediate(), slots=1 + reserved_slots
             ):
