@@ -78,11 +78,11 @@ class ForkFamily:
 class ForkFamilies:
     """Every fork family of one scheduler, and the branch namespace.
 
-    The per-round walks (:meth:`claims`, :meth:`ready_beams`,
-    :meth:`retire`) visit only the *live* families — those with a branch
-    not yet finished — so their cost follows the live families, not
-    every family ever submitted, and is one dict check when none is
-    live.
+    The per-round walks (:meth:`ready_beams`, :meth:`retire`) visit only
+    the *live* families — those with a branch not yet finished — and
+    :meth:`claims` only the families resident in the batch, so their
+    cost never follows every family ever submitted, and each is one dict
+    check when no family is live.
     """
 
     def __init__(self):
