@@ -173,8 +173,8 @@ class PrefixPrefill:
             bounds[1:1] = range((start // block + 1) * block, end, block)
         for lo, hi in zip(bounds, bounds[1:]):
             for layer, attn in enumerate(prefill.attention):
-                rows = attn[:, lo - start : hi - start, :hi]
-                policy.observe_continuation(layer, rows, positions[:hi], PREFILL)
+                attn_rows = attn[:, lo - start : hi - start, :hi]
+                policy.observe_continuation(layer, attn_rows, positions[:hi], PREFILL)
             if registering and hi % block == 0:
                 snapshot = None
                 if not state.prefix_tainted:
